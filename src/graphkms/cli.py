@@ -29,15 +29,6 @@ def _load(path: str):
         return parse_graph(handle.read())
 
 
-def _label_str(state: kms.StateMeasure) -> str:
-    lab = state.label
-    if isinstance(lab, kms.PsiC):
-        return "psi{" + ",".join(lab.component.members) + "}"
-    if isinstance(lab, kms.PhiBetaV):
-        return f"phi[{lab.vertex}]"
-    return f"mixture(r={lab.r:g})"
-
-
 def _graph_json(G) -> dict:
     return {
         "vertices": list(G.vertices),
@@ -72,7 +63,7 @@ def _simplex_json(G, sx) -> dict:
         "case": sx.case,
         "extremes": [
             {
-                "label": _label_str(s),
+                "label": kms.label_text(s),
                 "m": {v: _f12(x) for v, x in s.m.items()},
                 "factors_through_graph_algebra": s.factors_through_graph_algebra,
                 "state_type": s.state_type,
@@ -127,17 +118,30 @@ def cmd_analyze(args) -> int:
     for v in G.vertices:
         bv = kms.beta_v(G, v)
         print(f"  {v}: {'-inf' if bv is None else f'{bv:.9g}'}")
-    if all(c.trivial for c in G.components):
+    if not criticals:
         print("no cycles; no critical temperatures")
         return 0
-    mc = sorted(kms.minimal_critical_components(G), key=lambda c: c.id)
+    mc = kms.regime(G, criticals[-1]).minimal_critical
     print(
         "minimal critical components: "
-        + ", ".join("{" + ",".join(c.members) + "}" for c in mc)
+        + ", ".join("{" + ",".join(G.components[c].members) + "}" for c in mc)
     )
     print("critical temperatures:")
     for k, spec in enumerate(criticals):
         print(f"  [{k}] beta = {_beta_text(G, spec)}")
+    return 0
+
+
+def _verify(G, sx, stream=None) -> int:
+    """Oracle checks on sx: FAIL lines and exit code 2 on any failure.
+    Given a stream (JSON mode), only FAIL lines are written, to it."""
+    failures = oracle.verify_simplex(G, sx)
+    for failure in failures:
+        print(f"FAIL {failure}", file=stream or sys.stdout)
+    if failures:
+        return 2
+    if stream is None:
+        print("all checks passed")
     return 0
 
 
@@ -152,33 +156,24 @@ def cmd_states(args) -> int:
             "simplex": _simplex_json(G, sx),
         }
         print(json.dumps(payload, indent=2))
-        return 0
+        return _verify(G, sx, sys.stderr) if args.verify else 0
     print(f"beta = {_beta_text(G, spec)}")
     print(f"case: {sx.case}")
     print(f"H_beta = {{{','.join(sorted(sx.H_beta.members, key=G.index.get))}}}")
     print(f"K_beta = {{{','.join(sorted(sx.K_beta.members, key=G.index.get))}}}")
     if not sx.extremes:
         print("no KMS states at this beta")
-        if args.verify:
-            print("all checks passed")
-        return 0
-    print(f"extreme states ({len(sx.extremes)}):")
-    width = max(len(_label_str(s)) for s in sx.extremes)
-    for s in sx.extremes:
-        factors = "yes" if s.factors_through_graph_algebra else "no"
-        mvals = "  ".join(f"m[{v}]={s.m[v]:.9g}" for v in G.vertices)
-        print(
-            f"  {_label_str(s):<{width}}  type={s.state_type:<8} "
-            f"factors={factors:<3}  {mvals}"
-        )
-    if args.verify:
-        failures = oracle.verify_simplex(G, sx)
-        for failure in failures:
-            print(f"FAIL {failure}")
-        if failures:
-            return 2
-        print("all checks passed")
-    return 0
+    else:
+        print(f"extreme states ({len(sx.extremes)}):")
+        width = max(len(kms.label_text(s)) for s in sx.extremes)
+        for s in sx.extremes:
+            factors = "yes" if s.factors_through_graph_algebra else "no"
+            mvals = "  ".join(f"m[{v}]={s.m[v]:.9g}" for v in G.vertices)
+            print(
+                f"  {kms.label_text(s):<{width}}  type={s.state_type:<8} "
+                f"factors={factors:<3}  {mvals}"
+            )
+    return _verify(G, sx) if args.verify else 0
 
 
 def cmd_phase_diagram(args) -> int:
@@ -203,22 +198,21 @@ def cmd_phase_diagram(args) -> int:
     rows.sort(key=lambda pair: pair[0])
     print("beta,case,dim_toeplitz,dim_graph_algebra")
     for val, spec in rows:
-        sx = kms.kms_simplex(G, spec)
-        dim_t = len(sx.extremes) - 1
-        dim_g = sum(1 for s in sx.extremes if s.factors_through_graph_algebra) - 1
-        print(f"{val:.12g},{sx.case},{dim_t},{dim_g}")
+        # One psi state per minimal critical component, one phi state per
+        # vertex outside K_beta; psi states and the phi states of quotient
+        # sources factor through the graph algebra.
+        reg = kms.regime(G, spec)
+        n_psi = len(reg.minimal_critical)
+        dim_t = n_psi + len(reg.outside) - 1
+        dim_g = n_psi + len(reg.sources) - 1
+        print(f"{val:.12g},{reg.case},{dim_t},{dim_g}")
     return 0
 
 
 def cmd_perron(args) -> int:
     coeffs = list(args.coeffs)
-    for c in coeffs:
-        if abs(c - round(c)) > 1e-12:
-            raise ValueError("coefficients must be integers")
-    roots = np.roots([round(c) for c in coeffs])
-    dist = np.abs(roots - args.root)
-    pick = int(np.argmin(dist))
-    if dist[pick] > max(1e-2, 1e-2 * abs(args.root)):
+    roots, pick, dist = kms.nearest_root(coeffs, args.root)
+    if dist > max(1e-2, 1e-2 * abs(args.root)):
         raise ValueError(f"no polynomial root near {args.root:g}")
     designated = float(roots[pick].real)
     verdict = kms.perron_check(coeffs, designated)
@@ -236,13 +230,7 @@ def cmd_verify(args) -> int:
     sx = kms.kms_simplex(G, spec)
     print(f"beta = {_beta_text(G, spec)}; case {sx.case}; "
           f"{len(sx.extremes)} extreme states")
-    failures = oracle.verify_simplex(G, sx)
-    for failure in failures:
-        print(f"FAIL {failure}")
-    if failures:
-        return 2
-    print("all checks passed")
-    return 0
+    return _verify(G, sx)
 
 
 def build_parser() -> _Parser:

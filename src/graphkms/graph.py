@@ -10,7 +10,7 @@ convention, so it is fixed here once and used unchanged everywhere else.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,23 +124,8 @@ class DirectedGraph:
         A = self.matrix
         succ = [list(np.nonzero(A[i])[0]) for i in range(n)]
         raw = tarjan_sccs(succ)
-        # Tarjan emits components in reverse topological order: arcs between
-        # distinct components always point at an earlier entry, so reach sets
-        # can be accumulated in one forward pass.
-        comp_of_raw = [0] * n
-        for k, comp in enumerate(raw):
-            for i in comp:
-                comp_of_raw[i] = k
-        reach_raw: list[frozenset[int]] = []
-        for k, comp in enumerate(raw):
-            acc = {k}
-            for i in comp:
-                for j in succ[i]:
-                    acc |= reach_raw[comp_of_raw[j]] if comp_of_raw[j] != k else set()
-            reach_raw.append(frozenset(acc))
         # Canonical ids: sort components by their smallest vertex index.
         order = sorted(range(len(raw)), key=lambda k: min(raw[k]))
-        newid = {k: c for c, k in enumerate(order)}
         components = []
         comp_of = [0] * n
         for cid, k in enumerate(order):
@@ -169,10 +154,30 @@ class DirectedGraph:
                     perron_vector=vec,
                 )
             )
+        # Tarjan emits components in reverse topological order: arcs between
+        # distinct components always point at an earlier entry.  So reach
+        # sets accumulate in one forward pass, and a backward pass finishes
+        # each component before it passes its divergence value on along its
+        # arcs, which takes the maximum over every component whose closure
+        # holds the target.
+        ids = [comp_of[comp[0]] for comp in raw]
         reach = [frozenset()] * len(raw)
-        for k in range(len(raw)):
-            reach[newid[k]] = frozenset(newid[j] for j in reach_raw[k])
-        cached = (tuple(components), comp_of, tuple(reach))
+        for k, comp in enumerate(raw):
+            acc = {ids[k]}
+            for i in comp:
+                for j in succ[i]:
+                    if comp_of[j] != ids[k]:
+                        acc |= reach[comp_of[j]]
+            reach[ids[k]] = frozenset(acc)
+        top = [-math.inf] * len(raw)
+        for k in reversed(range(len(raw))):
+            c = components[ids[k]]
+            if not c.trivial:
+                top[c.id] = max(top[c.id], math.log(c.spectral_radius))
+            for i in raw[k]:
+                for j in succ[i]:
+                    top[comp_of[j]] = max(top[comp_of[j]], top[c.id])
+        cached = (tuple(components), comp_of, tuple(reach), tuple(top))
         object.__setattr__(self, "_analysis_cache", cached)
         return cached
 
@@ -181,12 +186,24 @@ class DirectedGraph:
         return self._analysis()[0]
 
     def component_of(self, v: str) -> Component:
-        comps, comp_of, _ = self._analysis()
+        comps, comp_of = self._analysis()[:2]
         return comps[comp_of[self.index[v]]]
 
     def reachable_components(self, comp_id: int) -> frozenset[int]:
         """Ids of components D with C_id <= D, i.e. D talks to C_id."""
         return self._analysis()[2][comp_id]
+
+    @property
+    def divergence(self) -> tuple[float, ...]:
+        """Per component id C, the largest ln rho(A_D) over nontrivial D <= C.
+
+        D <= C means the hereditary closure of D contains C, so the path
+        series out of C diverges exactly for beta at or below this value;
+        -inf when no such D exists.  Every temperature-indexed set
+        (H_beta, K_beta, the critical list, beta_v) is a comparison against
+        this array.
+        """
+        return self._analysis()[3]
 
     # -- vertex sets ---------------------------------------------------------
 
@@ -300,10 +317,6 @@ def path_count(G: DirectedGraph, v: str, w: str, n: int) -> int:
         if m:
             power = mul(power, power)
     return result[i][j]
-
-
-def strongly_connected_components(G: DirectedGraph) -> tuple[Component, ...]:
-    return G.components
 
 
 def talks_to(G: DirectedGraph, C: Component, D: Component) -> bool:

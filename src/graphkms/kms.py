@@ -1,11 +1,15 @@
 """KMS equilibrium simplices for the gauge action on graph Toeplitz algebras.
 
 Every KMS state at inverse temperature beta is determined by its vertex
-measure m, a probability vector with A m <= e^beta m.  This module builds the
-extreme points of the simplex for any beta: psi-type states attached to
-minimal critical components and phi-type states attached to vertices outside
-K_beta, plus their convex mixtures, together with the factor-through and
-finite/infinite type classification.
+measure m, a probability vector with A m <= e^beta m.  Which states exist at
+one beta is combinatorial and derived in one place, :func:`regime`: H_beta,
+K_beta, the case, the minimal critical components of the quotient by H_beta,
+the vertices outside K_beta and the quotient sources after saturation all
+come from comparing beta with the per-component divergence array
+``G.divergence``.  Only the measures need linear algebra, and they are
+solved only when asked for: psi-type states attached to minimal critical
+components, phi-type states attached to vertices outside K_beta, and their
+convex mixtures, with the factor-through and finite/infinite classification.
 
 Float policy: comparisons against critical values use the tolerance TOL;
 ``CriticalOf`` carries a component id so critical temperatures can be used
@@ -115,104 +119,127 @@ class SimplexDescriptor:
     extremes: tuple[StateMeasure, ...]
 
 
-# -- component-level classification ---------------------------------------------
+# -- the regime at one beta -------------------------------------------------------
 
 
-def _classify(G: DirectedGraph, beta):
-    """Sign of ln rho(A_C) - beta per nontrivial component id.
+@dataclass(frozen=True, eq=False)
+class Regime:
+    """The combinatorial data that fixes the simplex at one beta.
 
-    +1 above the window, 0 inside it, -1 below.  CriticalOf resolves to the
-    defining component's own ln rho, so that component always lands on 0.
+    Everything here is a comparison against ``G.divergence``; no linear
+    algebra runs until measures are asked for.  ``minimal_critical`` holds
+    the ascending ids of the minimal critical components of the quotient by
+    H_beta, ``outside`` the ascending vertex indices outside K_beta (one phi
+    state each), ``outside_radius`` the spectral radius of that part, and
+    ``sources`` the vertices that are sources of the quotient by the
+    saturation of K_beta.
+    """
+
+    beta: BetaSpec
+    beta_value: float
+    case: str
+    H_beta: VertexSet
+    K_beta: VertexSet
+    minimal_critical: tuple[int, ...]
+    outside: tuple[int, ...]
+    outside_radius: float
+    sources: frozenset[str]
+
+
+def regime(G: DirectedGraph, beta) -> Regime:
+    """Classify every component against beta and derive the simplex's shape.
+
+    A component lies in H_beta when its divergence value clears beta + TOL
+    and in K_beta when it reaches beta - TOL.  The critical components of
+    the quotient by H_beta are the nontrivial ones left there with
+    ln rho(A_C) inside the TOL window; CriticalOf resolves to the defining
+    component's own ln rho, so that component always falls inside it.
     """
     spec = _as_beta(beta)
     bval = beta_value(G, spec)
-    signs: dict[int, int] = {}
-    for c in G.components:
-        if c.trivial:
-            continue
-        ln = math.log(c.spectral_radius)
-        if ln > bval + TOL:
-            signs[c.id] = 1
-        elif ln >= bval - TOL:
-            signs[c.id] = 0
-        else:
-            signs[c.id] = -1
-    return spec, bval, signs
-
-
-def _closure_ids(G: DirectedGraph, ids) -> frozenset[int]:
-    out: set[int] = set()
-    for i in ids:
-        out |= G.reachable_components(i)
-    return frozenset(out)
-
-
-def _members_of_ids(G: DirectedGraph, ids) -> list[str]:
     comps = G.components
-    out = []
-    for i in sorted(ids):
-        out.extend(comps[i].members)
-    return out
+    top = G.divergence
+    H = G.vertex_set(v for c in comps if top[c.id] > bval + TOL for v in c.members)
+    K = G.vertex_set(v for c in comps if top[c.id] >= bval - TOL for v in c.members)
+    crit = [
+        c.id
+        for c in comps
+        if not c.trivial
+        and top[c.id] <= bval + TOL
+        and math.log(c.spectral_radius) >= bval - TOL
+    ]
+    mc = tuple(
+        c
+        for c in crit
+        if not any(d != c and c in G.reachable_components(d) for d in crit)
+    )
+    outside = tuple(i for i, v in enumerate(G.vertices) if v not in K.members)
+    if len(H.members) == len(G.vertices):
+        case = EMPTY
+    else:
+        case = CRITICAL if mc else SUBCRITICAL
+    sources = frozenset()
+    if outside:
+        # Sources of the quotient by the saturation: vertices outside it
+        # that receive no edge from outside it.
+        sat = saturation(G, K)
+        keep = np.array([v not in sat.members for v in G.vertices])
+        sources = frozenset(
+            G.vertices[i] for i in np.nonzero(keep)[0] if not G.matrix[i][keep].any()
+        )
+    return Regime(
+        beta=spec,
+        beta_value=bval,
+        case=case,
+        H_beta=H,
+        K_beta=K,
+        minimal_critical=mc,
+        outside=outside,
+        outside_radius=max(
+            (c.spectral_radius for c in comps if top[c.id] < bval - TOL), default=0.0
+        ),
+        sources=sources,
+    )
 
 
 def H_beta(G: DirectedGraph, beta) -> VertexSet:
     """Hereditary closure of the components with ln rho(A_C) > beta."""
-    _, _, signs = _classify(G, beta)
-    ids = _closure_ids(G, (i for i, s in signs.items() if s > 0))
-    return G.vertex_set(_members_of_ids(G, ids))
+    return regime(G, beta).H_beta
 
 
 def K_beta(G: DirectedGraph, beta) -> VertexSet:
     """Hereditary closure of the components with ln rho(A_C) >= beta."""
-    _, _, signs = _classify(G, beta)
-    ids = _closure_ids(G, (i for i, s in signs.items() if s >= 0))
-    return G.vertex_set(_members_of_ids(G, ids))
+    return regime(G, beta).K_beta
 
 
-def _critical_ids(G: DirectedGraph) -> list[int]:
-    vals = {
-        c.id: math.log(c.spectral_radius) for c in G.components if not c.trivial
-    }
-    if not vals:
-        return []
-    top = max(vals.values())
-    return sorted(i for i, ln in vals.items() if ln >= top - TOL)
+def _top_regime(G: DirectedGraph) -> Regime:
+    """The regime at the largest critical temperature, where H_beta is empty."""
+    criticals = critical_temperatures(G)
+    if not criticals:
+        raise ValueError("an acyclic graph has no critical components")
+    return regime(G, criticals[-1])
 
 
 def minimal_critical_components(G: DirectedGraph) -> frozenset[Component]:
     """Components attaining rho(A), minimal in the order induced on them."""
-    crit = _critical_ids(G)
-    if not crit:
-        raise ValueError("an acyclic graph has no critical components")
-    mins = [
-        c
-        for c in crit
-        if not any(d != c and c in G.reachable_components(d) for d in crit)
-    ]
-    return frozenset(G.components[c] for c in mins)
+    return frozenset(G.components[c] for c in _top_regime(G).minimal_critical)
 
 
 def critical_temperatures(G: DirectedGraph) -> list[CriticalOf]:
     """Ascending list of the critical inverse temperatures, as CriticalOf.
 
-    A candidate ln rho(A_C) survives iff C stays outside H at its own value;
-    then the restriction of A to the survivors still has spectral radius
-    ln-equal to the candidate.  Values closer than TOL are merged, keeping
-    the smallest component id.
+    A candidate ln rho(A_C) survives iff C stays outside H at its own value,
+    that is iff its divergence value is its own ln rho (up to TOL); then the
+    restriction of A to the survivors still has spectral radius ln-equal to
+    the candidate.  Values closer than TOL are merged, keeping the smallest
+    component id.
     """
-    candidates = []
-    for c in G.components:
-        if c.trivial:
-            continue
-        ln = math.log(c.spectral_radius)
-        above = (
-            d.id
-            for d in G.components
-            if not d.trivial and math.log(d.spectral_radius) > ln + TOL
-        )
-        if c.id not in _closure_ids(G, above):
-            candidates.append((ln, c.id))
-    candidates.sort()
+    top = G.divergence
+    candidates = sorted(
+        (math.log(c.spectral_radius), c.id)
+        for c in G.components
+        if not c.trivial and top[c.id] <= math.log(c.spectral_radius) + TOL
+    )
     out: list[CriticalOf] = []
     last = None
     for ln, cid in candidates:
@@ -223,32 +250,30 @@ def critical_temperatures(G: DirectedGraph) -> list[CriticalOf]:
     return out
 
 
+def beta_v(G: DirectedGraph, v: str) -> float | None:
+    """sup of ln rho(A_C) over components C <= v; None when no cycle is below v.
+
+    phi_{beta,v} exists exactly for beta above this value (at every beta when
+    None).
+    """
+    top = G.divergence[G.component_of(v).id]
+    return None if top == -math.inf else top
+
+
 # -- state constructions ---------------------------------------------------------
 
 
-def _quotient_radius(G: DirectedGraph, comp_ids) -> float:
-    comps = G.components
-    return max((comps[i].spectral_radius for i in comp_ids), default=0.0)
+def _psi_state(
+    G: DirectedGraph, reg: Regime, C: Component, spec: BetaSpec
+) -> tuple[StateMeasure, np.ndarray]:
+    """psi_C with its z-vector over the vertices outside K_beta.
 
-
-def _psi_measure_worker(
-    G: DirectedGraph,
-    spec: BetaSpec,
-    surv_comp_ids: frozenset[int],
-    mc_ids,
-    C: Component,
-) -> tuple[StateMeasure, dict[str, float]]:
-    """psi_C over the subgraph on ``surv_comp_ids``, extended by zero.
-
-    Returns the state and its z-vector (over the vertices of the subgraph
-    that stay outside the closure of the minimal critical components);
-    removed vertices carry measure zero.
+    Outside K_beta is the part of the quotient by H_beta that stays outside
+    the closure of its minimal critical components; the rest of the graph
+    carries measure zero.
     """
     A = G.matrix
-    comps = G.components
-    closure = _closure_ids(G, mc_ids) & surv_comp_ids
-    outside = surv_comp_ids - closure
-    out_idx = sorted(i for cid in outside for i in _comp_indices(G, cid))
+    out_idx = list(reg.outside)
     c_idx = [G.index[v] for v in C.members]
     rho = C.spectral_radius
     x = np.array([C.perron_vector[v] for v in C.members])
@@ -258,7 +283,7 @@ def _psi_measure_worker(
             A[np.ix_(out_idx, out_idx)],
             math.log(rho),
             rhs,
-            radius=_quotient_radius(G, outside),
+            radius=reg.outside_radius,
         )
     else:
         z = np.zeros(0)
@@ -268,7 +293,6 @@ def _psi_measure_worker(
         m[G.vertices[i]] = scale * float(zi)
     for v, xv in zip(C.members, x):
         m[v] = scale * float(xv)
-    zdict = {G.vertices[i]: float(zi) for i, zi in zip(out_idx, z)}
     state = StateMeasure(
         beta=spec,
         beta_value=math.log(rho),
@@ -277,19 +301,15 @@ def _psi_measure_worker(
         factors_through_graph_algebra=True,
         state_type=INFINITE,
     )
-    return state, zdict
+    return state, z
 
 
-def _comp_indices(G: DirectedGraph, cid: int) -> list[int]:
-    return [G.index[v] for v in G.components[cid].members]
-
-
-def _check_mc(G: DirectedGraph, C: Component) -> frozenset[int]:
-    mc = minimal_critical_components(G)
-    ids = {c.id for c in mc}
-    if C.id not in ids or G.components[C.id].members != C.members:
+def _minimal_critical_psi(G: DirectedGraph, C: Component):
+    """(regime, psi_C, z^C) at the top critical temperature."""
+    reg = _top_regime(G)
+    if C.id not in reg.minimal_critical or G.components[C.id].members != C.members:
         raise ValueError("component is not minimal critical in this graph")
-    return frozenset(ids)
+    return (reg, *_psi_state(G, reg, C, CriticalOf(C.id)))
 
 
 def z_vector(G: DirectedGraph, C: Component) -> dict[str, float]:
@@ -299,10 +319,8 @@ def z_vector(G: DirectedGraph, C: Component) -> dict[str, float]:
     the complement of the hereditary closure of all minimal critical
     components.  Empty complement gives an empty vector.
     """
-    mc_ids = _check_mc(G, C)
-    all_ids = frozenset(c.id for c in G.components)
-    _, zdict = _psi_measure_worker(G, CriticalOf(C.id), all_ids, mc_ids, C)
-    return zdict
+    reg, _, z = _minimal_critical_psi(G, C)
+    return {G.vertices[i]: float(zi) for i, zi in zip(reg.outside, z)}
 
 
 def psi_C_measure(G: DirectedGraph, C: Component) -> StateMeasure:
@@ -311,59 +329,17 @@ def psi_C_measure(G: DirectedGraph, C: Component) -> StateMeasure:
     m = (z^C, x^C, 0 on the rest of closure(mc)) scaled to mass one; it
     satisfies the exact eigen-identity A m = rho(A) m.
     """
-    mc_ids = _check_mc(G, C)
-    all_ids = frozenset(c.id for c in G.components)
-    state, _ = _psi_measure_worker(G, CriticalOf(C.id), all_ids, mc_ids, C)
-    return state
+    return _minimal_critical_psi(G, C)[1]
 
 
-def beta_v(G: DirectedGraph, v: str) -> float | None:
-    """sup of ln rho(A_C) over components C <= v; None when no cycle is below v.
-
-    phi_{beta,v} exists exactly for beta above this value (at every beta when
-    None).
-    """
-    cid = G.component_of(v).id
-    best = None
-    for c in G.components:
-        if c.trivial:
-            continue
-        if cid in G.reachable_components(c.id):
-            ln = math.log(c.spectral_radius)
-            best = ln if best is None else max(best, ln)
-    return best
-
-
-def _sources_after_saturating(G: DirectedGraph, sat_members: frozenset[str]) -> set[str]:
-    """Vertices that are sources in the quotient by the saturated set."""
-    A = G.matrix
-    outside = [i for i, v in enumerate(G.vertices) if v not in sat_members]
-    outside_mask = np.zeros(len(G.vertices), dtype=bool)
-    outside_mask[outside] = True
-    return {
-        G.vertices[i]
-        for i in outside
-        if not A[i][outside_mask].any()
-    }
-
-
-def _phi_states(
-    G: DirectedGraph,
-    spec: BetaSpec,
-    bval: float,
-    K_comp_ids: frozenset[int],
-    quotient_sources: set[str],
-) -> list[StateMeasure]:
+def _phi_states(G: DirectedGraph, reg: Regime) -> list[StateMeasure]:
     """All phi_{beta,v} extremes, one per vertex outside K_beta."""
-    A = G.matrix
-    all_ids = frozenset(c.id for c in G.components)
-    outside = all_ids - K_comp_ids
-    out_idx = sorted(i for cid in outside for i in _comp_indices(G, cid))
+    out_idx = list(reg.outside)
     if not out_idx:
         return []
-    M = A[np.ix_(out_idx, out_idx)]
+    M = G.matrix[np.ix_(out_idx, out_idx)]
     resolvent = spectral.resolvent_solve(
-        M, bval, np.eye(len(out_idx)), radius=_quotient_radius(G, outside)
+        M, reg.beta_value, np.eye(len(out_idx)), radius=reg.outside_radius
     )
     col_sums = resolvent.sum(axis=0)
     states = []
@@ -375,11 +351,11 @@ def _phi_states(
             m[G.vertices[j]] = float(val)
         states.append(
             StateMeasure(
-                beta=spec,
-                beta_value=bval,
+                beta=reg.beta,
+                beta_value=reg.beta_value,
                 m=m,
                 label=PhiBetaV(v),
-                factors_through_graph_algebra=v in quotient_sources,
+                factors_through_graph_algebra=v in reg.sources,
                 state_type=FINITE,
             )
         )
@@ -395,19 +371,12 @@ def phi_beta_v_measure(G: DirectedGraph, beta, v: str) -> StateMeasure:
     """
     if v not in G.index:
         raise ValueError(f"unknown vertex: {v}")
-    spec, bval, signs = _classify(G, beta)
-    K_ids = _closure_ids(G, (i for i, s in signs.items() if s >= 0))
-    K_members = frozenset(_members_of_ids(G, K_ids))
-    if v in K_members:
+    reg = regime(G, beta)
+    if v in reg.K_beta.members:
         raise ValueError(
             f"phi state undefined: beta must exceed beta_v for vertex {v}"
         )
-    sat = saturation(G, G.vertex_set(K_members))
-    sources = _sources_after_saturating(G, sat.members)
-    for state in _phi_states(G, spec, bval, K_ids, sources):
-        if state.label.vertex == v:
-            return state
-    raise AssertionError("unreachable: v survives K_beta")
+    return _phi_states(G, reg)[reg.outside.index(G.index[v])]
 
 
 def general_state_measure(
@@ -419,58 +388,43 @@ def general_state_measure(
     vertices outside K_beta with epsilon . y = 1; t is a probability vector
     over the minimal critical components of the quotient by H_beta.
     """
-    spec, bval, signs = _classify(G, beta)
-    H_ids = _closure_ids(G, (i for i, s in signs.items() if s > 0))
-    all_ids = frozenset(c.id for c in G.components)
-    surv_ids = all_ids - H_ids
-    crit_surv = [i for i, s in signs.items() if s == 0 and i not in H_ids]
-    n_members = sum(len(G.components[i].members) for i in H_ids)
-    if n_members == len(G.vertices) or not crit_surv:
+    reg = regime(G, beta)
+    bval = reg.beta_value
+    if reg.case != CRITICAL:
         raise ValueError("beta is not critical for this graph")
     if not -TOL <= r <= 1.0 + TOL:
         raise ValueError("r must lie in [0, 1]")
     r = min(max(r, 0.0), 1.0)
 
-    mc_ids = sorted(
-        c
-        for c in crit_surv
-        if not any(d != c and c in G.reachable_components(d) for d in crit_surv)
-    )
     tmap: dict[int, float] = {}
     for key, weight in dict(t).items():
         cid = key.id if isinstance(key, Component) else int(key)
-        if cid not in mc_ids:
+        if cid not in reg.minimal_critical:
             raise ValueError(f"t is keyed by component {cid}, not minimal critical")
         tmap[cid] = float(weight)
     if any(w < -TOL for w in tmap.values()) or abs(sum(tmap.values()) - 1.0) > TOL:
         raise ValueError("t is not a probability vector")
 
-    K_ids = _closure_ids(G, (i for i, s in signs.items() if s >= 0))
-    K_members = frozenset(_members_of_ids(G, K_ids))
-    out_idx = sorted(
-        i for cid in (all_ids - K_ids) for i in _comp_indices(G, cid)
-    )
+    out_idx = list(reg.outside)
     eps_map = {str(k): float(w) for k, w in dict(epsilon).items()}
     for name, w in eps_map.items():
         if name not in G.index:
             raise ValueError(f"unknown vertex in epsilon: {name}")
         if w < -TOL:
             raise ValueError("epsilon must be nonnegative")
-        if w > TOL and name in K_members:
+        if w > TOL and name in reg.K_beta.members:
             raise ValueError(
                 f"epsilon charges {name} inside K_beta, where the series diverges"
             )
     eps_vec = np.array([eps_map.get(G.vertices[i], 0.0) for i in out_idx])
-    A = G.matrix
-    radius_out = _quotient_radius(G, all_ids - K_ids)
     if out_idx:
-        M = A[np.ix_(out_idx, out_idx)]
-        y = np.linalg.solve(
-            (np.eye(len(out_idx)) - math.exp(-bval) * M).T, np.ones(len(out_idx))
+        M = G.matrix[np.ix_(out_idx, out_idx)]
+        y = spectral.resolvent_solve(
+            M.T, bval, np.ones(len(out_idx)), radius=reg.outside_radius
         )
         if abs(float(eps_vec @ y) - 1.0) > TOL:
             raise ValueError("epsilon . y must equal 1")
-        phi_part = spectral.resolvent_solve(M, bval, eps_vec, radius=radius_out)
+        phi_part = spectral.resolvent_solve(M, bval, eps_vec, radius=reg.outside_radius)
     else:
         # Nothing survives K_beta, so no phi part can exist at all.
         if r > TOL or any(w > TOL for w in eps_map.values()):
@@ -480,22 +434,14 @@ def general_state_measure(
     m = {v: 0.0 for v in G.vertices}
     for i, val in zip(out_idx, phi_part):
         m[G.vertices[i]] += r * float(val)
-    for cid in mc_ids:
+    for cid in reg.minimal_critical:
         weight = tmap.get(cid, 0.0)
         if weight == 0.0:
             continue
-        psi, _ = _psi_measure_worker(G, spec, surv_ids, mc_ids, G.components[cid])
+        psi, _ = _psi_state(G, reg, G.components[cid], reg.beta)
         for v, val in psi.m.items():
             m[v] += (1.0 - r) * weight * val
 
-    sat = saturation(G, G.vertex_set(K_members))
-    sources = _sources_after_saturating(G, sat.members)
-    phi_factors = all(
-        G.vertices[i] in sources
-        for i, w in zip(out_idx, eps_vec)
-        if w > TOL
-    )
-    factors = (r <= TOL) or phi_factors
     if r <= TOL:
         kind = INFINITE
     elif r >= 1.0 - TOL:
@@ -503,11 +449,11 @@ def general_state_measure(
     else:
         kind = MIXED
     return StateMeasure(
-        beta=spec,
+        beta=reg.beta,
         beta_value=bval,
         m=m,
         label=Mixture(r=r, epsilon=eps_map, t=tmap),
-        factors_through_graph_algebra=factors,
+        factors_through_graph_algebra=_mixture_factors(r, eps_map, reg.sources),
         state_type=kind,
     )
 
@@ -520,50 +466,18 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     Critical (psi states of the quotient's minimal critical components plus
     phi states outside K_beta) on the boundary.
     """
-    spec, bval, signs = _classify(G, beta)
-    H_ids = _closure_ids(G, (i for i, s in signs.items() if s > 0))
-    K_ids = _closure_ids(G, (i for i, s in signs.items() if s >= 0))
-    H_vs = G.vertex_set(_members_of_ids(G, H_ids))
-    K_vs = G.vertex_set(_members_of_ids(G, K_ids))
-    if len(H_vs.members) == len(G.vertices):
-        return SimplexDescriptor(
-            beta=spec,
-            beta_value=bval,
-            case=EMPTY,
-            H_beta=H_vs,
-            K_beta=K_vs,
-            extremes=(),
-        )
-    all_ids = frozenset(c.id for c in G.components)
-    crit_surv = [i for i, s in signs.items() if s == 0 and i not in H_ids]
-    sat = saturation(G, K_vs)
-    sources = _sources_after_saturating(G, sat.members)
-    phi = _phi_states(G, spec, bval, K_ids, sources)
-    if not crit_surv:
-        return SimplexDescriptor(
-            beta=spec,
-            beta_value=bval,
-            case=SUBCRITICAL,
-            H_beta=H_vs,
-            K_beta=K_vs,
-            extremes=tuple(phi),
-        )
-    mc_ids = sorted(
-        c
-        for c in crit_surv
-        if not any(d != c and c in G.reachable_components(d) for d in crit_surv)
-    )
-    surv_ids = all_ids - H_ids
+    reg = regime(G, beta)
+    phi = _phi_states(G, reg)
     psi = [
-        _psi_measure_worker(G, spec, surv_ids, mc_ids, G.components[cid])[0]
-        for cid in mc_ids
+        _psi_state(G, reg, G.components[cid], reg.beta)[0]
+        for cid in reg.minimal_critical
     ]
     return SimplexDescriptor(
-        beta=spec,
-        beta_value=bval,
-        case=CRITICAL,
-        H_beta=H_vs,
-        K_beta=K_vs,
+        beta=reg.beta,
+        beta_value=reg.beta_value,
+        case=reg.case,
+        H_beta=reg.H_beta,
+        K_beta=reg.K_beta,
         extremes=tuple(psi) + tuple(phi),
     )
 
@@ -581,17 +495,25 @@ def factors_through_graph_algebra(G: DirectedGraph, state: StateMeasure) -> bool
     label = state.label
     if isinstance(label, PsiC):
         return True
-    _, _, signs = _classify(G, state.beta)
-    K_ids = _closure_ids(G, (i for i, s in signs.items() if s >= 0))
-    sat = saturation(G, G.vertex_set(_members_of_ids(G, K_ids)))
-    sources = _sources_after_saturating(G, sat.members)
+    sources = regime(G, state.beta).sources
     if isinstance(label, PhiBetaV):
         return label.vertex in sources
-    if label.r <= TOL:
-        return True
-    return all(
-        v in sources for v, w in label.epsilon.items() if w > TOL
-    )
+    return _mixture_factors(label.r, label.epsilon, sources)
+
+
+def _mixture_factors(r: float, epsilon: dict[str, float], sources) -> bool:
+    """A mixture factors iff it has no phi part or its phi part charges sources only."""
+    return r <= TOL or all(v in sources for v, w in epsilon.items() if w > TOL)
+
+
+def label_text(state: StateMeasure) -> str:
+    """Short display name of an extreme or mixed state, as printed by the CLI."""
+    lab = state.label
+    if isinstance(lab, PsiC):
+        return "psi{" + ",".join(lab.component.members) + "}"
+    if isinstance(lab, PhiBetaV):
+        return f"phi[{lab.vertex}]"
+    return f"mixture(r={lab.r:g})"
 
 
 def eval_state(state: StateMeasure, mu, nu) -> float:
@@ -628,6 +550,21 @@ def _validate_path(path) -> None:
             )
 
 
+def nearest_root(poly, which_root: float) -> tuple[np.ndarray, int, float]:
+    """All roots of an integer polynomial, the index of the one nearest
+    ``which_root`` and its distance from it (infinite when there is no root)."""
+    coeffs = list(poly)
+    for c in coeffs:
+        if abs(c - round(c)) > 1e-12:
+            raise ValueError("coefficients must be integers")
+    roots = np.roots([round(c) for c in coeffs])
+    if not roots.size:
+        return roots, -1, math.inf
+    dist = np.abs(roots - which_root)
+    pick = int(np.argmin(dist))
+    return roots, pick, float(dist[pick])
+
+
 def perron_check(poly, which_root: float) -> bool:
     """Is the designated root of its (asserted) minimal polynomial Perron?
 
@@ -638,15 +575,10 @@ def perron_check(poly, which_root: float) -> bool:
     coeffs = list(poly)
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree at least 1")
-    for c in coeffs:
-        if abs(c - round(c)) > 1e-12:
-            raise ValueError("coefficients must be integers")
+    roots, pick, dist = nearest_root(coeffs, which_root)
     if round(coeffs[0]) != 1:
         raise ValueError("polynomial must be monic")
-    roots = np.roots([round(c) for c in coeffs])
-    dist = np.abs(roots - which_root)
-    pick = int(np.argmin(dist))
-    if dist[pick] > 1e-6:
+    if dist > 1e-6:
         raise ValueError(
             f"no root within 1e-6 of {which_root}; roots are {roots}"
         )
@@ -655,7 +587,3 @@ def perron_check(poly, which_root: float) -> bool:
         return False
     others = np.abs(np.delete(roots, pick))
     return bool(np.all(lam > others + TOL))
-
-
-def state_type(state: StateMeasure) -> str:
-    return state.state_type

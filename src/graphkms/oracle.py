@@ -233,16 +233,8 @@ def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> li
     instances = edge_instances(G)
     receives = {v for i, v in enumerate(G.vertices) if G.matrix[i].any()}
 
-    def label_of(state):
-        lab = state.label
-        if isinstance(lab, kms.PsiC):
-            return "psi{" + ",".join(lab.component.members) + "}"
-        if isinstance(lab, kms.PhiBetaV):
-            return f"phi[{lab.vertex}]"
-        return f"mixture(r={lab.r:g})"
-
     for state in simplex.extremes:
-        name = label_of(state)
+        name = kms.label_text(state)
         vec = _as_vector(G, state.m)
         if abs(float(vec.sum()) - 1.0) > 1e-9:
             failures.append(f"{name}: normalization off by {vec.sum() - 1.0:.3g}")

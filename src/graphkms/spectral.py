@@ -32,13 +32,6 @@ class SpectralData:
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class ResolventQuery:
-    beta: float
-    matrix: np.ndarray
-    convergent: bool
-
-
 def _as_square(M) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim == 0:
@@ -54,12 +47,6 @@ def _is_irreducible(A: np.ndarray) -> bool:
     n = A.shape[0]
     succ = [list(np.nonzero(A[i])[0]) for i in range(n)]
     return len(tarjan_sccs(succ)) == 1
-
-
-def resolvent_query(M, beta: float) -> ResolventQuery:
-    A = _as_square(M)
-    conv = math.exp(-beta) * spectral_radius(A) < 1.0 - CONVERGENCE_MARGIN
-    return ResolventQuery(beta=float(beta), matrix=A, convergent=conv)
 
 
 def _power_radius(A: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -242,7 +229,4 @@ def y_vector(G, beta: float) -> np.ndarray:
     path).  Diverges unless beta > ln rho(A).
     """
     radius = max(c.spectral_radius for c in G.components)
-    _check_convergent(radius, beta)
-    n = len(G.vertices)
-    lhs = (np.eye(n) - math.exp(-beta) * G.matrix).T
-    return np.linalg.solve(lhs, np.ones(n))
+    return resolvent_solve(G.matrix.T, beta, np.ones(len(G.vertices)), radius=radius)

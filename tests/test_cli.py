@@ -3,12 +3,16 @@
 import dataclasses
 import json
 import math
+import random
 import sys
 
+import numpy as np
 import pytest
 
 import graphkms as gk
 from graphkms import cli
+
+from conftest import random_graph
 
 
 def run(capsys, *argv):
@@ -149,6 +153,28 @@ def test_phase_diagram_golden(graph_file, capsys):
     assert betas == sorted(betas)
 
 
+def test_phase_diagram_rows_match_the_simplex_on_random_graphs(graph_file, capsys):
+    for seed in range(60):
+        G = random_graph(random.Random(seed))
+        text = "\n".join(["vertices: " + " ".join(G.vertices)] + [
+            f"edge {e.source} {e.range} {e.multiplicity}" for e in G.edges
+        ])
+        rho = gk.spectral_radius(G.matrix)
+        top = math.log(rho) + 0.5 if rho > 1.0 + 1e-9 else 1.0
+        rc, out, _ = run(capsys, "phase-diagram", graph_file(text),
+                         "--beta-min", "0.05", "--beta-max", repr(top), "--steps", "20")
+        assert rc == 0
+        specs = {f"{float(b):.12g}": float(b) for b in np.linspace(0.05, top, 20)}
+        specs.update({f"{gk.beta_value(G, c):.12g}": c for c in gk.critical_temperatures(G)})
+        for line in out.strip().splitlines()[1:]:
+            beta, case, dim_t, dim_g = line.split(",")
+            sx = gk.kms_simplex(G, specs[beta])
+            factoring = sum(s.factors_through_graph_algebra for s in sx.extremes)
+            assert (case, int(dim_t), int(dim_g)) == (
+                sx.case, len(sx.extremes) - 1, factoring - 1
+            ), (seed, line)
+
+
 def test_phase_diagram_dims_cover_all_cases(graph_file, capsys):
     rc, out, _ = run(
         capsys,
@@ -236,6 +262,18 @@ def test_verify_catches_corrupted_states(graph_file, capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", path, "--critical", "1")
     assert rc == 2
     assert "FAIL" in out
+
+
+def test_states_json_verify_reports_failures(graph_file, capsys, monkeypatch):
+    path = graph_file("pair_toward_small")
+    rc, out, err = run(capsys, "states", path, "--critical", "1", "--json", "--verify")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["simplex"]["case"] == "Critical"
+    monkeypatch.setattr(cli.oracle, "verify_simplex", lambda *a, **k: ["forced failure"])
+    rc, out, err = run(capsys, "states", path, "--critical", "1", "--json", "--verify")
+    assert rc == 2
+    assert json.loads(out)["simplex"]["case"] == "Critical"
+    assert "FAIL forced failure" in err
 
 
 # -- error handling -------------------------------------------------------------

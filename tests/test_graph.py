@@ -93,7 +93,7 @@ def test_path_count_matches_matrix_power():
 
 def test_components_golden_feeder():
     G = example("golden_feeder")
-    comps = gk.strongly_connected_components(G)
+    comps = G.components
     assert [c.members for c in comps] == [("v",), ("w", "u")]
     assert [c.trivial for c in comps] == [False, False]
     assert comps[0].spectral_radius == pytest.approx(2.0, abs=1e-12)
@@ -102,7 +102,7 @@ def test_components_golden_feeder():
 
 def test_components_canonical_ids_follow_smallest_vertex():
     G = example("two_sources_chain")
-    comps = gk.strongly_connected_components(G)
+    comps = G.components
     assert [c.members for c in comps] == [("u1",), ("v",), ("u2",), ("w",)]
     assert [c.id for c in comps] == [0, 1, 2, 3]
     assert [c.trivial for c in comps] == [True, False, True, False]

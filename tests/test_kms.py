@@ -447,14 +447,6 @@ def test_perron_check_boundary_cases():
     assert gk.perron_check([1, -1, -1], (1 + math.sqrt(5)) / 2)
 
 
-def test_state_type_accessor():
-    G = example("pair_toward_small")
-    psi = gk.psi_C_measure(G, G.components[1])
-    assert gk.state_type(psi) == "Infinite"
-    phi = gk.phi_beta_v_measure(G, 2.0, "w")
-    assert gk.state_type(phi) == "Finite"
-
-
 def test_state_measure_is_frozen():
     G = example("pair_toward_small")
     psi = gk.psi_C_measure(G, G.components[1])

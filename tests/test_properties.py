@@ -153,3 +153,41 @@ def test_simplexes_survive_full_verification(seed):
     for beta in betas:
         sx = gk.kms_simplex(G, beta)
         assert oracle.verify_simplex(G, sx) == [], (seed, beta)
+
+
+# The README's tolerance band for comparisons against critical values.
+TOL = 1e-9
+
+
+def _sweep_betas(G):
+    """Every critical temperature plus the acceptance sweep's 20-point grid."""
+    rho = gk.spectral_radius(G.matrix)
+    top = math.log(rho) + 0.5 if rho > 1.0 + TOL else 1.0
+    grid = [float(b) for b in np.linspace(0.05, top, 20)]
+    return list(gk.critical_temperatures(G)) + grid
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_H_and_K_are_closures_of_components_by_log_radius(seed):
+    _, G = _setup(seed)
+    ln = {c.id: math.log(c.spectral_radius) for c in G.components if not c.trivial}
+    for beta in _sweep_betas(G):
+        bval = gk.beta_value(G, beta)
+        above = [v for c in G.components if ln.get(c.id, -math.inf) > bval + TOL
+                 for v in c.members]
+        reached = [v for c in G.components if ln.get(c.id, -math.inf) >= bval - TOL
+                   for v in c.members]
+        assert gk.H_beta(G, beta).members == gk.hereditary_closure(G, above).members
+        assert gk.K_beta(G, beta).members == gk.hereditary_closure(G, reached).members
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_beta_v_is_the_largest_log_radius_below_v(seed):
+    _, G = _setup(seed)
+    for v in G.vertices:
+        here = G.component_of(v)
+        below = [math.log(c.spectral_radius) for c in G.components
+                 if not c.trivial and gk.talks_to(G, c, here)]
+        assert gk.beta_v(G, v) == max(below, default=None)

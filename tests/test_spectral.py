@@ -105,15 +105,6 @@ def test_period_agrees_with_cycle_gcd():
         assert p == g
 
 
-def test_resolvent_query_examples():
-    A = example("pair_toward_small").matrix
-    assert spectral.resolvent_query(A, math.log(4)).convergent
-    assert not spectral.resolvent_query(A, math.log(3)).convergent
-    assert not spectral.resolvent_query(A, math.log(2)).convergent
-    q = spectral.resolvent_query(A, math.log(4))
-    assert q.beta == math.log(4)
-
-
 def test_resolvent_solve_known_inverse():
     A = example("pair_toward_small").matrix
     R = spectral.resolvent_solve(A, math.log(4), np.eye(2))
