@@ -10,6 +10,7 @@ convention, so it is fixed here once and used unchanged everywhere else.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -216,16 +217,14 @@ class DirectedGraph:
         inside = np.zeros(n, dtype=bool)
         inside[[self.index[v] for v in mem]] = True
         A = self.matrix
-        hereditary = not A[np.ix_(inside, ~inside)].any() if mem else True
-        saturated = True
-        for i in range(n):
-            if inside[i]:
-                continue
-            row = A[i]
-            if row.any() and not row[~inside].any():
-                saturated = False
-                break
+        hereditary = not A[np.ix_(inside, ~inside)].any()
+        saturated = not _swallowed(A, inside).any()
         return VertexSet(members=mem, hereditary=hereditary, saturated=saturated)
+
+
+def _swallowed(A: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Vertices outside that receive edges, none of them from outside."""
+    return ~inside & A.any(axis=1) & ~A[:, ~inside].any(axis=1)
 
 
 def _members_of(s) -> frozenset[str]:
@@ -338,27 +337,34 @@ def seneta_order(G: DirectedGraph) -> tuple[Component, ...]:
     Trivial components talking to no nontrivial component come first; after
     that, repeatedly a minimal remaining component.  Ties are broken by the
     smallest original vertex index, so the order is deterministic.
+
+    Kahn's algorithm over the distinct arcs between components, with a
+    min-heap of the components whose successors are all placed.  The heap
+    key is (divergence is finite, id); canonical ids follow the smallest
+    vertex index.  The first group (divergence -inf) is closed under
+    successors, so one heap drains it before any other component.
     """
     comps = G.components
-    k = len(comps)
-    reach = [G.reachable_components(i) for i in range(k)]
-    below = [frozenset(j for j in range(k) if i in reach[j]) for i in range(k)]
-
-    def key(i):
-        return G.index[comps[i].members[0]]
-
-    first = {
-        i
-        for i in range(k)
-        if comps[i].trivial and not any(not comps[j].trivial for j in below[i])
-    }
+    late = [top != -math.inf for top in G.divergence]
+    comp_of = np.array(G._analysis()[1])
+    rng, src = np.nonzero(G.matrix)
+    cross = comp_of[rng] != comp_of[src]
+    arcs = set(zip(comp_of[src[cross]].tolist(), comp_of[rng[cross]].tolist()))
+    pending = [0] * len(comps)
+    preds: list[list[int]] = [[] for _ in comps]
+    for up, down in arcs:
+        pending[up] += 1
+        preds[down].append(up)
+    heap = [(late[i], i) for i in range(len(comps)) if pending[i] == 0]
+    heapq.heapify(heap)
     ordered: list[int] = []
-    for group in (first, set(range(k)) - first):
-        remaining = set(group)
-        while remaining:
-            candidates = [i for i in remaining if not (below[i] & remaining - {i})]
-            ordered.append(min(candidates, key=key))
-            remaining.remove(ordered[-1])
+    while heap:
+        _, i = heapq.heappop(heap)
+        ordered.append(i)
+        for up in preds[i]:
+            pending[up] -= 1
+            if pending[up] == 0:
+                heapq.heappush(heap, (late[up], up))
     return tuple(comps[i] for i in ordered)
 
 
@@ -392,16 +398,10 @@ def saturation(G: DirectedGraph, H) -> VertexSet:
     A = G.matrix
     inside = np.zeros(n, dtype=bool)
     inside[[G.index[v] for v in vs.members]] = True
-    receives = A.any(axis=1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if inside[i] or not receives[i]:
-                continue
-            if not A[i][~inside].any():
-                inside[i] = True
-                changed = True
+    new = _swallowed(A, inside)
+    while new.any():
+        inside |= new
+        new = _swallowed(A, inside)
     return G.vertex_set(v for i, v in enumerate(G.vertices) if inside[i])
 
 

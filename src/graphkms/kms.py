@@ -240,14 +240,14 @@ def critical_temperatures(G: DirectedGraph) -> list[CriticalOf]:
         for c in G.components
         if not c.trivial and top[c.id] <= math.log(c.spectral_radius) + TOL
     )
-    out: list[CriticalOf] = []
+    clusters: list[list[int]] = []
     last = None
     for ln, cid in candidates:
-        if last is not None and ln <= last + TOL:
-            continue
-        out.append(CriticalOf(cid))
-        last = ln
-    return out
+        if last is None or ln > last + TOL:
+            clusters.append([])
+            last = ln
+        clusters[-1].append(cid)
+    return [CriticalOf(min(ids)) for ids in clusters]
 
 
 def beta_v(G: DirectedGraph, v: str) -> float | None:

@@ -190,8 +190,10 @@ def path_measure_atom(G: DirectedGraph, state: kms.StateMeasure, path) -> float:
     """
     total = kms.eval_state(state, path, path)
     src = path if isinstance(path, str) else path[-1][0]
-    for e in edge_instances(G):
-        if e[1] == src:
+    row = G.matrix[G.index[src]]
+    for j in np.nonzero(row)[0]:
+        for k in range(int(row[j])):
+            e = (G.vertices[j], src, k)
             ext = (path + (e,)) if isinstance(path, tuple) else (e,)
             total -= kms.eval_state(state, ext, ext)
     return total

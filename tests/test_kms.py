@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import graphkms as gk
 from graphkms import kms, spectral
 
-from conftest import example
+from conftest import example, random_graph
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -105,6 +106,24 @@ def test_critical_temperatures_dedupe_equal_values():
     crits = gk.critical_temperatures(G)
     assert len(crits) == 1
     assert crits[0].component == 0
+
+
+@pytest.mark.parametrize("seed", [4136, 5870, 12079, 17002, 18183])
+def test_critical_temperatures_keep_the_smallest_id_of_each_tie(seed):
+    # Each graph has components whose ln rho agree up to rounding, with the
+    # smallest float not on the smallest id.
+    G = random_graph(random.Random(seed))
+    ln = {
+        c.id: math.log(c.spectral_radius)
+        for c in G.components
+        if not c.trivial and G.divergence[c.id] <= math.log(c.spectral_radius) + kms.TOL
+    }
+    criticals = gk.critical_temperatures(G)
+    assert criticals
+    for crit in criticals:
+        tied = [cid for cid, value in ln.items()
+                if abs(value - ln[crit.component]) <= kms.TOL]
+        assert crit.component == min(tied), (seed, crit, tied)
 
 
 def test_z_vector_examples():

@@ -162,6 +162,40 @@ def test_path_measure_atoms():
     phi = gk.phi_beta_v_measure(G, math.log(4), "v")
     assert oracle.path_measure_atom(G, phi, "v") == pytest.approx(0.5, abs=1e-12)
 
+    # Parallel edge lines add up: a -> b carries 2 + 1 edges, copies 0..2.
+    M = gk.parse_graph(
+        "vertices: a b c\n"
+        "edge a b 2\nedge c b\nedge a b\nedge b a\nedge a a 2\nedge b c 3\n"
+    )
+
+    def brute_atom(state, path):
+        # e^(-beta |path|) m_s minus e^(-beta (|path|+1)) m_u over every
+        # edge instance u -> s, read from the edge lines.
+        length = 0 if isinstance(path, str) else len(path)
+        src = path if isinstance(path, str) else path[-1][0]
+        atom = math.exp(-state.beta_value * length) * state.m[src]
+        for e in M.edges:
+            if e.range == src:
+                atom -= (e.multiplicity * math.exp(-state.beta_value * (length + 1))
+                         * state.m[e.source])
+        return atom
+
+    top = gk.beta_value(M, gk.critical_temperatures(M)[-1])
+    states = list(gk.kms_simplex(M, gk.critical_temperatures(M)[-1]).extremes)
+    states += gk.kms_simplex(M, top + 0.7).extremes
+    totals = {}
+    for e in M.edges:
+        totals[e.source, e.range] = totals.get((e.source, e.range), 0) + e.multiplicity
+    paths = list(M.vertices)
+    paths += [((s, r, k),) for (s, r), total in totals.items() for k in range(total)]
+    paths += [(("a", "b", 2), ("b", "a", 0))]
+    assert len(states) >= 2
+    for state in states:
+        for path in paths:
+            assert oracle.path_measure_atom(M, state, path) == pytest.approx(
+                brute_atom(state, path), abs=1e-12
+            ), (state.label, path)
+
 
 # -- full simplex verification ----------------------------------------------
 

@@ -75,6 +75,32 @@ def test_seneta_order_properties(seed):
 
 
 @given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_seneta_order_matches_repeated_minimum(seed):
+    # Trivial components below no cycle first, then the rest; within each
+    # group, repeatedly the minimal remaining component (no other remaining
+    # one lies below it) with the smallest vertex index.
+    G = random_graph(random.Random(seed), max_vertices=10, max_mult=2)
+    comps = G.components
+    below = {
+        c.id: [d for d in comps if d.id != c.id and gk.talks_to(G, d, c)]
+        for c in comps
+    }
+    first = [c for c in comps if c.trivial and all(d.trivial for d in below[c.id])]
+    rest = [c for c in comps if c not in first]
+    expected = []
+    for group in (first, rest):
+        remaining = list(group)
+        while remaining:
+            minimal = [c for c in remaining
+                       if not any(d in remaining for d in below[c.id])]
+            pick = min(minimal, key=lambda c: G.index[c.members[0]])
+            expected.append(pick)
+            remaining.remove(pick)
+    assert [c.id for c in gk.seneta_order(G)] == [c.id for c in expected]
+
+
+@given(seeds)
 @settings(max_examples=50, deadline=None)
 def test_talks_to_is_a_preorder(seed):
     _, G = _setup(seed)

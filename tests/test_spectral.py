@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import graphkms as gk
-from graphkms import spectral
+from graphkms import oracle, spectral
 
 from conftest import example, random_graph
 
@@ -192,3 +192,98 @@ def test_y_vector_restricts_along_quotients():
         (np.eye(len(idx)) - math.exp(-beta) * M).T, np.ones(len(idx))
     )
     assert np.allclose(yq, direct, atol=1e-9)
+
+
+# -- hard irreducible blocks ------------------------------------------------
+
+
+def _cycle(n):
+    A = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        A[(i + 1) % n, i] = 1
+    return A
+
+
+def _cycle_with_chord(n, target):
+    A = _cycle(n)
+    A[target, 0] += 1
+    return A
+
+
+def _cycle_with_loop(n, m):
+    A = _cycle(n)
+    A[0, 0] = m
+    return A
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        _cycle_with_chord(300, 150),
+        _cycle_with_chord(160, 2),
+        _cycle_with_loop(30, 3),
+        _cycle_with_loop(100, 9),
+    ],
+    ids=["chord-across-half-300", "chord-skip-one-160", "loop-30-3", "loop-100-9"],
+)
+def test_perron_data_of_near_periodic_blocks(A):
+    # Near-cycles are close to periodic, with many eigenvalues just inside
+    # the circle of radius rho; a loop of multiplicity m on an n-cycle has
+    # Perron entries down to m^-(n-1), far below rounding.
+    data = spectral.analyze_irreducible(A)
+    reference = float(max(abs(np.linalg.eigvals(A.astype(float)))))
+    assert abs(data.radius - reference) <= 1e-12 * reference
+    assert spectral.spectral_radius(A) == data.radius
+    x = data.perron_vector
+    assert (x >= 0).all()
+    assert x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert data.residual <= 1e-12 * data.radius
+    assert np.max(np.abs(A @ x - data.radius * x)) == data.residual
+
+
+def _heavy_block(rng, n):
+    # A shuffled n-cycle plus 2n random edges of multiplicity 1, 1000 or
+    # 10^6: several heavy loops make eigenvalues near rho cluster.
+    order = list(range(n))
+    rng.shuffle(order)
+    A = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        A[order[(i + 1) % n], order[i]] = 1
+    for _ in range(2 * n):
+        A[rng.randrange(n), rng.randrange(n)] += rng.choice([1, 1000, 10**6])
+    return A
+
+
+def test_perron_data_of_blocks_with_heavy_loops():
+    for seed in range(20):
+        A = _heavy_block(random.Random(seed), 60)
+        data = spectral.analyze_irreducible(A)
+        reference = float(max(abs(np.linalg.eigvals(A.astype(float)))))
+        assert abs(data.radius - reference) <= 1e-8 * reference, seed
+        x = data.perron_vector
+        assert (x >= 0).all() and x.sum() == pytest.approx(1.0, abs=1e-12)
+        assert data.residual <= 1e-12 * data.radius, seed
+
+
+@pytest.mark.parametrize("seed", [4059, 11126, 11867, 16195])
+def test_series_oracle_settles_near_integer_row_sums(seed):
+    # These graphs put sweep-grid betas just above the log of an integer row
+    # sum, where a row-sum tail bound sits at 1 while rho_hat is far below.
+    G = random_graph(random.Random(seed))
+    rho = gk.spectral_radius(G.matrix)
+    top = math.log(rho) + 0.5 if rho > 1 else 1.0
+    betas = list(gk.critical_temperatures(G))
+    betas.extend(float(b) for b in np.linspace(0.05, top, 20))
+    for beta in betas:
+        sx = gk.kms_simplex(G, beta)
+        assert oracle.verify_simplex(G, sx) == [], (seed, beta)
+
+
+def test_resolvent_series_where_the_row_sum_bound_is_near_one():
+    # q = e^-beta * max row sum is 1 - 1e-5, while rho_hat is about 2/3.
+    A = np.array([[2, 0], [2, 1]])
+    beta = math.log(3) + 1e-5
+    b = np.array([1.0, 2.0])
+    summed = spectral.resolvent_series(A, beta, b, 1e-12)
+    solved = spectral.resolvent_solve(A, beta, b)
+    assert np.max(np.abs(summed - solved)) < 1e-9
