@@ -126,32 +126,26 @@ class DirectedGraph:
         succ = [list(np.nonzero(A[i])[0]) for i in range(n)]
         raw = tarjan_sccs(succ)
         # Canonical ids: sort components by their smallest vertex index.
-        order = sorted(range(len(raw)), key=lambda k: min(raw[k]))
-        components = []
+        blocks = sorted((sorted(comp) for comp in raw), key=lambda rows: rows[0])
         comp_of = [0] * n
-        for cid, k in enumerate(order):
-            rows = sorted(raw[k])
+        for cid, rows in enumerate(blocks):
             for i in rows:
                 comp_of[i] = cid
-            trivial = len(rows) == 1 and not A[rows[0], rows[0]]
-            if trivial:
-                radius, per, vec = 0.0, 0, None
-            else:
-                block = A[np.ix_(rows, rows)]
-                data = spectral.analyze_irreducible(block)
-                radius = data.radius
-                per = data.period
-                vec = {
-                    self.vertices[i]: float(x)
-                    for i, x in zip(rows, data.perron_vector)
-                }
+        perron = spectral.perron_blocks(A, blocks, self.vertices)
+        periods = spectral.block_periods(A, np.array(comp_of), [rows[0] for rows in blocks])
+        components = []
+        for cid, (rows, data) in enumerate(zip(blocks, perron)):
+            radius, vec = 0.0, None
+            if data is not None:
+                radius, x, _ = data
+                vec = {self.vertices[i]: float(xi) for i, xi in zip(rows, x)}
             components.append(
                 Component(
                     id=cid,
                     members=tuple(self.vertices[i] for i in rows),
-                    trivial=trivial,
+                    trivial=data is None,
                     spectral_radius=radius,
-                    period=per,
+                    period=int(periods[cid]),
                     perron_vector=vec,
                 )
             )

@@ -256,11 +256,13 @@ def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> li
                 if abs(atom) > 1e-9:
                     failures.append(f"{name}: atom {atom:.3g} at {path!r}")
                     break
-    # Solve-vs-series on the resolvent actually used for phi states.
+    # Solve-vs-series on the resolvent actually used for phi states.  Its
+    # matrix is a union of whole components, whose radii G already holds.
     out_idx = [i for i, v in enumerate(G.vertices) if v not in K_members]
     if out_idx:
         M = G.matrix[np.ix_(out_idx, out_idx)]
-        radius = spectral.spectral_radius(M)
+        radii = [c.spectral_radius for c in G.components if c.members[0] not in K_members]
+        radius = max(radii, default=0.0)
         if radius == 0.0 or bval >= math.log(radius) + series_margin:
             rhs = np.ones(len(out_idx))
             direct = spectral.resolvent_solve(M, bval, rhs, radius=radius)

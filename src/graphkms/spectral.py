@@ -2,10 +2,11 @@
 
 All reals are 64-bit floats.  The comparison tolerance is 1e-9 unless an
 operation states otherwise; resolvent convergence uses a 1e-12 margin.
-Nothing here iterates open-endedly: Perron data comes from one dense
-eigensolve and one inverse-iteration step per irreducible block, checked by
-its residual, and the series oracle doubles its number of terms at most 64
-times.
+Nothing here iterates open-endedly.  Perron data comes from one dense
+eigensolve per stack of equal-sized irreducible blocks and two
+inverse-iteration steps, checked by its residual; periods of all blocks of
+a matrix come from one breadth-first pass; and the series oracle doubles its
+number of terms at most 64 times.
 """
 
 from __future__ import annotations
@@ -45,64 +46,74 @@ def _as_square(M) -> np.ndarray:
     return A
 
 
-def _is_irreducible(A: np.ndarray) -> bool:
-    n = A.shape[0]
-    succ = [list(np.nonzero(A[i])[0]) for i in range(n)]
-    return len(tarjan_sccs(succ)) == 1
+def perron_blocks(A: np.ndarray, blocks, names) -> list:
+    """Perron radius, l1-unit eigenvector and residual of irreducible blocks.
 
-
-def _perron(A: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Perron radius and l1-unit eigenvector of an irreducible block.
-
-    One dense eigensolve finds the eigenvalue with the largest real part.
-    Its eigenvector takes one inverse-iteration step, shifted 1e-10
-    (relative) above that eigenvalue so the shifted matrix is not singular
-    to working precision, and is signed to sum positive with negative
-    rounding clipped to 0.  The radius is sum(Ax), the x-weighted mean of
-    the ratios (Ax)_i / x_i.  The step and the mean matter when entries
-    span many orders of magnitude, as with loops of multiplicity 10^6 in a
-    block of single edges: there the eigensolver's own pair can miss the
-    residual bound by a factor of thousands.  Returns (radius, vector,
-    residual) and raises when the residual max|Ax - rho x| exceeds
-    1e-12 max(1, rho).
+    ``blocks[b]`` lists the rows of an irreducible diagonal block of ``A``;
+    ``names[i]`` names row i in errors.  A block with a cycle gets
+    (radius, vector, residual), one without gets None.  Blocks of one size
+    share one stacked eigensolve, which gives the eigenvalue with the
+    largest real part.  Its eigenvector takes two inverse-iteration steps,
+    shifted 1e-10 (relative) above that eigenvalue and then above the
+    refined radius sum(Ax), and is signed to sum positive with negative
+    rounding clipped to 0.  With entries spanning many orders of magnitude
+    (loops of multiplicity 10^6) the eigensolver's own pair can miss the
+    residual bound by a factor of thousands, and one step can still miss it
+    where eigenvalues cluster near rho.  Raises when a residual
+    max|Ax - rho x| exceeds 1e-12 max(1, rho).
     """
-    values, vectors = np.linalg.eig(A)
-    k = int(np.argmax(values.real))
-    shift = float(values[k].real) * (1.0 + 1e-10)
-    x = np.linalg.solve(A - shift * np.eye(A.shape[0]), vectors[:, k].real)
-    x = np.clip(x if x.sum() > 0 else -x, 0.0, None)
-    x /= x.sum()
-    Ax = A @ x
-    radius = float(Ax.sum())
-    residual = float(np.max(np.abs(Ax - radius * x)))
-    if residual > 1e-12 * max(1.0, radius):
-        raise ConvergenceError(
-            f"Perron pair of a {A.shape[0]}-vertex block has residual {residual:.3g}"
-        )
-    return radius, x, residual
+    out: list = [None] * len(blocks)
+    cyclic = [b for b, rows in enumerate(blocks) if len(rows) > 1 or A[rows[0], rows[0]]]
+    for k in {len(blocks[b]) for b in cyclic}:
+        which = [b for b in cyclic if len(blocks[b]) == k]
+        idx = np.array([blocks[b] for b in which])
+        S = A[idx[:, :, None], idx[:, None, :]].astype(float)
+        values, vectors = np.linalg.eig(S)
+        top = np.argmax(values.real, axis=1)
+        pick = np.arange(len(which))
+        radius = values[pick, top].real
+        x = vectors[pick, :, top].real
+        for _ in range(2):
+            shifted = S - (radius * (1.0 + 1e-10))[:, None, None] * np.eye(k)
+            x = np.linalg.solve(shifted, x[:, :, None])[:, :, 0]
+            x = np.clip(np.where(x.sum(axis=1, keepdims=True) > 0, x, -x), 0.0, None)
+            x /= x.sum(axis=1, keepdims=True)
+            Ax = (S @ x[:, :, None])[:, :, 0]
+            radius = Ax.sum(axis=1)
+        residual = np.abs(Ax - radius[:, None] * x).max(axis=1)
+        for j, b in enumerate(which):
+            if residual[j] > 1e-12 * max(1.0, radius[j]):
+                raise ConvergenceError(
+                    f"Perron pair of the {k}-vertex block with first member "
+                    f"{names[blocks[b][0]]} has residual {residual[j]:.3g}"
+                )
+            out[b] = (float(radius[j]), x[j], float(residual[j]))
+    return out
 
 
-def _bfs_period(A: np.ndarray) -> int:
-    # gcd of (level[u] + 1 - level[w]) over arcs u -> w, levels from a BFS
-    # rooted at index 0; classic for irreducible nonnegative matrices.
-    n = A.shape[0]
-    level = [-1] * n
-    level[0] = 0
-    queue = [0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for w in np.nonzero(A[u])[0]:
-                w = int(w)
-                if level[w] == -1:
-                    level[w] = level[u] + 1
-                    nxt.append(w)
-        queue = nxt
-    g = 0
-    for u in range(n):
-        for w in np.nonzero(A[u])[0]:
-            g = math.gcd(g, level[u] + 1 - level[int(w)])
-    return g
+def block_periods(A: np.ndarray, comp: np.ndarray, roots) -> np.ndarray:
+    """Period of every strongly connected block of ``A``, in one pass.
+
+    ``comp[i]`` is the block of row i and ``roots[c]`` a row of block c.
+    Breadth-first levels run inside each block from its root along arcs
+    u -> w (``A[u, w] > 0``); the period is the gcd of level[u] + 1 - level[w]
+    over the block's arcs, classic for irreducible matrices, and 0 without arcs.
+    """
+    u, w = np.nonzero(A)
+    inner = comp[u] == comp[w]
+    u, w = u[inner], w[inner]
+    level = np.full(A.shape[0], -1)
+    level[roots] = 0
+    depth = 0
+    while True:
+        step = (level[u] == depth) & (level[w] == -1)
+        if not step.any():
+            break
+        depth += 1
+        level[w[step]] = depth
+    periods = np.zeros(len(roots), dtype=np.int64)
+    np.gcd.at(periods, comp[u], level[u] + 1 - level[w])
+    return periods
 
 
 def analyze_irreducible(M) -> SpectralData:
@@ -112,13 +123,15 @@ def analyze_irreducible(M) -> SpectralData:
     and gets radius 0 with period reported as 0 since it has no cycle.
     """
     A = _as_square(M)
-    if not _is_irreducible(A):
+    n = A.shape[0]
+    if len(tarjan_sccs([list(np.nonzero(row)[0]) for row in A])) != 1:
         raise ValueError("matrix is not irreducible")
-    if A.shape[0] == 1 and A[0, 0] == 0:
+    if n == 1 and A[0, 0] == 0:
         return SpectralData(0.0, np.array([1.0]), 0, 0.0)
-    radius, vector, residual = _perron(A)
+    ((radius, vector, residual),) = perron_blocks(A, [range(n)], range(n))
     vector.setflags(write=False)
-    return SpectralData(radius, vector, _bfs_period(A), residual)
+    period = int(block_periods(A, np.zeros(n, dtype=np.int64), [0])[0])
+    return SpectralData(radius, vector, period, residual)
 
 
 def spectral_radius(M) -> float:
@@ -131,19 +144,10 @@ def spectral_radius(M) -> float:
     eps^(1/k).
     """
     A = _as_square(M)
-    n = A.shape[0]
-    if n == 0:
-        return 0.0
-    succ = [list(np.nonzero(A[i])[0]) for i in range(n)]
-    best = 0.0
-    for comp in tarjan_sccs(succ):
-        if len(comp) == 1 and A[comp[0], comp[0]] == 0:
-            continue
-        # In index order, as for G.components, so both get the same radius.
-        rows = sorted(comp)
-        radius, _, _ = _perron(A[np.ix_(rows, rows)])
-        best = max(best, radius)
-    return best
+    # In index order, as for G.components, so both get the same radius.
+    blocks = [sorted(comp) for comp in tarjan_sccs([list(np.nonzero(row)[0]) for row in A])]
+    data = perron_blocks(A, blocks, range(A.shape[0]))
+    return max((d[0] for d in data if d is not None), default=0.0)
 
 
 def perron_vector(M) -> np.ndarray:
@@ -155,12 +159,10 @@ def perron_vector(M) -> np.ndarray:
 
 
 def period(M) -> int:
-    A = _as_square(M)
-    if not _is_irreducible(A):
-        raise ValueError("matrix is not irreducible")
-    if A.shape[0] == 1 and A[0, 0] == 0:
+    data = analyze_irreducible(M)
+    if data.period == 0:
         raise ValueError("period needs at least one cycle")
-    return _bfs_period(A)
+    return data.period
 
 
 def _check_convergent(radius: float, beta: float) -> None:

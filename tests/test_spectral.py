@@ -255,7 +255,7 @@ def _heavy_block(rng, n):
 
 
 def test_perron_data_of_blocks_with_heavy_loops():
-    for seed in range(20):
+    for seed in range(300):
         A = _heavy_block(random.Random(seed), 60)
         data = spectral.analyze_irreducible(A)
         reference = float(max(abs(np.linalg.eigvals(A.astype(float)))))
@@ -263,6 +263,105 @@ def test_perron_data_of_blocks_with_heavy_loops():
         x = data.perron_vector
         assert (x >= 0).all() and x.sum() == pytest.approx(1.0, abs=1e-12)
         assert data.residual <= 1e-12 * data.radius, seed
+
+
+def _graph_of(A):
+    names = [f"v{i}" for i in range(A.shape[0])]
+    edges = [
+        gk.Edge(names[w], names[v], int(A[v, w])) for v, w in zip(*np.nonzero(A))
+    ]
+    return gk.DirectedGraph(names, edges)
+
+
+def test_perron_data_where_eigenvalues_cluster_near_rho():
+    # Three eigenvalues lie near rho = 10^6; one inverse-iteration step at
+    # the eigensolver's value leaves a residual of 2.9e-10 rho.
+    A = _heavy_block(random.Random(232), 60)
+    reference = float(max(abs(np.linalg.eigvals(A.astype(float)))))
+    data = spectral.analyze_irreducible(A)
+    assert abs(data.radius - reference) <= 1e-8 * reference
+    assert data.residual <= 1e-12 * data.radius
+    (component,) = _graph_of(A).components
+    assert component.spectral_radius == data.radius
+
+
+def test_perron_failure_names_the_component(monkeypatch):
+    G = gk.parse_graph("vertices: a b c\nedge a b\nedge b c\nedge c b\n")
+    solve = np.linalg.solve
+
+    def skewed(M, b):
+        x = solve(M, b)
+        x[:, 0] *= 2.0
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", skewed)
+    with pytest.raises(gk.ConvergenceError, match="2-vertex block with first member b "):
+        G.components
+
+
+def _mixed_chain(rng, count):
+    # count blocks of 1, 2 or 3 vertices in a line, block i feeding block
+    # i + 1 through one edge; each block is a cycle with multiplicities
+    # 1..3, half of them with an extra loop that makes the period 1.
+    names, lines, prev = [], [], None
+    for b in range(count):
+        k = rng.choice([1, 2, 3])
+        block = [f"b{b}_{i}" for i in range(k)]
+        names += block
+        for i in range(k):
+            lines.append(f"edge {block[i]} {block[(i + 1) % k]} {rng.randint(1, 3)}")
+        if rng.random() < 0.5:
+            lines.append(f"edge {block[-1]} {block[-1]} {rng.randint(1, 3)}")
+        if prev is not None:
+            lines.append(f"edge {prev} {block[0]}")
+        prev = block[-1]
+    return gk.parse_graph("vertices: " + " ".join(names) + "\n" + "\n".join(lines))
+
+
+def test_stacked_perron_data_matches_each_block_alone():
+    graphs = [random_graph(random.Random(seed)) for seed in range(300)]
+    graphs.append(_mixed_chain(random.Random(5), 60))
+    for G in graphs:
+        for c in G.components:
+            if c.trivial:
+                continue
+            rows = [G.index[v] for v in c.members]
+            block = G.matrix[np.ix_(rows, rows)]
+            alone = spectral.analyze_irreducible(block)
+            assert c.spectral_radius == alone.radius
+            assert c.period == alone.period
+            x = np.array([c.perron_vector[v] for v in c.members])
+            assert np.array_equal(x, alone.perron_vector)
+            reference = float(max(abs(np.linalg.eigvals(block.astype(float)))))
+            assert abs(c.spectral_radius - reference) <= 1e-9 * reference
+
+
+def test_periods_of_separate_cycles_in_one_graph():
+    # Cycles of lengths 2, 3 and 6 joined in a line, with a trivial vertex
+    # between the first two.
+    lines = ["vertices: a0 a1 t b0 b1 b2 c0 c1 c2 c3 c4 c5"]
+    for prefix, k in (("a", 2), ("b", 3), ("c", 6)):
+        lines += [f"edge {prefix}{i} {prefix}{(i + 1) % k}" for i in range(k)]
+    lines += ["edge a0 t", "edge t b0", "edge b0 c0"]
+    G = gk.parse_graph("\n".join(lines))
+    assert {c.members[0]: c.period for c in G.components} == {
+        "a0": 2, "t": 0, "b0": 3, "c0": 6,
+    }
+
+
+def test_one_eigensolve_per_block_size(monkeypatch):
+    G = _mixed_chain(random.Random(9), 200)
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(S):
+        calls.append(S.shape)
+        return eig(S)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    sizes = {len(c.members) for c in G.components if not c.trivial}
+    assert len(G.components) == 200
+    assert sorted(shape[1] for shape in calls) == sorted(sizes) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("seed", [4059, 11126, 11867, 16195])
