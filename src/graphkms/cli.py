@@ -64,11 +64,11 @@ def _simplex_json(G, sx) -> dict:
         "extremes": [
             {
                 "label": kms.label_text(s),
-                "m": {v: _f12(x) for v, x in s.m.items()},
+                "m": {v: _f12(x) for v, x in zip(G.vertices, row.tolist())},
                 "factors_through_graph_algebra": s.factors_through_graph_algebra,
                 "state_type": s.state_type,
             }
-            for s in sx.extremes
+            for s, row in zip(sx.extremes, sx.measures)
         ],
     }
     if isinstance(sx.beta, kms.CriticalOf):
@@ -166,9 +166,11 @@ def cmd_states(args) -> int:
     else:
         print(f"extreme states ({len(sx.extremes)}):")
         width = max(len(kms.label_text(s)) for s in sx.extremes)
-        for s in sx.extremes:
+        # One %-template per graph; "%.9g" % x renders exactly as f"{x:.9g}".
+        template = "  ".join(f"m[{v.replace('%', '%%')}]=%.9g" for v in G.vertices)
+        for s, row in zip(sx.extremes, sx.measures):
             factors = "yes" if s.factors_through_graph_algebra else "no"
-            mvals = "  ".join(f"m[{v}]={s.m[v]:.9g}" for v in G.vertices)
+            mvals = template % tuple(row.tolist())
             print(
                 f"  {kms.label_text(s):<{width}}  type={s.state_type:<8} "
                 f"factors={factors:<3}  {mvals}"

@@ -11,6 +11,7 @@ convention, so it is fixed here once and used unchanged everywhere else.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -172,7 +173,9 @@ class DirectedGraph:
             for i in raw[k]:
                 for j in succ[i]:
                     top[comp_of[j]] = max(top[comp_of[j]], top[c.id])
-        cached = (tuple(components), comp_of, tuple(reach), tuple(top))
+        comp_arr = np.array(comp_of, dtype=np.int64)
+        comp_arr.setflags(write=False)
+        cached = (tuple(components), comp_arr, tuple(reach), tuple(top))
         object.__setattr__(self, "_analysis_cache", cached)
         return cached
 
@@ -183,6 +186,11 @@ class DirectedGraph:
     def component_of(self, v: str) -> Component:
         comps, comp_of = self._analysis()[:2]
         return comps[comp_of[self.index[v]]]
+
+    @property
+    def vertex_components(self) -> np.ndarray:
+        """Component id of every vertex, in vertex order (read-only)."""
+        return self._analysis()[1]
 
     def reachable_components(self, comp_id: int) -> frozenset[int]:
         """Ids of components D with C_id <= D, i.e. D talks to C_id."""
@@ -203,22 +211,43 @@ class DirectedGraph:
     # -- vertex sets ---------------------------------------------------------
 
     def vertex_set(self, members) -> VertexSet:
-        mem = frozenset(members)
-        for v in mem:
-            if v not in self.index:
-                raise ValueError(f"unknown vertex: {v}")
-        n = len(self.vertices)
-        inside = np.zeros(n, dtype=bool)
-        inside[[self.index[v] for v in mem]] = True
+        """The set of the named vertices, or of the vertices where a boolean
+        mask over ``vertices`` is true, with its closure flags."""
+        if isinstance(members, np.ndarray) and members.dtype == bool:
+            if members.shape != (len(self.vertices),):
+                raise ValueError("a vertex mask needs one entry per vertex")
+            inside = members
+            mem = frozenset(itertools.compress(self.vertices, inside.tolist()))
+        else:
+            mem = frozenset(members)
+            for v in mem:
+                if v not in self.index:
+                    raise ValueError(f"unknown vertex: {v}")
+            inside = self._mask(mem)
         A = self.matrix
         hereditary = not A[np.ix_(inside, ~inside)].any()
         saturated = not _swallowed(A, inside).any()
         return VertexSet(members=mem, hereditary=hereditary, saturated=saturated)
 
+    def _mask(self, members) -> np.ndarray:
+        inside = np.zeros(len(self.vertices), dtype=bool)
+        inside[[self.index[v] for v in members]] = True
+        return inside
+
 
 def _swallowed(A: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Vertices outside that receive edges, none of them from outside."""
     return ~inside & A.any(axis=1) & ~A[:, ~inside].any(axis=1)
+
+
+def saturated_mask(A: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """The saturation of a hereditary vertex mask, as a new mask."""
+    inside = inside.copy()
+    new = _swallowed(A, inside)
+    while new.any():
+        inside |= new
+        new = _swallowed(A, inside)
+    return inside
 
 
 def _members_of(s) -> frozenset[str]:
@@ -240,6 +269,7 @@ def parse_graph(text: str) -> DirectedGraph:
     with source SRC and range DST.  ``#`` starts a comment.
     """
     vertices: list[str] | None = None
+    known: set[str] = set()
     edges: list[Edge] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -254,6 +284,7 @@ def parse_graph(text: str) -> DirectedGraph:
             if len(set(names)) != len(names):
                 raise GraphParseError("duplicate vertex name", lineno)
             vertices = names
+            known = set(names)
             continue
         tokens = line.split()
         if tokens[0] != "edge":
@@ -262,7 +293,7 @@ def parse_graph(text: str) -> DirectedGraph:
             raise GraphParseError("edge lines take 2 or 3 arguments", lineno)
         src, dst = tokens[1], tokens[2]
         for name in (src, dst):
-            if name not in vertices:
+            if name not in known:
                 raise GraphParseError(f"unknown vertex: {name}", lineno)
         mult = 1
         if len(tokens) == 4:
@@ -340,7 +371,7 @@ def seneta_order(G: DirectedGraph) -> tuple[Component, ...]:
     """
     comps = G.components
     late = [top != -math.inf for top in G.divergence]
-    comp_of = np.array(G._analysis()[1])
+    comp_of = G.vertex_components
     rng, src = np.nonzero(G.matrix)
     cross = comp_of[rng] != comp_of[src]
     arcs = set(zip(comp_of[src[cross]].tolist(), comp_of[rng[cross]].tolist()))
@@ -388,15 +419,7 @@ def saturation(G: DirectedGraph, H) -> VertexSet:
     vs = H if isinstance(H, VertexSet) else G.vertex_set(_members_of(H))
     if not vs.hereditary:
         raise ValueError("saturation is only defined for hereditary sets")
-    n = len(G.vertices)
-    A = G.matrix
-    inside = np.zeros(n, dtype=bool)
-    inside[[G.index[v] for v in vs.members]] = True
-    new = _swallowed(A, inside)
-    while new.any():
-        inside |= new
-        new = _swallowed(A, inside)
-    return G.vertex_set(v for i, v in enumerate(G.vertices) if inside[i])
+    return G.vertex_set(saturated_mask(G.matrix, G._mask(vs.members)))
 
 
 def quotient_graph(G: DirectedGraph, H) -> DirectedGraph:

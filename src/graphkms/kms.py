@@ -11,6 +11,10 @@ solved only when asked for: psi-type states attached to minimal critical
 components, phi-type states attached to vertices outside K_beta, and their
 convex mixtures, with the factor-through and finite/infinite classification.
 
+The measures of a simplex live in one read-only float array, one row per
+extreme point with columns in vertex order; each state's ``m`` is a
+read-only mapping view of its row, so no per-state dict is ever built.
+
 Float policy: comparisons against critical values use the tolerance TOL;
 ``CriticalOf`` carries a component id so critical temperatures can be used
 without re-deriving them from floats.
@@ -18,13 +22,15 @@ without re-deriving them from floats.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .graph import Component, DirectedGraph, VertexSet, saturation
+from .graph import Component, DirectedGraph, VertexSet, saturated_mask
 
 TOL = 1e-9
 
@@ -99,11 +105,50 @@ class Mixture:
     t: dict[int, float]
 
 
+class MeasureView(Mapping):
+    """Read-only mapping from vertex name to the mass of one measure row.
+
+    Lookups return Python floats, unknown names raise KeyError, iteration
+    follows the graph's vertex order, and a view equals any mapping with the
+    same items.  ``numpy.asarray(view)`` gives the read-only row itself.
+    """
+
+    __slots__ = ("_vertices", "_index", "_row")
+
+    def __init__(self, G: DirectedGraph, row: np.ndarray):
+        if row.flags.writeable or row.shape != (len(G.vertices),):
+            raise ValueError("a measure view needs a read-only row over the vertices")
+        self._vertices = G.vertices
+        self._index = G.index
+        self._row = row
+
+    def __getitem__(self, v) -> float:
+        return float(self._row[self._index[v]])
+
+    def __contains__(self, v) -> bool:
+        return v in self._index
+
+    def __iter__(self):
+        return iter(self._vertices)
+
+    def __len__(self) -> int:
+        return len(self._vertices)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._row, dtype=dtype, copy=copy)
+
+    def __repr__(self) -> str:
+        return f"MeasureView({dict(zip(self._vertices, self._row.tolist()))!r})"
+
+
 @dataclass(frozen=True, eq=False)
 class StateMeasure:
+    """One KMS state: its vertex measure ``m`` (a read-only view of one row
+    of a measure array), its label and its classification."""
+
     beta: BetaSpec
     beta_value: float
-    m: dict[str, float]
+    m: Mapping[str, float]
     label: PsiC | PhiBetaV | Mixture
     factors_through_graph_algebra: bool
     state_type: str
@@ -111,12 +156,25 @@ class StateMeasure:
 
 @dataclass(frozen=True, eq=False)
 class SimplexDescriptor:
+    """The KMS simplex at one beta.
+
+    ``measures`` is the only store of the extreme points' vertex measures:
+    a read-only ``len(extremes) x len(G.vertices)`` float array, row k
+    holding ``extremes[k].m`` with columns in ``G.vertices`` order.
+    """
+
     beta: BetaSpec
     beta_value: float
     case: str
     H_beta: VertexSet
     K_beta: VertexSet
     extremes: tuple[StateMeasure, ...]
+    measures: np.ndarray
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # -- the regime at one beta -------------------------------------------------------
@@ -159,8 +217,10 @@ def regime(G: DirectedGraph, beta) -> Regime:
     bval = beta_value(G, spec)
     comps = G.components
     top = G.divergence
-    H = G.vertex_set(v for c in comps if top[c.id] > bval + TOL for v in c.members)
-    K = G.vertex_set(v for c in comps if top[c.id] >= bval - TOL for v in c.members)
+    # Per-vertex divergence: the closures H_beta and K_beta are masks.
+    vtop = np.array(top)[G.vertex_components]
+    in_H = vtop > bval + TOL
+    in_K = vtop >= bval - TOL
     crit = [
         c.id
         for c in comps
@@ -173,8 +233,8 @@ def regime(G: DirectedGraph, beta) -> Regime:
         for c in crit
         if not any(d != c and c in G.reachable_components(d) for d in crit)
     )
-    outside = tuple(i for i, v in enumerate(G.vertices) if v not in K.members)
-    if len(H.members) == len(G.vertices):
+    outside = tuple(np.flatnonzero(~in_K).tolist())
+    if in_H.all():
         case = EMPTY
     else:
         case = CRITICAL if mc else SUBCRITICAL
@@ -182,17 +242,16 @@ def regime(G: DirectedGraph, beta) -> Regime:
     if outside:
         # Sources of the quotient by the saturation: vertices outside it
         # that receive no edge from outside it.
-        sat = saturation(G, K)
-        keep = np.array([v not in sat.members for v in G.vertices])
-        sources = frozenset(
-            G.vertices[i] for i in np.nonzero(keep)[0] if not G.matrix[i][keep].any()
-        )
+        A = G.matrix
+        keep = ~saturated_mask(A, in_K)
+        is_source = keep & ~A[:, keep].any(axis=1)
+        sources = frozenset(itertools.compress(G.vertices, is_source.tolist()))
     return Regime(
         beta=spec,
         beta_value=bval,
         case=case,
-        H_beta=H,
-        K_beta=K,
+        H_beta=G.vertex_set(in_H),
+        K_beta=G.vertex_set(in_K),
         minimal_critical=mc,
         outside=outside,
         outside_radius=max(
@@ -261,16 +320,17 @@ def beta_v(G: DirectedGraph, v: str) -> float | None:
 
 
 # -- state constructions ---------------------------------------------------------
+#
+# Measures are written into rows of zeroed float arrays, which are frozen
+# before any state takes a view of them.
 
 
-def _psi_state(
-    G: DirectedGraph, reg: Regime, C: Component, spec: BetaSpec
-) -> tuple[StateMeasure, np.ndarray]:
-    """psi_C with its z-vector over the vertices outside K_beta.
+def _psi_row(G: DirectedGraph, reg: Regime, C: Component, out: np.ndarray) -> np.ndarray:
+    """Write psi_C's measure into the zeroed row ``out``; return its z-vector.
 
-    Outside K_beta is the part of the quotient by H_beta that stays outside
-    the closure of its minimal critical components; the rest of the graph
-    carries measure zero.
+    z lives on the vertices outside K_beta, the part of the quotient by
+    H_beta that stays outside the closure of its minimal critical
+    components; the rest of the graph carries measure zero.
     """
     A = G.matrix
     out_idx = list(reg.outside)
@@ -288,20 +348,20 @@ def _psi_state(
     else:
         z = np.zeros(0)
     scale = 1.0 / (1.0 + float(z.sum()))
-    m = {v: 0.0 for v in G.vertices}
-    for i, zi in zip(out_idx, z):
-        m[G.vertices[i]] = scale * float(zi)
-    for v, xv in zip(C.members, x):
-        m[v] = scale * float(xv)
-    state = StateMeasure(
+    out[out_idx] = scale * z
+    out[c_idx] = scale * x
+    return z
+
+
+def _psi_state(G: DirectedGraph, C: Component, spec: BetaSpec, row) -> StateMeasure:
+    return StateMeasure(
         beta=spec,
-        beta_value=math.log(rho),
-        m=m,
+        beta_value=math.log(C.spectral_radius),
+        m=MeasureView(G, row),
         label=PsiC(C),
         factors_through_graph_algebra=True,
         state_type=INFINITE,
     )
-    return state, z
 
 
 def _minimal_critical_psi(G: DirectedGraph, C: Component):
@@ -309,7 +369,9 @@ def _minimal_critical_psi(G: DirectedGraph, C: Component):
     reg = _top_regime(G)
     if C.id not in reg.minimal_critical or G.components[C.id].members != C.members:
         raise ValueError("component is not minimal critical in this graph")
-    return (reg, *_psi_state(G, reg, C, CriticalOf(C.id)))
+    row = np.zeros(len(G.vertices))
+    z = _psi_row(G, reg, C, row)
+    return reg, _psi_state(G, C, CriticalOf(C.id), _frozen(row)), z
 
 
 def z_vector(G: DirectedGraph, C: Component) -> dict[str, float]:
@@ -332,34 +394,32 @@ def psi_C_measure(G: DirectedGraph, C: Component) -> StateMeasure:
     return _minimal_critical_psi(G, C)[1]
 
 
-def _phi_states(G: DirectedGraph, reg: Regime) -> list[StateMeasure]:
-    """All phi_{beta,v} extremes, one per vertex outside K_beta."""
+def _phi_rows(G: DirectedGraph, reg: Regime, out: np.ndarray) -> None:
+    """Write every phi_{beta,v} measure into the zeroed rows ``out``.
+
+    Row k belongs to the k-th vertex outside K_beta: column k of
+    (I - e^-beta M)^-1, M the matrix on those vertices, scaled to mass one.
+    """
     out_idx = list(reg.outside)
     if not out_idx:
-        return []
+        return
     M = G.matrix[np.ix_(out_idx, out_idx)]
     resolvent = spectral.resolvent_solve(
         M, reg.beta_value, np.eye(len(out_idx)), radius=reg.outside_radius
     )
-    col_sums = resolvent.sum(axis=0)
-    states = []
-    for pos, i in enumerate(out_idx):
-        v = G.vertices[i]
-        m = {w: 0.0 for w in G.vertices}
-        col = resolvent[:, pos] / col_sums[pos]
-        for j, val in zip(out_idx, col):
-            m[G.vertices[j]] = float(val)
-        states.append(
-            StateMeasure(
-                beta=reg.beta,
-                beta_value=reg.beta_value,
-                m=m,
-                label=PhiBetaV(v),
-                factors_through_graph_algebra=v in reg.sources,
-                state_type=FINITE,
-            )
-        )
-    return states
+    resolvent /= resolvent.sum(axis=0)
+    out[:, out_idx] = resolvent.T
+
+
+def _phi_state(G: DirectedGraph, reg: Regime, v: str, row) -> StateMeasure:
+    return StateMeasure(
+        beta=reg.beta,
+        beta_value=reg.beta_value,
+        m=MeasureView(G, row),
+        label=PhiBetaV(v),
+        factors_through_graph_algebra=v in reg.sources,
+        state_type=FINITE,
+    )
 
 
 def phi_beta_v_measure(G: DirectedGraph, beta, v: str) -> StateMeasure:
@@ -376,7 +436,9 @@ def phi_beta_v_measure(G: DirectedGraph, beta, v: str) -> StateMeasure:
         raise ValueError(
             f"phi state undefined: beta must exceed beta_v for vertex {v}"
         )
-    return _phi_states(G, reg)[reg.outside.index(G.index[v])]
+    rows = np.zeros((len(reg.outside), len(G.vertices)))
+    _phi_rows(G, reg, rows)
+    return _phi_state(G, reg, v, _frozen(rows)[reg.outside.index(G.index[v])])
 
 
 def general_state_measure(
@@ -431,16 +493,16 @@ def general_state_measure(
             raise ValueError("no vertices outside K_beta: r must be 0")
         phi_part = np.zeros(0)
 
-    m = {v: 0.0 for v in G.vertices}
-    for i, val in zip(out_idx, phi_part):
-        m[G.vertices[i]] += r * float(val)
+    n = len(G.vertices)
+    m = np.zeros(n)
+    m[out_idx] += r * phi_part
     for cid in reg.minimal_critical:
         weight = tmap.get(cid, 0.0)
         if weight == 0.0:
             continue
-        psi, _ = _psi_state(G, reg, G.components[cid], reg.beta)
-        for v, val in psi.m.items():
-            m[v] += (1.0 - r) * weight * val
+        psi = np.zeros(n)
+        _psi_row(G, reg, G.components[cid], psi)
+        m += (1.0 - r) * weight * psi
 
     if r <= TOL:
         kind = INFINITE
@@ -451,7 +513,7 @@ def general_state_measure(
     return StateMeasure(
         beta=reg.beta,
         beta_value=bval,
-        m=m,
+        m=MeasureView(G, _frozen(m)),
         label=Mixture(r=r, epsilon=eps_map, t=tmap),
         factors_through_graph_algebra=_mixture_factors(r, eps_map, reg.sources),
         state_type=kind,
@@ -464,13 +526,21 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     Empty when H_beta is everything; Subcritical (phi states only, one per
     surviving vertex) when beta clears the surviving spectral radius;
     Critical (psi states of the quotient's minimal critical components plus
-    phi states outside K_beta) on the boundary.
+    phi states outside K_beta) on the boundary.  The psi rows come first in
+    ``measures``, in ascending component id, then the phi rows in vertex
+    order.
     """
     reg = regime(G, beta)
-    phi = _phi_states(G, reg)
-    psi = [
-        _psi_state(G, reg, G.components[cid], reg.beta)[0]
-        for cid in reg.minimal_critical
+    mc = [G.components[cid] for cid in reg.minimal_critical]
+    measures = np.zeros((len(mc) + len(reg.outside), len(G.vertices)))
+    _phi_rows(G, reg, measures[len(mc):])
+    for row, C in zip(measures, mc):
+        _psi_row(G, reg, C, row)
+    _frozen(measures)
+    psi = [_psi_state(G, C, reg.beta, row) for row, C in zip(measures, mc)]
+    phi = [
+        _phi_state(G, reg, G.vertices[i], row)
+        for i, row in zip(reg.outside, measures[len(mc):])
     ]
     return SimplexDescriptor(
         beta=reg.beta,
@@ -478,7 +548,8 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
         case=reg.case,
         H_beta=reg.H_beta,
         K_beta=reg.K_beta,
-        extremes=tuple(psi) + tuple(phi),
+        extremes=tuple(psi + phi),
+        measures=measures,
     )
 
 

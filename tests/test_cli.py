@@ -12,7 +12,7 @@ import pytest
 import graphkms as gk
 from graphkms import cli
 
-from conftest import random_graph
+from conftest import GRAPHS, random_graph
 
 
 def run(capsys, *argv):
@@ -126,6 +126,40 @@ def test_states_verify_pass(graph_file, capsys):
     assert "all checks passed" in out
 
 
+def _graph_text(G):
+    return "\n".join(["vertices: " + " ".join(G.vertices)] + [
+        f"edge {e.source} {e.range} {e.multiplicity}" for e in G.edges
+    ])
+
+
+def test_states_lines_match_a_per_value_rendering(graph_file, capsys):
+    # Names holding '%' must pass through the printed template unchanged.
+    texts = list(GRAPHS.values()) + [
+        "vertices: a%d b%s c%%\nedge a%d b%s 2\nedge b%s a%d\nedge c%% a%d 3\nedge c%% c%% 2"
+    ]
+    texts += [_graph_text(random_graph(random.Random(seed))) for seed in range(200)]
+    for text in texts:
+        path = graph_file(text)
+        G = gk.parse_graph(text)
+        specs = [str(k) for k in range(len(gk.critical_temperatures(G)))]
+        for flag, value in [("--critical", k) for k in specs] + [
+            ("--beta", b) for b in ("0.3", "0.9", "1.5")
+        ]:
+            rc, out, _ = run(capsys, "states", path, flag, value)
+            assert rc == 0
+            sx = gk.kms_simplex(G, gk.critical_temperatures(G)[int(value)]
+                                if flag == "--critical" else float(value))
+            width = max((len(gk.kms.label_text(s)) for s in sx.extremes), default=0)
+            expect = []
+            for s in sx.extremes:
+                factors = "yes" if s.factors_through_graph_algebra else "no"
+                mvals = "  ".join(f"m[{v}]={s.m[v]:.9g}" for v in G.vertices)
+                expect.append(f"  {gk.kms.label_text(s):<{width}}  type={s.state_type:<8} "
+                              f"factors={factors:<3}  {mvals}")
+            head = f"extreme states ({len(expect)}):" if expect else "no KMS states at this beta"
+            assert out.splitlines()[4:] == [head] + expect, (text, flag, value)
+
+
 # -- phase-diagram -------------------------------------------------------------
 
 
@@ -156,9 +190,7 @@ def test_phase_diagram_golden(graph_file, capsys):
 def test_phase_diagram_rows_match_the_simplex_on_random_graphs(graph_file, capsys):
     for seed in range(60):
         G = random_graph(random.Random(seed))
-        text = "\n".join(["vertices: " + " ".join(G.vertices)] + [
-            f"edge {e.source} {e.range} {e.multiplicity}" for e in G.edges
-        ])
+        text = _graph_text(G)
         rho = gk.spectral_radius(G.matrix)
         top = math.log(rho) + 0.5 if rho > 1.0 + 1e-9 else 1.0
         rc, out, _ = run(capsys, "phase-diagram", graph_file(text),

@@ -190,6 +190,14 @@ def test_vertex_set_flags():
     assert G.vertex_set({"w"}).hereditary
     with pytest.raises(ValueError):
         G.vertex_set({"zz"})
+    for mask in ([False, False], [True, False], [False, True], [True, True]):
+        by_mask = G.vertex_set(np.array(mask))
+        by_name = G.vertex_set(v for v, inside in zip(G.vertices, mask) if inside)
+        assert (by_mask.members, by_mask.hereditary, by_mask.saturated) == (
+            by_name.members, by_name.hereditary, by_name.saturated
+        )
+    with pytest.raises(ValueError):
+        G.vertex_set(np.array([True]))
 
 
 def test_saturation_two_sources_chain():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -356,6 +357,7 @@ def test_simplex_empty_descriptor_fields():
     assert sx.H_beta.members == {"v", "w"}
     assert sx.K_beta.members == {"v", "w"}
     assert sx.extremes == ()
+    assert sx.measures.shape == (0, 2)
     assert sx.beta_value == 0.2
 
 
@@ -471,3 +473,62 @@ def test_state_measure_is_frozen():
     psi = gk.psi_C_measure(G, G.components[1])
     with pytest.raises(dataclasses.FrozenInstanceError):
         psi.beta_value = 0.0
+
+
+def _check_view(m, G, row):
+    """m is a read-only mapping view of the read-only float row."""
+    assert isinstance(m, Mapping) and not isinstance(m, dict)
+    assert list(m) == list(G.vertices) and len(m) == len(G.vertices)
+    assert all(type(m[v]) is float for v in G.vertices)
+    assert [m[v] for v in G.vertices] == row.tolist()
+    assert m == dict(zip(G.vertices, row.tolist()))
+    assert dict(zip(G.vertices, row.tolist())) == m
+    assert m != {v: 2.0 for v in G.vertices}
+    assert "nope" not in m and m.get("nope") is None
+    with pytest.raises(KeyError):
+        m["nope"]
+    with pytest.raises(TypeError):
+        m[G.vertices[0]] = 1.0
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert not np.asarray(m).flags.writeable
+    with pytest.raises(ValueError):
+        np.asarray(m)[0] = 1.0
+
+
+def test_simplex_measures_are_one_read_only_array():
+    G = example("twin_minimal")
+    for beta in [*gk.critical_temperatures(G), 0.9]:
+        sx = gk.kms_simplex(G, beta)
+        assert sx.measures.shape == (len(sx.extremes), len(G.vertices))
+        assert sx.measures.dtype == np.float64
+        assert not sx.measures.flags.writeable
+        for row, state in zip(sx.measures, sx.extremes):
+            _check_view(state.m, G, row)
+            # every extreme views a row of the one array, none holds a copy
+            assert np.asarray(state.m).base is sx.measures
+
+
+def test_single_state_constructors_return_views():
+    G = example("two_sources_chain")
+    spec = gk.CriticalOf(3)
+    Q = gk.quotient_graph(G, gk.K_beta(G, spec))
+    y = gk.y_vector(Q, LN3)
+    states = [
+        gk.psi_C_measure(G, G.components[3]),
+        gk.phi_beta_v_measure(G, 1.3, "u2"),
+        gk.general_state_measure(G, spec, 0.5, {"u1": 1 / float(y[Q.index["u1"]])}, {3: 1.0}),
+    ]
+    for state in states:
+        _check_view(state.m, G, np.asarray(state.m))
+    assert repr(states[1].m).startswith("MeasureView({'u1': 0.0, 'v': ")
+
+
+def test_measure_view_rejects_a_writable_row():
+    G = example("pair_toward_small")
+    with pytest.raises(ValueError):
+        kms.MeasureView(G, np.zeros(2))
+    row = np.zeros(3)
+    row.setflags(write=False)
+    with pytest.raises(ValueError):
+        kms.MeasureView(G, row)

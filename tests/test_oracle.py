@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import graphkms as gk
 from graphkms import oracle
 
-from conftest import GRAPHS, example
+from conftest import GRAPHS, example, random_graph
 
 
 # -- path enumeration ------------------------------------------------------
@@ -197,6 +198,28 @@ def test_path_measure_atoms():
             ), (state.label, path)
 
 
+def test_vectorised_atoms_match_path_measure_atom():
+    for seed in range(200):
+        G = random_graph(random.Random(seed))
+        A = G.matrix.astype(float)
+        instances = gk.graph.edge_instances(G)
+        src = [G.index[e[0]] for e in instances]
+        for beta in gk.critical_temperatures(G):
+            sx = gk.kms_simplex(G, beta)
+            at_vertex, at_edge = oracle._path_atoms(
+                A, sx.measures, [s.beta_value for s in sx.extremes], src
+            )
+            for k, state in enumerate(sx.extremes):
+                for v in G.vertices:
+                    assert at_vertex[k, G.index[v]] == pytest.approx(
+                        oracle.path_measure_atom(G, state, v), abs=1e-12
+                    ), (seed, state.label, v)
+                for i, e in enumerate(instances):
+                    assert at_edge[k, i] == pytest.approx(
+                        oracle.path_measure_atom(G, state, (e,)), abs=1e-12
+                    ), (seed, state.label, e)
+
+
 # -- full simplex verification ----------------------------------------------
 
 
@@ -241,3 +264,24 @@ def test_verify_simplex_flags_negative_entry():
     # keeps the total at 1 so only the sign check can trip
     failures = oracle.verify_simplex(G, _corrupt(sx, 0, {"v": 1.25, "w": -0.25}))
     assert any("negative" in f for f in failures)
+
+
+@pytest.mark.parametrize("name, beta, which, m, expect", [
+    ("pair_toward_small", 1.4, 0, {"v": 1.25, "w": -0.25},
+     ["phi[v]: negative entry -0.25"]),
+    ("pair_toward_small", 0.9, 0, {"v": 0.5, "w": 0.5},
+     ["phi[v]: subinvariance violated", "phi[v]: charges H_beta at ['w']"]),
+    ("pair_toward_small", gk.CriticalOf(1), 0, {"v": 0.6, "w": 0.5},
+     ["psi{w}: normalization off by 0.1", "psi{w}: eigen-identity residual 0.1",
+      "psi{w}: atom 0.0333 at 'v'"]),
+    ("pair_toward_small", gk.CriticalOf(1), 1, {"v": -0.1, "w": 1.1},
+     ["phi[v]: negative entry -0.1", "phi[v]: subinvariance violated"]),
+    ("twin_minimal", gk.CriticalOf(1), 0, {"u": 0.2, "v": 0.3, "w": 0.1, "x": 0.4},
+     ["psi{v}: subinvariance violated", "psi{v}: eigen-identity residual 0.4",
+      "psi{v}: atom -0.1 at 'u'"]),
+    ("twin_minimal", 0.1, 0, {"u": 0.5, "v": 0.2, "w": 0.2, "x": 0.1},
+     ["phi[u]: subinvariance violated", "phi[u]: charges H_beta at ['v', 'w', 'x']"]),
+])
+def test_verify_simplex_failure_strings(name, beta, which, m, expect):
+    G = example(name)
+    assert oracle.verify_simplex(G, _corrupt(gk.kms_simplex(G, beta), which, m)) == expect

@@ -204,8 +204,21 @@ def test_H_and_K_are_closures_of_components_by_log_radius(seed):
                  for v in c.members]
         reached = [v for c in G.components if ln.get(c.id, -math.inf) >= bval - TOL
                    for v in c.members]
-        assert gk.H_beta(G, beta).members == gk.hereditary_closure(G, above).members
-        assert gk.K_beta(G, beta).members == gk.hereditary_closure(G, reached).members
+        reg = gk.kms.regime(G, beta)
+        for got, names in ((reg.H_beta, above), (reg.K_beta, reached)):
+            ref = gk.hereditary_closure(G, names)
+            assert (got.members, got.hereditary, got.saturated) == (
+                ref.members, ref.hereditary, ref.saturated
+            )
+        # Quotient sources, vertex by vertex: outside the saturation of
+        # K_beta and receiving no edge from outside it.
+        sat = gk.saturation(G, reg.K_beta).members
+        sources = {
+            v for v in G.vertices if v not in sat and not any(
+                G.matrix[G.index[v], G.index[w]] for w in G.vertices if w not in sat
+            )
+        }
+        assert reg.sources == (sources if reg.outside else frozenset())
 
 
 @given(seeds)
