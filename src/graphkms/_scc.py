@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+
+def successor_lists(A: np.ndarray) -> list[list[int]]:
+    """``succ[i]`` lists the columns of the nonzero entries of row i of ``A``.
+
+    One ``np.nonzero`` over the whole matrix, split by row.
+    """
+    rows, cols = np.nonzero(A)
+    ends = np.cumsum(np.bincount(rows, minlength=A.shape[0])).tolist()
+    cols = cols.tolist()
+    return [cols[start:end] for start, end in zip([0] + ends, ends)]
+
 
 def tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
     """Partition ``range(len(succ))`` into SCCs.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scc import tarjan_sccs
+from ._scc import successor_lists, tarjan_sccs
 
 
 class GraphParseError(ValueError):
@@ -122,13 +122,12 @@ class DirectedGraph:
             return cached
         from . import spectral
 
-        n = len(self.vertices)
         A = self.matrix
-        succ = [list(np.nonzero(A[i])[0]) for i in range(n)]
+        succ = successor_lists(A)
         raw = tarjan_sccs(succ)
         # Canonical ids: sort components by their smallest vertex index.
         blocks = sorted((sorted(comp) for comp in raw), key=lambda rows: rows[0])
-        comp_of = [0] * n
+        comp_of = [0] * len(succ)
         for cid, rows in enumerate(blocks):
             for i in rows:
                 comp_of[i] = cid
@@ -226,7 +225,7 @@ class DirectedGraph:
             inside = self._mask(mem)
         A = self.matrix
         hereditary = not A[np.ix_(inside, ~inside)].any()
-        saturated = not _swallowed(A, inside).any()
+        saturated = not swallowed_mask(A, inside).any()
         return VertexSet(members=mem, hereditary=hereditary, saturated=saturated)
 
     def _mask(self, members) -> np.ndarray:
@@ -235,7 +234,7 @@ class DirectedGraph:
         return inside
 
 
-def _swallowed(A: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def swallowed_mask(A: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Vertices outside that receive edges, none of them from outside."""
     return ~inside & A.any(axis=1) & ~A[:, ~inside].any(axis=1)
 
@@ -243,10 +242,10 @@ def _swallowed(A: np.ndarray, inside: np.ndarray) -> np.ndarray:
 def saturated_mask(A: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """The saturation of a hereditary vertex mask, as a new mask."""
     inside = inside.copy()
-    new = _swallowed(A, inside)
+    new = swallowed_mask(A, inside)
     while new.any():
         inside |= new
-        new = _swallowed(A, inside)
+        new = swallowed_mask(A, inside)
     return inside
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .graph import Component, DirectedGraph, VertexSet, saturated_mask
+from .graph import Component, DirectedGraph, VertexSet, saturated_mask, swallowed_mask
 
 TOL = 1e-9
 
@@ -204,6 +204,10 @@ class Regime:
     sources: frozenset[str]
 
 
+def _names(G: DirectedGraph, mask: np.ndarray) -> frozenset[str]:
+    return frozenset(itertools.compress(G.vertices, mask.tolist()))
+
+
 def regime(G: DirectedGraph, beta) -> Regime:
     """Classify every component against beta and derive the simplex's shape.
 
@@ -238,20 +242,26 @@ def regime(G: DirectedGraph, beta) -> Regime:
         case = EMPTY
     else:
         case = CRITICAL if mc else SUBCRITICAL
+    A = G.matrix
     sources = frozenset()
+    K_saturated = True
     if outside:
         # Sources of the quotient by the saturation: vertices outside it
         # that receive no edge from outside it.
-        A = G.matrix
         keep = ~saturated_mask(A, in_K)
+        # Saturating K_beta adds nothing exactly when it is saturated.
+        K_saturated = int(keep.sum()) == len(outside)
         is_source = keep & ~A[:, keep].any(axis=1)
-        sources = frozenset(itertools.compress(G.vertices, is_source.tolist()))
+        sources = _names(G, is_source)
+    # Both closures are hereditary by construction.
+    H = VertexSet(_names(G, in_H), hereditary=True, saturated=not swallowed_mask(A, in_H).any())
+    K = VertexSet(_names(G, in_K), hereditary=True, saturated=K_saturated)
     return Regime(
         beta=spec,
         beta_value=bval,
         case=case,
-        H_beta=G.vertex_set(in_H),
-        K_beta=G.vertex_set(in_K),
+        H_beta=H,
+        K_beta=K,
         minimal_critical=mc,
         outside=outside,
         outside_radius=max(

@@ -2,11 +2,13 @@
 
 All reals are 64-bit floats.  The comparison tolerance is 1e-9 unless an
 operation states otherwise; resolvent convergence uses a 1e-12 margin.
-Nothing here iterates open-endedly.  Perron data comes from one dense
-eigensolve per stack of equal-sized irreducible blocks and two
-inverse-iteration steps, checked by its residual; periods of all blocks of
-a matrix come from one breadth-first pass; and the series oracle doubles its
-number of terms at most 64 times.
+Nothing here iterates open-endedly.  Perron data comes from Noda's
+shift-invert iteration (Noda 1971; quadratic convergence, Elsner 1976), run
+on one stack of equal-sized irreducible blocks at a time with LU solves and
+products only, at most 64 steps, checked by its residual and by the gap
+between its shift and its radius; no eigensolver runs.  Periods of all
+blocks of a matrix come from one breadth-first pass, and the series oracle
+doubles its number of terms at most 64 times.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scc import tarjan_sccs
+from ._scc import successor_lists, tarjan_sccs
 
 CONVERGENCE_MARGIN = 1e-12
 
@@ -51,16 +53,26 @@ def perron_blocks(A: np.ndarray, blocks, names) -> list:
 
     ``blocks[b]`` lists the rows of an irreducible diagonal block of ``A``;
     ``names[i]`` names row i in errors.  A block with a cycle gets
-    (radius, vector, residual), one without gets None.  Blocks of one size
-    share one stacked eigensolve, which gives the eigenvalue with the
-    largest real part.  Its eigenvector takes two inverse-iteration steps,
-    shifted 1e-10 (relative) above that eigenvalue and then above the
-    refined radius sum(Ax), and is signed to sum positive with negative
-    rounding clipped to 0.  With entries spanning many orders of magnitude
-    (loops of multiplicity 10^6) the eigensolver's own pair can miss the
-    residual bound by a factor of thousands, and one step can still miss it
-    where eigenvalues cluster near rho.  Raises when a residual
-    max|Ax - rho x| exceeds 1e-12 max(1, rho).
+    (radius, vector, residual), one without gets None.
+
+    Blocks of one size are stacked and run Noda's iteration together
+    (Noda 1971), which needs only LU solves and products.  From the uniform
+    vector x, each step solves (shift I - S) y = x, with the shift at the
+    Collatz-Wielandt upper bound sigma = max_i (Sx)_i / x_i of rho.  For
+    y > 0 the next bound is shift - min_i x_i / y_i, and the bounds fall to
+    rho quadratically (Elsner 1976).  The shift never drops below 1e-10
+    (relative) above the radius sum(Ax), which keeps the solve nonsingular;
+    a y that is not positive is signed to sum positive, has negative
+    rounding clipped to 0 and resets the bound to that floor.  x is y
+    l1-normalised.
+
+    A block stops once its residual max|Ax - rho x| is at most
+    1e-12 max(1, rho) and its last shift lies within 1e-9 (relative) of
+    its radius: with loops of multiplicity 10^6 the residual alone can pass on a
+    pair that is not the Perron pair.  Cycles, 1x1 blocks and blocks with
+    constant row sums stop at the start, without a solve.  A stopped block
+    leaves the stack, so its data do not depend on the blocks stacked with
+    it.  Raises when a block has not stopped after 64 steps.
     """
     out: list = [None] * len(blocks)
     cyclic = [b for b, rows in enumerate(blocks) if len(rows) > 1 or A[rows[0], rows[0]]]
@@ -68,27 +80,44 @@ def perron_blocks(A: np.ndarray, blocks, names) -> list:
         which = [b for b in cyclic if len(blocks[b]) == k]
         idx = np.array([blocks[b] for b in which])
         S = A[idx[:, :, None], idx[:, None, :]].astype(float)
-        values, vectors = np.linalg.eig(S)
-        top = np.argmax(values.real, axis=1)
-        pick = np.arange(len(which))
-        radius = values[pick, top].real
-        x = vectors[pick, :, top].real
-        for _ in range(2):
-            shifted = S - (radius * (1.0 + 1e-10))[:, None, None] * np.eye(k)
-            x = np.linalg.solve(shifted, x[:, :, None])[:, :, 0]
-            x = np.clip(np.where(x.sum(axis=1, keepdims=True) > 0, x, -x), 0.0, None)
-            x /= x.sum(axis=1, keepdims=True)
-            Ax = (S @ x[:, :, None])[:, :, 0]
-            radius = Ax.sum(axis=1)
-        residual = np.abs(Ax - radius[:, None] * x).max(axis=1)
-        for j, b in enumerate(which):
-            if residual[j] > 1e-12 * max(1.0, radius[j]):
+        x = np.full((len(which), k), 1.0 / k)
+        Ax, radius, residual = _radius_and_residual(S, x)
+        sigma = (Ax / x).max(axis=1)
+        shift = sigma.copy()
+        live = np.arange(len(which))
+        for step in range(65):
+            r = radius[live]
+            unsettled = residual[live] > 1e-12 * np.maximum(1.0, r)
+            live = live[unsettled | (shift[live] - r > 1e-9 * r)]
+            if not live.size:
+                break
+            if step == 64:
+                j = live[0]
                 raise ConvergenceError(
                     f"Perron pair of the {k}-vertex block with first member "
-                    f"{names[blocks[b][0]]} has residual {residual[j]:.3g}"
+                    f"{names[blocks[which[j]][0]]} has residual {residual[j]:.3g}"
                 )
+            s = np.maximum(sigma[live], radius[live] * (1.0 + 1e-10))
+            Sl, xl = S[live], x[live]
+            y = np.linalg.solve(s[:, None, None] * np.eye(k) - Sl, xl[:, :, None])[:, :, 0]
+            positive = (y > 0).all(axis=1)
+            noda = s - (xl / np.where(positive[:, None], y, 1.0)).min(axis=1)
+            y = np.clip(np.where(y.sum(axis=1, keepdims=True) > 0, y, -y), 0.0, None)
+            y /= y.sum(axis=1, keepdims=True)
+            _, r, residual[live] = _radius_and_residual(Sl, y)
+            x[live], radius[live], shift[live] = y, r, s
+            sigma[live] = np.where(positive, noda, r * (1.0 + 1e-10))
+        for j, b in enumerate(which):
             out[b] = (float(radius[j]), x[j], float(residual[j]))
     return out
+
+
+def _radius_and_residual(S: np.ndarray, x: np.ndarray):
+    """Sx, the radius sum(Sx) and the residual max|Sx - radius x| of a stack
+    of blocks S and l1-unit vectors x."""
+    Sx = (S @ x[:, :, None])[:, :, 0]
+    radius = Sx.sum(axis=1)
+    return Sx, radius, np.abs(Sx - radius[:, None] * x).max(axis=1)
 
 
 def block_periods(A: np.ndarray, comp: np.ndarray, roots) -> np.ndarray:
@@ -124,7 +153,7 @@ def analyze_irreducible(M) -> SpectralData:
     """
     A = _as_square(M)
     n = A.shape[0]
-    if len(tarjan_sccs([list(np.nonzero(row)[0]) for row in A])) != 1:
+    if len(tarjan_sccs(successor_lists(A))) != 1:
         raise ValueError("matrix is not irreducible")
     if n == 1 and A[0, 0] == 0:
         return SpectralData(0.0, np.array([1.0]), 0, 0.0)
@@ -138,14 +167,14 @@ def spectral_radius(M) -> float:
     """Spectral radius of a nonnegative matrix.
 
     Computed as the maximum over the irreducible diagonal blocks of the
-    component decomposition, each from its own eigensolve.  The full matrix
-    is never solved at once: a chain of k equal blocks is a defective
-    eigenvalue, which a whole-matrix eigensolve resolves only to about
-    eps^(1/k).
+    component decomposition, each from its own Perron iteration
+    (:func:`perron_blocks`).  The full matrix is never iterated at once: a
+    chain of k equal blocks is a defective eigenvalue, which a whole-matrix
+    method resolves only to about eps^(1/k).
     """
     A = _as_square(M)
     # In index order, as for G.components, so both get the same radius.
-    blocks = [sorted(comp) for comp in tarjan_sccs([list(np.nonzero(row)[0]) for row in A])]
+    blocks = [sorted(comp) for comp in tarjan_sccs(successor_lists(A))]
     data = perron_blocks(A, blocks, range(A.shape[0]))
     return max((d[0] for d in data if d is not None), default=0.0)
 

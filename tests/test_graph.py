@@ -1,14 +1,16 @@
 """Parsing, path counting, components, closures, quotients."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import graphkms as gk
+from graphkms._scc import successor_lists
 from graphkms.graph import edge_instances
 
-from conftest import GRAPHS, example
+from conftest import GRAPHS, example, random_graph
 
 
 def test_parse_pair_toward_small():
@@ -106,6 +108,14 @@ def test_components_canonical_ids_follow_smallest_vertex():
     assert [c.members for c in comps] == [("u1",), ("v",), ("u2",), ("w",)]
     assert [c.id for c in comps] == [0, 1, 2, 3]
     assert [c.trivial for c in comps] == [True, False, True, False]
+
+
+def test_successor_lists_match_a_nonzero_per_row():
+    graphs = [example(name) for name in GRAPHS]
+    graphs += [random_graph(random.Random(seed)) for seed in range(200)]
+    for G in graphs:
+        expected = [np.nonzero(row)[0].tolist() for row in G.matrix]
+        assert successor_lists(G.matrix) == expected
 
 
 def test_trivial_component_has_no_spectral_data():

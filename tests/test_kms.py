@@ -379,6 +379,21 @@ def test_simplex_critical_cases_match_examples():
     assert counts == [4, 4, 3, 1, 0]
 
 
+def test_regime_sets_carry_the_flags_of_vertex_set():
+    # regime sets the closure flags without the matrix gathers of
+    # G.vertex_set; both must agree on members and flags.
+    for seed in range(300):
+        G = random_graph(random.Random(seed))
+        betas = list(gk.critical_temperatures(G)) + [-1.0, 0.0, 0.5, 1.0, 1.5]
+        for beta in betas:
+            r = kms.regime(G, beta)
+            for vs in (r.H_beta, r.K_beta):
+                ref = G.vertex_set(vs.members)
+                assert (vs.members, vs.hereditary, vs.saturated) == (
+                    ref.members, ref.hereditary, ref.saturated
+                ), (seed, beta)
+
+
 def test_simplex_subcritical_has_K_equal_H():
     G = example("golden_feeder")
     sx = gk.kms_simplex(G, 0.9)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -286,7 +287,9 @@ def test_perron_data_where_eigenvalues_cluster_near_rho():
 
 
 def test_perron_failure_names_the_component(monkeypatch):
-    G = gk.parse_graph("vertices: a b c\nedge a b\nedge b c\nedge c b\n")
+    # The multiplicity 2 keeps the uniform start from being the Perron pair,
+    # so the 2-cycle needs solves, which the skew keeps from converging.
+    G = gk.parse_graph("vertices: a b c\nedge a b\nedge b c\nedge c b 2\n")
     solve = np.linalg.solve
 
     def skewed(M, b):
@@ -349,19 +352,92 @@ def test_periods_of_separate_cycles_in_one_graph():
     }
 
 
-def test_one_eigensolve_per_block_size(monkeypatch):
-    G = _mixed_chain(random.Random(9), 200)
+def _counted_solves(monkeypatch) -> list:
+    # Shapes of the np.linalg.solve calls from here on; an eigensolve fails.
     calls = []
-    eig = np.linalg.eig
+    solve = np.linalg.solve
 
-    def counted(S):
-        calls.append(S.shape)
-        return eig(S)
+    def counted(M, b):
+        calls.append(M.shape)
+        return solve(M, b)
 
-    monkeypatch.setattr(np.linalg, "eig", counted)
-    sizes = {len(c.members) for c in G.components if not c.trivial}
+    def refused(*args, **kwargs):
+        raise AssertionError("Perron data must not call an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    return calls
+
+
+def test_one_batched_solve_per_step_per_block_size(monkeypatch):
+    G = _mixed_chain(random.Random(9), 200)
+    blocks = []
+    for c in G.components:
+        rows = [G.index[v] for v in c.members]
+        if not c.trivial:
+            blocks.append(G.matrix[np.ix_(rows, rows)])
+    calls = _counted_solves(monkeypatch)
+    steps: dict[int, int] = {}
+    for block in blocks:
+        calls.clear()
+        spectral.analyze_irreducible(block)
+        k = block.shape[0]
+        steps[k] = max(steps.get(k, 0), len(calls))
+    calls.clear()
+    G = _mixed_chain(random.Random(9), 200)
     assert len(G.components) == 200
-    assert sorted(shape[1] for shape in calls) == sorted(sizes) == [1, 2, 3]
+    # Every step solves the whole stack of one block size at once, so the
+    # stack takes as many solves as its slowest block takes alone.
+    assert all(len(shape) == 3 for shape in calls)
+    assert Counter(shape[1] for shape in calls) == +Counter(steps)
+    assert sorted(steps) == [1, 2, 3] and steps[1] == 0
+
+
+# rho of _heavy_block(random.Random(seed), 60) from mpmath.eig at 40 digits.
+# Seeds 19 and 158 end on a pair that is not the Perron pair if only the
+# residual stops the iteration; seed 598 hits an exactly singular solve if
+# the shift may fall to the radius.
+HEAVY_RADII = {
+    19: 1000000.000003163929641063,
+    158: 1000000.000501001018845032,
+    598: 32100.28905074775103851041,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HEAVY_RADII))
+def test_perron_data_of_heavy_blocks_that_tempt_an_early_stop(seed):
+    A = _heavy_block(random.Random(seed), 60)
+    data = spectral.analyze_irreducible(A)
+    assert abs(data.radius - HEAVY_RADII[seed]) <= 1e-9 * HEAVY_RADII[seed]
+    assert (data.perron_vector >= 0).all()
+    assert data.residual <= 1e-12 * data.radius
+
+
+@pytest.mark.parametrize(
+    "A, most",
+    [(_cycle_with_chord(300, 150), 12), (_heavy_block(random.Random(232), 60), 40)],
+    ids=["chord-across-half-300", "heavy-232"],
+)
+def test_noda_steps_are_bounded(monkeypatch, A, most):
+    calls = _counted_solves(monkeypatch)
+    spectral.analyze_irreducible(A)
+    assert 0 < len(calls) <= most
+
+
+def test_cycles_and_loops_need_no_solve(monkeypatch):
+    # The uniform start is the Perron pair of a k-cycle and of a 1x1 block.
+    lines = ["vertices: a0 a1 b0 b1 b2 c0 c1 c2 c3 c4 c5 c6 l m"]
+    for prefix, k in (("a", 2), ("b", 3), ("c", 7)):
+        lines += [f"edge {prefix}{i} {prefix}{(i + 1) % k}" for i in range(k)]
+    lines += ["edge l l 3", "edge m m", "edge a0 b0", "edge l c0"]
+    G = gk.parse_graph("\n".join(lines))
+    calls = _counted_solves(monkeypatch)
+    radii = {c.members[0]: c.spectral_radius for c in G.components}
+    assert calls == []
+    assert radii == pytest.approx({"a0": 1, "b0": 1, "c0": 1, "l": 3, "m": 1}, abs=1e-15)
+    for c in G.components:
+        assert set(c.perron_vector.values()) == {1.0 / len(c.members)}
 
 
 @pytest.mark.parametrize("seed", [4059, 11126, 11867, 16195])
