@@ -150,31 +150,24 @@ class DirectedGraph:
                 )
             )
         # Tarjan emits components in reverse topological order: arcs between
-        # distinct components always point at an earlier entry.  So reach
-        # sets accumulate in one forward pass, and a backward pass finishes
-        # each component before it passes its divergence value on along its
-        # arcs, which takes the maximum over every component whose closure
-        # holds the target.
-        ids = [comp_of[comp[0]] for comp in raw]
-        reach = [frozenset()] * len(raw)
-        for k, comp in enumerate(raw):
-            acc = {ids[k]}
-            for i in comp:
-                for j in succ[i]:
-                    if comp_of[j] != ids[k]:
-                        acc |= reach[comp_of[j]]
-            reach[ids[k]] = frozenset(acc)
+        # distinct components always point at an earlier entry.  So a
+        # backward pass meets every component after all the components whose
+        # closure holds it, which have passed their divergence values on
+        # along their arcs: the maximum received is the strict divergence,
+        # and the component's own ln rho joins it before it passes on.
+        strict = [-math.inf] * len(raw)
         top = [-math.inf] * len(raw)
-        for k in reversed(range(len(raw))):
-            c = components[ids[k]]
+        for comp in reversed(raw):
+            c = components[comp_of[comp[0]]]
+            strict[c.id] = top[c.id]
             if not c.trivial:
                 top[c.id] = max(top[c.id], math.log(c.spectral_radius))
-            for i in raw[k]:
+            for i in comp:
                 for j in succ[i]:
                     top[comp_of[j]] = max(top[comp_of[j]], top[c.id])
         comp_arr = np.array(comp_of, dtype=np.int64)
         comp_arr.setflags(write=False)
-        cached = (tuple(components), comp_arr, tuple(reach), tuple(top))
+        cached = (tuple(components), comp_arr, tuple(top), tuple(strict))
         object.__setattr__(self, "_analysis_cache", cached)
         return cached
 
@@ -191,19 +184,27 @@ class DirectedGraph:
         """Component id of every vertex, in vertex order (read-only)."""
         return self._analysis()[1]
 
-    def reachable_components(self, comp_id: int) -> frozenset[int]:
-        """Ids of components D with C_id <= D, i.e. D talks to C_id."""
-        return self._analysis()[2][comp_id]
-
     @property
     def divergence(self) -> tuple[float, ...]:
         """Per component id C, the largest ln rho(A_D) over nontrivial D <= C.
 
         D <= C means the hereditary closure of D contains C, so the path
         series out of C diverges exactly for beta at or below this value;
-        -inf when no such D exists.  Every temperature-indexed set
-        (H_beta, K_beta, the critical list, beta_v) is a comparison against
-        this array.
+        -inf when no such D exists.  It is the larger of C's own ln rho and
+        ``strict_divergence[C]``.  Every temperature-indexed set (H_beta,
+        K_beta, the critical list, beta_v) is a comparison against this
+        array.
+        """
+        return self._analysis()[2]
+
+    @property
+    def strict_divergence(self) -> tuple[float, ...]:
+        """Per component id C, the largest ln rho(A_D) over nontrivial D < C.
+
+        D < C means D <= C and D != C; -inf when no such D exists.  A
+        critical component is minimal among the critical ones exactly when
+        this value falls below beta - TOL, so the minimal critical
+        components are a comparison against this array.
         """
         return self._analysis()[3]
 
@@ -352,7 +353,7 @@ def talks_to(G: DirectedGraph, C: Component, D: Component) -> bool:
     for comp in (C, D):
         if comp.id >= len(comps) or comps[comp.id].members != comp.members:
             raise ValueError("component does not belong to this graph")
-    return D.id in G.reachable_components(C.id)
+    return D.members[0] in hereditary_closure(G, C.members).members
 
 
 def seneta_order(G: DirectedGraph) -> tuple[Component, ...]:

@@ -5,9 +5,9 @@ measure m, a probability vector with A m <= e^beta m.  Which states exist at
 one beta is combinatorial and derived in one place, :func:`regime`: H_beta,
 K_beta, the case, the minimal critical components of the quotient by H_beta,
 the vertices outside K_beta and the quotient sources after saturation all
-come from comparing beta with the per-component divergence array
-``G.divergence``.  Only the measures need linear algebra, and they are
-solved only when asked for: psi-type states attached to minimal critical
+come from comparing beta with the per-component arrays ``G.divergence`` and
+``G.strict_divergence``.  Only the measures need linear algebra, and they
+are solved only when asked for: psi-type states attached to minimal critical
 components, phi-type states attached to vertices outside K_beta, and their
 convex mixtures, with the factor-through and finite/infinite classification.
 
@@ -184,13 +184,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Regime:
     """The combinatorial data that fixes the simplex at one beta.
 
-    Everything here is a comparison against ``G.divergence``; no linear
-    algebra runs until measures are asked for.  ``minimal_critical`` holds
-    the ascending ids of the minimal critical components of the quotient by
-    H_beta, ``outside`` the ascending vertex indices outside K_beta (one phi
-    state each), ``outside_radius`` the spectral radius of that part, and
-    ``sources`` the vertices that are sources of the quotient by the
-    saturation of K_beta.
+    Everything here is a comparison against ``G.divergence`` and
+    ``G.strict_divergence``; no linear algebra runs until measures are asked
+    for.  ``minimal_critical`` holds the ascending ids of the minimal
+    critical components of the quotient by H_beta, ``outside`` the
+    ascending vertex indices outside K_beta (one phi state each),
+    ``outside_radius`` the spectral radius of that part, and ``sources`` the
+    vertices that are sources of the quotient by the saturation of K_beta.
     """
 
     beta: BetaSpec
@@ -215,7 +215,9 @@ def regime(G: DirectedGraph, beta) -> Regime:
     and in K_beta when it reaches beta - TOL.  The critical components of
     the quotient by H_beta are the nontrivial ones left there with
     ln rho(A_C) inside the TOL window; CriticalOf resolves to the defining
-    component's own ln rho, so that component always falls inside it.
+    component's own ln rho, so that component always falls inside it.  A
+    critical component is minimal when its strict divergence stays below
+    beta - TOL.
     """
     spec = _as_beta(beta)
     bval = beta_value(G, spec)
@@ -232,11 +234,10 @@ def regime(G: DirectedGraph, beta) -> Regime:
         and top[c.id] <= bval + TOL
         and math.log(c.spectral_radius) >= bval - TOL
     ]
-    mc = tuple(
-        c
-        for c in crit
-        if not any(d != c and c in G.reachable_components(d) for d in crit)
-    )
+    # A critical component is minimal unless a critical D < C exists, and
+    # any nontrivial D < C that reaches beta - TOL is critical.
+    strict = G.strict_divergence
+    mc = tuple(c for c in crit if strict[c] < bval - TOL)
     outside = tuple(np.flatnonzero(~in_K).tolist())
     if in_H.all():
         case = EMPTY
@@ -404,21 +405,38 @@ def psi_C_measure(G: DirectedGraph, C: Component) -> StateMeasure:
     return _minimal_critical_psi(G, C)[1]
 
 
-def _phi_rows(G: DirectedGraph, reg: Regime, out: np.ndarray) -> None:
-    """Write every phi_{beta,v} measure into the zeroed rows ``out``.
+def _phi_rows(G: DirectedGraph, reg: Regime, out: np.ndarray) -> np.ndarray:
+    """Write every phi_{beta,v} measure into the zeroed rows ``out``; return y.
 
     Row k belongs to the k-th vertex outside K_beta: column k of
     (I - e^-beta M)^-1, M the matrix on those vertices, scaled to mass one.
+    y holds the column sums before scaling, the y-vector of that part.
     """
     out_idx = list(reg.outside)
     if not out_idx:
-        return
+        return np.zeros(0)
     M = G.matrix[np.ix_(out_idx, out_idx)]
     resolvent = spectral.resolvent_solve(
         M, reg.beta_value, np.eye(len(out_idx)), radius=reg.outside_radius
     )
-    resolvent /= resolvent.sum(axis=0)
+    y = resolvent.sum(axis=0)
+    resolvent /= y
     out[:, out_idx] = resolvent.T
+    return y
+
+
+def _extreme_rows(G: DirectedGraph, reg: Regime) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only measure rows of every extreme point, and y.
+
+    The psi rows come first, in ascending component id, then the phi rows
+    in vertex order.
+    """
+    mc = reg.minimal_critical
+    rows = np.zeros((len(mc) + len(reg.outside), len(G.vertices)))
+    y = _phi_rows(G, reg, rows[len(mc):])
+    for row, cid in zip(rows, mc):
+        _psi_row(G, reg, G.components[cid], row)
+    return _frozen(rows), y
 
 
 def _phi_state(G: DirectedGraph, reg: Regime, v: str, row) -> StateMeasure:
@@ -461,7 +479,6 @@ def general_state_measure(
     over the minimal critical components of the quotient by H_beta.
     """
     reg = regime(G, beta)
-    bval = reg.beta_value
     if reg.case != CRITICAL:
         raise ValueError("beta is not critical for this graph")
     if not -TOL <= r <= 1.0 + TOL:
@@ -489,30 +506,17 @@ def general_state_measure(
                 f"epsilon charges {name} inside K_beta, where the series diverges"
             )
     eps_vec = np.array([eps_map.get(G.vertices[i], 0.0) for i in out_idx])
-    if out_idx:
-        M = G.matrix[np.ix_(out_idx, out_idx)]
-        y = spectral.resolvent_solve(
-            M.T, bval, np.ones(len(out_idx)), radius=reg.outside_radius
-        )
-        if abs(float(eps_vec @ y) - 1.0) > TOL:
-            raise ValueError("epsilon . y must equal 1")
-        phi_part = spectral.resolvent_solve(M, bval, eps_vec, radius=reg.outside_radius)
-    else:
+    rows, y = _extreme_rows(G, reg)
+    if not out_idx:
         # Nothing survives K_beta, so no phi part can exist at all.
         if r > TOL or any(w > TOL for w in eps_map.values()):
             raise ValueError("no vertices outside K_beta: r must be 0")
-        phi_part = np.zeros(0)
-
-    n = len(G.vertices)
-    m = np.zeros(n)
-    m[out_idx] += r * phi_part
-    for cid in reg.minimal_critical:
-        weight = tmap.get(cid, 0.0)
-        if weight == 0.0:
-            continue
-        psi = np.zeros(n)
-        _psi_row(G, reg, G.components[cid], psi)
-        m += (1.0 - r) * weight * psi
+    elif abs(float(eps_vec @ y) - 1.0) > TOL:
+        raise ValueError("epsilon . y must equal 1")
+    # phi_v is column v of the resolvent R over y_v, so the weights
+    # r eps_v y_v on the phi rows sum to the phi part r R eps.
+    psi_weights = [(1.0 - r) * tmap.get(cid, 0.0) for cid in reg.minimal_critical]
+    m = np.concatenate([psi_weights, r * eps_vec * y]) @ rows
 
     if r <= TOL:
         kind = INFINITE
@@ -522,7 +526,7 @@ def general_state_measure(
         kind = MIXED
     return StateMeasure(
         beta=reg.beta,
-        beta_value=bval,
+        beta_value=reg.beta_value,
         m=MeasureView(G, _frozen(m)),
         label=Mixture(r=r, epsilon=eps_map, t=tmap),
         factors_through_graph_algebra=_mixture_factors(r, eps_map, reg.sources),
@@ -542,11 +546,7 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     """
     reg = regime(G, beta)
     mc = [G.components[cid] for cid in reg.minimal_critical]
-    measures = np.zeros((len(mc) + len(reg.outside), len(G.vertices)))
-    _phi_rows(G, reg, measures[len(mc):])
-    for row, C in zip(measures, mc):
-        _psi_row(G, reg, C, row)
-    _frozen(measures)
+    measures, _ = _extreme_rows(G, reg)
     psi = [_psi_state(G, C, reg.beta, row) for row, C in zip(measures, mc)]
     phi = [
         _phi_state(G, reg, G.vertices[i], row)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kms
-from .graph import Component, DirectedGraph, edge_instances
+from .graph import Component, DirectedGraph, edge_instances, hereditary_closure
 from .spectral import ConvergenceError
 
 MAX_TERMS = 10**6
@@ -140,16 +140,12 @@ def quick_exit_series_oracle(
     outside the hereditary closure of the minimal critical components; the
     sum is organised by the length of mu.
     """
+    if v not in G.index:
+        raise ValueError(f"unknown vertex: {v}")
     mc = kms.minimal_critical_components(G)
-    ids = {c.id for c in mc}
-    if C.id not in ids or G.components[C.id].members != C.members:
+    if C.id not in {c.id for c in mc} or G.components[C.id].members != C.members:
         raise ValueError("component is not minimal critical in this graph")
-    closure_ids = set()
-    for i in ids:
-        closure_ids |= G.reachable_components(i)
-    closure_members = {
-        w for i in closure_ids for w in G.components[i].members
-    }
+    closure_members = hereditary_closure(G, [w for c in mc for w in c.members]).members
     if v in closure_members:
         raise ValueError(f"{v} lies inside the closure of the critical components")
     outside = [i for i, w in enumerate(G.vertices) if w not in closure_members]

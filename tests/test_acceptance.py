@@ -221,10 +221,7 @@ def test_criterion_7_oracle_equivalence():
             y_compared += 1
 
         mc = gk.minimal_critical_components(G)
-        closure = set()
-        for c in mc:
-            for i in G.reachable_components(c.id):
-                closure.update(G.components[i].members)
+        closure = gk.hereditary_closure(G, [v for c in mc for v in c.members]).members
         for c in mc:
             z = gk.z_vector(G, c)
             for v in G.vertices:

@@ -121,11 +121,9 @@ def test_quick_exit_no_paths_is_zero():
 def test_quick_exit_matches_z_vector():
     for name in ("pair_toward_small", "golden_feeder", "twin_minimal"):
         G = example(name)
-        closure = set()
-        for c in gk.minimal_critical_components(G):
-            for i in G.reachable_components(c.id):
-                closure.update(G.components[i].members)
-        for c in gk.minimal_critical_components(G):
+        mc = gk.minimal_critical_components(G)
+        closure = gk.hereditary_closure(G, [v for c in mc for v in c.members]).members
+        for c in mc:
             z = gk.z_vector(G, c)
             for v in G.vertices:
                 if v in closure:
@@ -140,6 +138,8 @@ def test_quick_exit_validation():
         oracle.quick_exit_series_oracle(G, G.components[0], "v")  # not minimal
     with pytest.raises(ValueError):
         oracle.quick_exit_series_oracle(G, G.components[1], "w")  # inside closure
+    with pytest.raises(ValueError, match="unknown vertex: zz"):
+        oracle.quick_exit_series_oracle(G, G.components[1], "zz")
 
 
 # -- pointwise checks ------------------------------------------------------

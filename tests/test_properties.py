@@ -193,16 +193,44 @@ def _sweep_betas(G):
     return list(gk.critical_temperatures(G)) + grid
 
 
+# Exact ties between log radii.  (a) Equal loops in series, a1 -> a2 -> a3:
+# the closure of a3 holds the others, so only a3 is minimal.  (b) Equal
+# loops in parallel, b1 -> b0 <- b2: both are minimal.  (c) c2 -> c1, where
+# the closure of the radius-2 loop c1 holds the radius-3 loop c2: each is
+# minimal at its own critical value.
+TIED = gk.parse_graph("""
+vertices: a1 a2 a3 b0 b1 b2 c1 c2
+edge a1 a1 2
+edge a2 a2 2
+edge a3 a3 2
+edge a1 a2
+edge a2 a3
+edge b1 b1 2
+edge b2 b2 2
+edge b1 b0
+edge b2 b0
+edge c1 c1 2
+edge c2 c2 3
+edge c2 c1
+""")
+
+
 @given(seeds)
 @settings(max_examples=100, deadline=None)
 def test_H_and_K_are_closures_of_components_by_log_radius(seed):
-    _, G = _setup(seed)
-    ln = {c.id: math.log(c.spectral_radius) for c in G.components if not c.trivial}
+    for G in (_setup(seed)[1], TIED):
+        _check_regimes(G)
+
+
+def _check_regimes(G):
+    comps = G.components
+    ln = {c.id: math.log(c.spectral_radius) for c in comps if not c.trivial}
+    closure = {c.id: gk.hereditary_closure(G, c.members).members for c in comps}
     for beta in _sweep_betas(G):
         bval = gk.beta_value(G, beta)
-        above = [v for c in G.components if ln.get(c.id, -math.inf) > bval + TOL
+        above = [v for c in comps if ln.get(c.id, -math.inf) > bval + TOL
                  for v in c.members]
-        reached = [v for c in G.components if ln.get(c.id, -math.inf) >= bval - TOL
+        reached = [v for c in comps if ln.get(c.id, -math.inf) >= bval - TOL
                    for v in c.members]
         reg = gk.kms.regime(G, beta)
         for got, names in ((reg.H_beta, above), (reg.K_beta, reached)):
@@ -210,6 +238,15 @@ def test_H_and_K_are_closures_of_components_by_log_radius(seed):
             assert (got.members, got.hereditary, got.saturated) == (
                 ref.members, ref.hereditary, ref.saturated
             )
+        # Minimal critical components, pairwise: the critical components
+        # (left outside H_beta, ln rho within TOL of beta) whose members lie
+        # in the closure of no other critical component.
+        crit = [c.id for c in comps if c.id in ln and ln[c.id] >= bval - TOL
+                and c.members[0] not in reg.H_beta.members]
+        minimal = tuple(c for c in crit if not any(
+            d != c and comps[c].members[0] in closure[d] for d in crit
+        ))
+        assert reg.minimal_critical == minimal, (beta, crit)
         # Quotient sources, vertex by vertex: outside the saturation of
         # K_beta and receiving no edge from outside it.
         sat = gk.saturation(G, reg.K_beta).members
