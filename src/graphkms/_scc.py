@@ -1,19 +1,58 @@
-"""Strongly connected components of a successor relation."""
+"""Arc arrays of a nonnegative matrix and its strongly connected components."""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 
-def successor_lists(A: np.ndarray) -> list[list[int]]:
-    """``succ[i]`` lists the columns of the nonzero entries of row i of ``A``.
+class Arcs(NamedTuple):
+    """The nonzero entries of an n x n matrix, once each, sorted row-major.
 
-    One ``np.nonzero`` over the whole matrix, split by row.
+    Arc k is the entry ``mult[k]`` at row ``rng[k]`` and column ``src[k]``;
+    the arcs of row i are ``indptr[i]:indptr[i + 1]`` (compressed sparse
+    rows).  The order is that of ``np.nonzero`` on the matrix.  All arrays
+    are read-only.
     """
-    rows, cols = np.nonzero(A)
-    ends = np.cumsum(np.bincount(rows, minlength=A.shape[0])).tolist()
-    cols = cols.tolist()
-    return [cols[start:end] for start, end in zip([0] + ends, ends)]
+
+    n: int
+    rng: np.ndarray
+    src: np.ndarray
+    mult: np.ndarray
+    indptr: np.ndarray
+
+
+def arcs_from_entries(n: int, rng, src, mult) -> Arcs:
+    """Arcs of the n x n matrix that sums ``mult[k]`` into (rng[k], src[k]).
+
+    Repeated positions are added up; entries must be positive.
+    """
+    key = np.asarray(rng, dtype=np.int64) * n + np.asarray(src, dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    mult = np.add.reduceat(np.asarray(mult)[order], first)
+    rng, src = np.divmod(key[first], n)
+    indptr = np.searchsorted(rng, np.arange(n + 1))
+    for a in (rng, src, mult, indptr):
+        a.setflags(write=False)
+    return Arcs(n, rng, src, mult, indptr)
+
+
+def arcs_of_matrix(M: np.ndarray) -> Arcs:
+    """Arcs of a square matrix, from one ``np.nonzero``."""
+    rng, src = np.nonzero(M)
+    return arcs_from_entries(M.shape[0], rng, src, M[rng, src])
+
+
+def successor_lists(arcs: Arcs) -> list[list[int]]:
+    """``succ[i]`` lists the columns of the arcs of row i, ascending."""
+    cols = arcs.src.tolist()
+    ends = arcs.indptr.tolist()
+    return [cols[start:end] for start, end in zip(ends, ends[1:])]
 
 
 def tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:

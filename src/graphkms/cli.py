@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import sys
 
@@ -106,7 +107,7 @@ def cmd_analyze(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    n_edges = sum(e.multiplicity for e in G.edges)
+    n_edges = int(G.arcs.mult.sum())
     print(f"graph: {len(G.vertices)} vertices, {n_edges} edges")
     print("components (Seneta order):")
     print(f"  {'id':>3}  {'radius':>14}  {'period':>6}  members")
@@ -198,16 +199,30 @@ def cmd_phase_diagram(args) -> int:
         rows.append((g, kms.Numeric(g)))
     rows.extend(kept_criticals)
     rows.sort(key=lambda pair: pair[0])
+    # Every divergence value lies within TOL of a critical value, so the
+    # regime, beta aside, is the same at all points between two consecutive
+    # criticals that keep more than 2 TOL from both: one regime per such
+    # interval, and one for every point nearer a critical.
+    values = [val for val, _ in criticals]
+    per_interval: dict[int, tuple[str, int, int]] = {}
     print("beta,case,dim_toeplitz,dim_graph_algebra")
     for val, spec in rows:
-        # One psi state per minimal critical component, one phi state per
-        # vertex outside K_beta; psi states and the phi states of quotient
-        # sources factor through the graph algebra.
-        reg = kms.regime(G, spec)
-        n_psi = len(reg.minimal_critical)
-        dim_t = n_psi + len(reg.outside) - 1
-        dim_g = n_psi + len(reg.sources) - 1
-        print(f"{val:.12g},{reg.case},{dim_t},{dim_g}")
+        i = bisect.bisect(values, val)
+        near = (i > 0 and val - values[i - 1] <= 2 * kms.TOL) or (
+            i < len(values) and values[i] - val <= 2 * kms.TOL
+        )
+        shape = None if near else per_interval.get(i)
+        if shape is None:
+            # One psi state per minimal critical component, one phi state per
+            # vertex outside K_beta; psi states and the phi states of quotient
+            # sources factor through the graph algebra.
+            reg = kms.regime(G, spec)
+            n_psi = len(reg.minimal_critical)
+            shape = (reg.case, n_psi + len(reg.outside) - 1, n_psi + len(reg.sources) - 1)
+            if not near:
+                per_interval[i] = shape
+        case, dim_t, dim_g = shape
+        print(f"{val:.12g},{case},{dim_t},{dim_g}")
     return 0
 
 

@@ -6,6 +6,12 @@ with integer edge multiplicities.  The vertex matrix ``A`` is indexed so that
 powers of ``A`` then count paths.  Everything downstream (spectral data, the
 component order, hereditary and saturated vertex sets) hangs off this matrix
 convention, so it is fixed here once and used unchanged everywhere else.
+
+The graph is held as the arcs of ``A`` (its nonzero entries, row-major), and
+every step here runs over them in time linear in the arcs: components,
+periods, divergence, Seneta order, closures, saturation and sources.  The
+dense ``A`` is only built when asked for, by the resolvent solves and the
+oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scc import successor_lists, tarjan_sccs
+from ._scc import Arcs, arcs_from_entries, successor_lists, tarjan_sccs
 
 
 class GraphParseError(ValueError):
@@ -70,9 +76,15 @@ class VertexSet:
 
 
 class DirectedGraph:
-    """Immutable finite directed multigraph with cached component analysis."""
+    """Immutable finite directed multigraph with cached component analysis.
 
-    __slots__ = ("vertices", "edges", "index", "matrix", "_analysis_cache")
+    The edge lines are held as int arrays (range, source, multiplicity) in
+    line order, and the distinct arcs once, as the nonzero entries of the
+    vertex matrix in row-major order (``arcs``).  The graph layer works on
+    the arcs alone; the dense ``matrix`` is built on first access.
+    """
+
+    __slots__ = ("vertices", "index", "_lines", "_arcs", "_edges", "_matrix", "_analysis_cache")
 
     def __init__(self, vertices, edges):
         vertices = tuple(vertices)
@@ -86,7 +98,7 @@ class DirectedGraph:
                 raise ValueError(f"duplicate vertex: {v}")
             seen.add(v)
         index = {v: i for i, v in enumerate(vertices)}
-        norm = []
+        lines = []
         for e in edges:
             if not isinstance(e, Edge):
                 e = Edge(*e)
@@ -94,25 +106,62 @@ class DirectedGraph:
                 raise ValueError(f"unknown vertex in edge: {e.source}")
             if e.range not in index:
                 raise ValueError(f"unknown vertex in edge: {e.range}")
-            if not isinstance(e.multiplicity, int) or e.multiplicity < 1:
+            m = e.multiplicity
+            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(f"edge multiplicity must be a positive integer: {e}")
-            norm.append(e)
-        n = len(vertices)
-        matrix = np.zeros((n, n), dtype=np.int64)
-        for e in norm:
-            matrix[index[e.range], index[e.source]] += e.multiplicity
-        matrix.setflags(write=False)
+            lines.append((index[e.range], index[e.source], m))
+        self._store(vertices, index, np.array(lines, dtype=np.int64).reshape(-1, 3).T)
+
+    @classmethod
+    def _from_lines(cls, vertices: tuple, index: dict, lines: np.ndarray) -> DirectedGraph:
+        """A graph from checked edge lines: ``lines`` is (range, source, mult) x L."""
+        G = object.__new__(cls)
+        G._store(vertices, index, lines)
+        return G
+
+    def _store(self, vertices, index, lines) -> None:
+        lines.setflags(write=False)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_lines", lines)
+        object.__setattr__(self, "_arcs", arcs_from_entries(len(vertices), *lines))
+        object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_analysis_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DirectedGraph is immutable")
 
     def __repr__(self):
-        return f"DirectedGraph({len(self.vertices)} vertices, {len(self.edges)} edge lines)"
+        return f"DirectedGraph({len(self.vertices)} vertices, {self._lines.shape[1]} edge lines)"
+
+    @property
+    def arcs(self) -> Arcs:
+        """The distinct arcs: row ``rng`` (range), column ``src`` (source) and
+        summed multiplicity of every nonzero matrix entry, row-major."""
+        return self._arcs
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edge lines, in order, repeated lines kept apart."""
+        if self._edges is None:
+            names = self.vertices
+            rng, src, mult = self._lines.tolist()
+            edges = tuple(Edge(names[s], names[r], m) for r, s, m in zip(rng, src, mult))
+            object.__setattr__(self, "_edges", edges)
+        return self._edges
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The read-only vertex matrix: ``A[v, w]`` counts the edges with
+        range v and source w.  Built from the arcs on first access."""
+        if self._matrix is None:
+            n = len(self.vertices)
+            A = np.zeros((n, n), dtype=np.int64)
+            A[self._arcs.rng, self._arcs.src] = self._arcs.mult
+            A.setflags(write=False)
+            object.__setattr__(self, "_matrix", A)
+        return self._matrix
 
     # -- component analysis -------------------------------------------------
 
@@ -122,8 +171,8 @@ class DirectedGraph:
             return cached
         from . import spectral
 
-        A = self.matrix
-        succ = successor_lists(A)
+        arcs = self._arcs
+        succ = successor_lists(arcs)
         raw = tarjan_sccs(succ)
         # Canonical ids: sort components by their smallest vertex index.
         blocks = sorted((sorted(comp) for comp in raw), key=lambda rows: rows[0])
@@ -131,21 +180,25 @@ class DirectedGraph:
         for cid, rows in enumerate(blocks):
             for i in rows:
                 comp_of[i] = cid
-        perron = spectral.perron_blocks(A, blocks, self.vertices)
-        periods = spectral.block_periods(A, np.array(comp_of), [rows[0] for rows in blocks])
+        comp_arr = np.array(comp_of, dtype=np.int64)
+        comp_arr.setflags(write=False)
+        perron = spectral.perron_blocks(arcs, blocks, self.vertices)
+        periods = spectral.block_periods(arcs, comp_arr, [rows[0] for rows in blocks])
+        names = self.vertices
         components = []
-        for cid, (rows, data) in enumerate(zip(blocks, perron)):
+        for cid, (rows, data, period) in enumerate(zip(blocks, perron, periods.tolist())):
+            members = tuple(names[i] for i in rows)
             radius, vec = 0.0, None
             if data is not None:
                 radius, x, _ = data
-                vec = {self.vertices[i]: float(xi) for i, xi in zip(rows, x)}
+                vec = dict(zip(members, x.tolist()))
             components.append(
                 Component(
                     id=cid,
-                    members=tuple(self.vertices[i] for i in rows),
+                    members=members,
                     trivial=data is None,
                     spectral_radius=radius,
-                    period=int(periods[cid]),
+                    period=period,
                     perron_vector=vec,
                 )
             )
@@ -165,8 +218,6 @@ class DirectedGraph:
             for i in comp:
                 for j in succ[i]:
                     top[comp_of[j]] = max(top[comp_of[j]], top[c.id])
-        comp_arr = np.array(comp_of, dtype=np.int64)
-        comp_arr.setflags(write=False)
         cached = (tuple(components), comp_arr, tuple(top), tuple(strict))
         object.__setattr__(self, "_analysis_cache", cached)
         return cached
@@ -224,9 +275,9 @@ class DirectedGraph:
                 if v not in self.index:
                     raise ValueError(f"unknown vertex: {v}")
             inside = self._mask(mem)
-        A = self.matrix
-        hereditary = not A[np.ix_(inside, ~inside)].any()
-        saturated = not swallowed_mask(A, inside).any()
+        arcs = self._arcs
+        hereditary = not (inside[arcs.rng] & ~inside[arcs.src]).any()
+        saturated = not swallowed_mask(arcs, inside).any()
         return VertexSet(members=mem, hereditary=hereditary, saturated=saturated)
 
     def _mask(self, members) -> np.ndarray:
@@ -235,19 +286,44 @@ class DirectedGraph:
         return inside
 
 
-def swallowed_mask(A: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def _arcs_from_outside(arcs: Arcs, inside: np.ndarray) -> np.ndarray:
+    """Per vertex, the number of its arcs whose source lies outside."""
+    return np.bincount(arcs.rng[~inside[arcs.src]], minlength=arcs.n)
+
+
+def swallowed_mask(arcs: Arcs, inside: np.ndarray) -> np.ndarray:
     """Vertices outside that receive edges, none of them from outside."""
-    return ~inside & A.any(axis=1) & ~A[:, ~inside].any(axis=1)
+    receives = arcs.indptr[1:] > arcs.indptr[:-1]
+    return ~inside & receives & (_arcs_from_outside(arcs, inside) == 0)
 
 
-def saturated_mask(A: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """The saturation of a hereditary vertex mask, as a new mask."""
-    inside = inside.copy()
-    new = swallowed_mask(A, inside)
-    while new.any():
-        inside |= new
-        new = swallowed_mask(A, inside)
-    return inside
+def saturated_mask(arcs: Arcs, inside: np.ndarray) -> np.ndarray:
+    """The saturation of a hereditary vertex mask, as a new mask.
+
+    In-degree counting: a vertex joins once it receives edges and its count
+    of arcs from outside drops to 0, and each join lowers the counts of the
+    vertices its arcs point into.  Every arc is looked at a bounded number
+    of times.
+    """
+    work = np.flatnonzero(swallowed_mask(arcs, inside)).tolist()
+    if not work:
+        return inside.copy()
+    missing = _arcs_from_outside(arcs, inside).tolist()
+    # The arcs grouped by source (compressed sparse columns).
+    into = arcs.rng[np.argsort(arcs.src, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(arcs.src, minlength=arcs.n)).tolist()
+    starts = [0] + ends
+    flags = inside.tolist()
+    for v in work:
+        flags[v] = True
+    while work:
+        w = work.pop()
+        for v in into[starts[w]:ends[w]]:
+            missing[v] -= 1
+            if not missing[v] and not flags[v]:
+                flags[v] = True
+                work.append(v)
+    return np.array(flags)
 
 
 def _members_of(s) -> frozenset[str]:
@@ -266,47 +342,47 @@ def parse_graph(text: str) -> DirectedGraph:
 
     The first effective line is ``vertices: name1 name2 ...``; every further
     line is ``edge SRC DST [MULT]`` and contributes MULT (default 1) edges
-    with source SRC and range DST.  ``#`` starts a comment.
+    with source SRC and range DST.  MULT is written in ASCII decimal digits.
+    ``#`` starts a comment.
     """
     vertices: list[str] | None = None
-    known: set[str] = set()
-    edges: list[Edge] = []
+    index: dict[str, int] = {}
+    lines: list[int] = []  # range, source and multiplicity of every edge line
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
+        line = rawline.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
             continue
         if vertices is None:
+            line = line.strip()
             if not line.startswith("vertices:"):
                 raise GraphParseError("expected a 'vertices:' line first", lineno)
             names = line[len("vertices:"):].split()
             if not names:
                 raise GraphParseError("empty vertex list", lineno)
-            if len(set(names)) != len(names):
+            index = {v: i for i, v in enumerate(names)}
+            if len(index) != len(names):
                 raise GraphParseError("duplicate vertex name", lineno)
             vertices = names
-            known = set(names)
             continue
-        tokens = line.split()
         if tokens[0] != "edge":
             raise GraphParseError(f"unknown directive: {tokens[0]}", lineno)
         if len(tokens) not in (3, 4):
             raise GraphParseError("edge lines take 2 or 3 arguments", lineno)
-        src, dst = tokens[1], tokens[2]
-        for name in (src, dst):
-            if name not in known:
-                raise GraphParseError(f"unknown vertex: {name}", lineno)
-        mult = 1
-        if len(tokens) == 4:
-            try:
-                mult = int(tokens[3])
-            except ValueError:
-                mult = 0
-            if mult < 1:
-                raise GraphParseError(f"bad multiplicity: {tokens[3]}", lineno)
-        edges.append(Edge(source=src, range=dst, multiplicity=mult))
+        src, dst = index.get(tokens[1]), index.get(tokens[2])
+        if src is None or dst is None:
+            name = tokens[1] if src is None else tokens[2]
+            raise GraphParseError(f"unknown vertex: {name}", lineno)
+        digits = tokens[3] if len(tokens) == 4 else "1"
+        mult = int(digits) if digits.isascii() and digits.isdigit() else 0
+        if mult < 1:
+            raise GraphParseError(f"bad multiplicity: {digits}", lineno)
+        lines += (dst, src, mult)
     if vertices is None:
         raise GraphParseError("no 'vertices:' line found")
-    return DirectedGraph(vertices, edges)
+    return DirectedGraph._from_lines(
+        tuple(vertices), index, np.array(lines, dtype=np.int64).reshape(-1, 3).T
+    )
 
 
 # -- basic operations ----------------------------------------------------------
@@ -323,7 +399,9 @@ def path_count(G: DirectedGraph, v: str, w: str, n: int) -> int:
     if n == 0:
         return 1 if i == j else 0
     size = len(G.vertices)
-    base = [[int(x) for x in row] for row in G.matrix]
+    base = [[0] * size for _ in range(size)]
+    for r, s, m in zip(G.arcs.rng.tolist(), G.arcs.src.tolist(), G.arcs.mult.tolist()):
+        base[r][s] = m
 
     def mul(X, Y):
         return [
@@ -372,7 +450,7 @@ def seneta_order(G: DirectedGraph) -> tuple[Component, ...]:
     comps = G.components
     late = [top != -math.inf for top in G.divergence]
     comp_of = G.vertex_components
-    rng, src = np.nonzero(G.matrix)
+    rng, src = G.arcs.rng, G.arcs.src
     cross = comp_of[rng] != comp_of[src]
     arcs = set(zip(comp_of[src[cross]].tolist(), comp_of[rng[cross]].tolist()))
     pending = [0] * len(comps)
@@ -394,19 +472,25 @@ def seneta_order(G: DirectedGraph) -> tuple[Component, ...]:
 
 
 def hereditary_closure(G: DirectedGraph, S) -> VertexSet:
-    """Smallest hereditary vertex set containing ``S``."""
+    """Smallest hereditary vertex set containing ``S``.
+
+    A depth-first search along the arcs of each row, so every arc is looked
+    at once at most.
+    """
     members = _members_of(S)
-    A = G.matrix
-    seen = {G.index[v] for v in members}
-    work = list(seen)
+    cols = G.arcs.src.tolist()
+    ends = G.arcs.indptr.tolist()
+    seen = [False] * len(G.vertices)
+    work = [G.index[v] for v in members]
+    for i in work:
+        seen[i] = True
     while work:
         i = work.pop()
-        for j in np.nonzero(A[i])[0]:
-            j = int(j)
-            if j not in seen:
-                seen.add(j)
+        for j in cols[ends[i]:ends[i + 1]]:
+            if not seen[j]:
+                seen[j] = True
                 work.append(j)
-    return G.vertex_set(G.vertices[i] for i in seen)
+    return G.vertex_set(np.array(seen))
 
 
 def saturation(G: DirectedGraph, H) -> VertexSet:
@@ -419,7 +503,7 @@ def saturation(G: DirectedGraph, H) -> VertexSet:
     vs = H if isinstance(H, VertexSet) else G.vertex_set(_members_of(H))
     if not vs.hereditary:
         raise ValueError("saturation is only defined for hereditary sets")
-    return G.vertex_set(saturated_mask(G.matrix, G._mask(vs.members)))
+    return G.vertex_set(saturated_mask(G.arcs, G._mask(vs.members)))
 
 
 def quotient_graph(G: DirectedGraph, H) -> DirectedGraph:
@@ -440,8 +524,8 @@ def quotient_graph(G: DirectedGraph, H) -> DirectedGraph:
 
 def sources(G: DirectedGraph) -> frozenset[str]:
     """Vertices receiving no edges at all."""
-    A = G.matrix
-    return frozenset(v for i, v in enumerate(G.vertices) if not A[i].any())
+    indptr = G.arcs.indptr
+    return frozenset(itertools.compress(G.vertices, (indptr[1:] == indptr[:-1]).tolist()))
 
 
 def edge_instances(G: DirectedGraph) -> list[tuple[str, str, int]]:

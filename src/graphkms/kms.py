@@ -243,19 +243,20 @@ def regime(G: DirectedGraph, beta) -> Regime:
         case = EMPTY
     else:
         case = CRITICAL if mc else SUBCRITICAL
-    A = G.matrix
+    arcs = G.arcs
     sources = frozenset()
     K_saturated = True
     if outside:
         # Sources of the quotient by the saturation: vertices outside it
-        # that receive no edge from outside it.
-        keep = ~saturated_mask(A, in_K)
+        # that receive no edge from outside it.  A vertex outside that
+        # receives any edge receives one from outside, or saturating would
+        # have swallowed it, so these are the sources of G outside it.
+        keep = ~saturated_mask(arcs, in_K)
         # Saturating K_beta adds nothing exactly when it is saturated.
         K_saturated = int(keep.sum()) == len(outside)
-        is_source = keep & ~A[:, keep].any(axis=1)
-        sources = _names(G, is_source)
+        sources = _names(G, keep & (arcs.indptr[1:] == arcs.indptr[:-1]))
     # Both closures are hereditary by construction.
-    H = VertexSet(_names(G, in_H), hereditary=True, saturated=not swallowed_mask(A, in_H).any())
+    H = VertexSet(_names(G, in_H), hereditary=True, saturated=not swallowed_mask(arcs, in_H).any())
     K = VertexSet(_names(G, in_K), hereditary=True, saturated=K_saturated)
     return Regime(
         beta=spec,

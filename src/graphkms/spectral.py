@@ -13,12 +13,13 @@ doubles its number of terms at most 64 times.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._scc import successor_lists, tarjan_sccs
+from ._scc import Arcs, arcs_of_matrix, successor_lists, tarjan_sccs
 
 CONVERGENCE_MARGIN = 1e-12
 
@@ -48,10 +49,11 @@ def _as_square(M) -> np.ndarray:
     return A
 
 
-def perron_blocks(A: np.ndarray, blocks, names) -> list:
+def perron_blocks(arcs: Arcs, blocks, names) -> list:
     """Perron radius, l1-unit eigenvector and residual of irreducible blocks.
 
-    ``blocks[b]`` lists the rows of an irreducible diagonal block of ``A``;
+    ``blocks[b]`` lists the rows of an irreducible diagonal block of the
+    matrix whose arcs are ``arcs``; every row lies in exactly one block.
     ``names[i]`` names row i in errors.  A block with a cycle gets
     (radius, vector, residual), one without gets None.
 
@@ -75,11 +77,25 @@ def perron_blocks(A: np.ndarray, blocks, names) -> list:
     it.  Raises when a block has not stopped after 64 steps.
     """
     out: list = [None] * len(blocks)
-    cyclic = [b for b, rows in enumerate(blocks) if len(rows) > 1 or A[rows[0], rows[0]]]
-    for k in {len(blocks[b]) for b in cyclic}:
-        which = [b for b in cyclic if len(blocks[b]) == k]
-        idx = np.array([blocks[b] for b in which])
-        S = A[idx[:, :, None], idx[:, None, :]].astype(float)
+    sizes = np.array([len(rows) for rows in blocks], dtype=np.int64)
+    # Block and position within it of every row, so that each block's
+    # stacked matrix is filled from the arcs that stay inside it.
+    flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64, count=arcs.n)
+    block = np.empty(arcs.n, dtype=np.int64)
+    block[flat] = np.repeat(np.arange(len(blocks)), sizes)
+    pos = np.empty(arcs.n, dtype=np.int64)
+    pos[flat] = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    inner = block[arcs.rng] == block[arcs.src]
+    b_in, r_in, s_in = block[arcs.rng[inner]], pos[arcs.rng[inner]], pos[arcs.src[inner]]
+    m_in = arcs.mult[inner].astype(float)
+    cyclic = (sizes > 1) | (np.bincount(b_in, minlength=len(blocks)) > 0)
+    for k in set(sizes[cyclic].tolist()):
+        which = np.flatnonzero(cyclic & (sizes == k))
+        slot = np.empty(len(blocks), dtype=np.int64)
+        slot[which] = np.arange(len(which))
+        here = sizes[b_in] == k
+        S = np.zeros((len(which), k, k))
+        S[slot[b_in[here]], r_in[here], s_in[here]] = m_in[here]
         x = np.full((len(which), k), 1.0 / k)
         Ax, radius, residual = _radius_and_residual(S, x)
         sigma = (Ax / x).max(axis=1)
@@ -107,8 +123,8 @@ def perron_blocks(A: np.ndarray, blocks, names) -> list:
             _, r, residual[live] = _radius_and_residual(Sl, y)
             x[live], radius[live], shift[live] = y, r, s
             sigma[live] = np.where(positive, noda, r * (1.0 + 1e-10))
-        for j, b in enumerate(which):
-            out[b] = (float(radius[j]), x[j], float(residual[j]))
+        for b, r, xb, res in zip(which.tolist(), radius.tolist(), x, residual.tolist()):
+            out[b] = (r, xb, res)
     return out
 
 
@@ -120,18 +136,19 @@ def _radius_and_residual(S: np.ndarray, x: np.ndarray):
     return Sx, radius, np.abs(Sx - radius[:, None] * x).max(axis=1)
 
 
-def block_periods(A: np.ndarray, comp: np.ndarray, roots) -> np.ndarray:
-    """Period of every strongly connected block of ``A``, in one pass.
+def block_periods(arcs: Arcs, comp: np.ndarray, roots) -> np.ndarray:
+    """Period of every strongly connected block of a matrix, in one pass.
 
-    ``comp[i]`` is the block of row i and ``roots[c]`` a row of block c.
-    Breadth-first levels run inside each block from its root along arcs
-    u -> w (``A[u, w] > 0``); the period is the gcd of level[u] + 1 - level[w]
-    over the block's arcs, classic for irreducible matrices, and 0 without arcs.
+    ``arcs`` are the matrix's arcs, ``comp[i]`` is the block of row i and
+    ``roots[c]`` a row of block c.  Breadth-first levels run inside each
+    block from its root along arcs u -> w (row u, column w); the period is
+    the gcd of level[u] + 1 - level[w] over the block's arcs, classic for
+    irreducible matrices, and 0 without arcs.
     """
-    u, w = np.nonzero(A)
+    u, w = arcs.rng, arcs.src
     inner = comp[u] == comp[w]
     u, w = u[inner], w[inner]
-    level = np.full(A.shape[0], -1)
+    level = np.full(arcs.n, -1)
     level[roots] = 0
     depth = 0
     while True:
@@ -153,13 +170,14 @@ def analyze_irreducible(M) -> SpectralData:
     """
     A = _as_square(M)
     n = A.shape[0]
-    if len(tarjan_sccs(successor_lists(A))) != 1:
+    arcs = arcs_of_matrix(A)
+    if len(tarjan_sccs(successor_lists(arcs))) != 1:
         raise ValueError("matrix is not irreducible")
     if n == 1 and A[0, 0] == 0:
         return SpectralData(0.0, np.array([1.0]), 0, 0.0)
-    ((radius, vector, residual),) = perron_blocks(A, [range(n)], range(n))
+    ((radius, vector, residual),) = perron_blocks(arcs, [range(n)], range(n))
     vector.setflags(write=False)
-    period = int(block_periods(A, np.zeros(n, dtype=np.int64), [0])[0])
+    period = int(block_periods(arcs, np.zeros(n, dtype=np.int64), [0])[0])
     return SpectralData(radius, vector, period, residual)
 
 
@@ -172,10 +190,10 @@ def spectral_radius(M) -> float:
     chain of k equal blocks is a defective eigenvalue, which a whole-matrix
     method resolves only to about eps^(1/k).
     """
-    A = _as_square(M)
+    arcs = arcs_of_matrix(_as_square(M))
     # In index order, as for G.components, so both get the same radius.
-    blocks = [sorted(comp) for comp in tarjan_sccs(successor_lists(A))]
-    data = perron_blocks(A, blocks, range(A.shape[0]))
+    blocks = [sorted(comp) for comp in tarjan_sccs(successor_lists(arcs))]
+    data = perron_blocks(arcs, blocks, range(arcs.n))
     return max((d[0] for d in data if d is not None), default=0.0)
 
 

@@ -1,16 +1,21 @@
 """End-to-end command tests driven through cli.main with captured output."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
 import random
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphkms as gk
-from graphkms import cli
+from graphkms import cli, kms
 
 from conftest import GRAPHS, random_graph
 
@@ -205,6 +210,55 @@ def test_phase_diagram_rows_match_the_simplex_on_random_graphs(graph_file, capsy
             assert (case, int(dim_t), int(dim_g)) == (
                 sx.case, len(sx.extremes) - 1, factoring - 1
             ), (seed, line)
+
+
+def _phase_rows_match_regime(G, out, grid):
+    """Every CSV row against ``kms.regime`` at that row's own beta."""
+    specs = {f"{float(b):.12g}": float(b) for b in grid}
+    specs.update({f"{gk.beta_value(G, c):.12g}": c for c in gk.critical_temperatures(G)})
+    for line in out.strip().splitlines()[1:]:
+        beta, case, dim_t, dim_g = line.split(",")
+        reg = kms.regime(G, specs[beta])
+        n_psi = len(reg.minimal_critical)
+        assert (case, int(dim_t), int(dim_g)) == (
+            reg.case, n_psi + len(reg.outside) - 1, n_psi + len(reg.sources) - 1
+        ), line
+
+
+@given(st.integers(0, 10**6), st.integers(1, 30))
+@settings(max_examples=40, deadline=None)
+def test_phase_diagram_rows_match_a_regime_per_row(seed, steps):
+    G = random_graph(random.Random(seed))
+    rho = gk.spectral_radius(G.matrix)
+    top = math.log(rho) + 0.5 if rho > 1.0 + 1e-9 else 1.0
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.graph")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_graph_text(G))
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["phase-diagram", path, "--beta-min", "-0.5",
+                           "--beta-max", repr(top), "--steps", str(steps)])
+    assert rc == 0
+    _phase_rows_match_regime(G, out.getvalue(), np.linspace(-0.5, top, steps))
+
+
+def test_phase_diagram_points_near_a_critical_get_their_own_regime(graph_file, capsys):
+    # The only critical is ln 3.  The middle grid point lies 1e-10 below or
+    # above it, inside its TOL window, so it is critical too, unlike the
+    # grid point of the same interval that comes before it (below) or after
+    # it (above).
+    G = gk.parse_graph(GRAPHS["pair_toward_large"])
+    for offset, cases in [
+        (-1e-10, ["Empty", "Critical", "Critical", "Subcritical"]),
+        (1e-10, ["Empty", "Critical", "Critical", "Subcritical"]),
+    ]:
+        lo, hi = math.log(3) - 1 + offset, math.log(3) + 1 + offset
+        rc, out, _ = run(capsys, "phase-diagram", graph_file("pair_toward_large"),
+                         "--beta-min", repr(lo), "--beta-max", repr(hi), "--steps", "3")
+        assert rc == 0
+        assert [row.split(",")[1] for row in out.strip().splitlines()[1:]] == cases
+        _phase_rows_match_regime(G, out, np.linspace(lo, hi, 3))
 
 
 def test_phase_diagram_dims_cover_all_cases(graph_file, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import graphkms as gk
-from graphkms._scc import successor_lists
+from graphkms._scc import arcs_of_matrix, successor_lists
 from graphkms.graph import edge_instances
 
 from conftest import GRAPHS, example, random_graph
@@ -42,6 +42,9 @@ def test_parse_comments_and_blank_lines():
         ("vertices: a b\nedge a c\n", 2),
         ("vertices: a\nedge a a 0\n", 2),
         ("vertices: a\nedge a a x\n", 2),
+        ("vertices: a\nedge a a 1_0\n", 2),
+        ("vertices: a\nedge a a +2\n", 2),
+        ("vertices: a\nedge a a \u0663\n", 2),
         ("vertices: a\nloop a\n", 2),
         ("vertices: a\nedge a\n", 2),
     ],
@@ -51,6 +54,18 @@ def test_parse_errors_carry_line_numbers(text, lineno):
         gk.parse_graph(text)
     assert err.value.lineno == lineno
     assert f"line {lineno}:" in str(err.value)
+
+
+@pytest.mark.parametrize("mult", [True, False, 2.0, np.int64(2), 0])
+def test_constructor_rejects_multiplicities_other_than_positive_ints(mult):
+    with pytest.raises(ValueError, match="multiplicity"):
+        gk.DirectedGraph(["a", "b"], [("a", "b", mult)])
+
+
+def test_constructor_keeps_int_multiplicities():
+    G = gk.DirectedGraph(["a", "b"], [("a", "b", 2), gk.Edge("b", "a"), ("a", "b")])
+    assert G.edges == (gk.Edge("a", "b", 2), gk.Edge("b", "a", 1), gk.Edge("a", "b", 1))
+    assert G.matrix.tolist() == [[0, 1], [3, 0]]
 
 
 def test_parse_requires_vertices_line():
@@ -115,7 +130,8 @@ def test_successor_lists_match_a_nonzero_per_row():
     graphs += [random_graph(random.Random(seed)) for seed in range(200)]
     for G in graphs:
         expected = [np.nonzero(row)[0].tolist() for row in G.matrix]
-        assert successor_lists(G.matrix) == expected
+        assert successor_lists(G.arcs) == expected
+        assert successor_lists(arcs_of_matrix(G.matrix)) == expected
 
 
 def test_trivial_component_has_no_spectral_data():
