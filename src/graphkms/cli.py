@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
+import math
 import sys
 
 import numpy as np
@@ -181,6 +181,8 @@ def cmd_states(args) -> int:
 
 def cmd_phase_diagram(args) -> int:
     G = _load(args.file)
+    if not (math.isfinite(args.beta_min) and math.isfinite(args.beta_max)):
+        raise ValueError("beta-min and beta-max must be finite")
     if not args.beta_min < args.beta_max:
         raise ValueError("beta-min must be strictly below beta-max")
     if args.steps < 1:
@@ -199,34 +201,21 @@ def cmd_phase_diagram(args) -> int:
         rows.append((g, kms.Numeric(g)))
     rows.extend(kept_criticals)
     rows.sort(key=lambda pair: pair[0])
-    # Every divergence value lies within TOL of a critical value, so the
-    # regime, beta aside, is the same at all points between two consecutive
-    # criticals that keep more than 2 TOL from both: one regime per such
-    # interval, and one for every point nearer a critical.
-    values = [val for val, _ in criticals]
-    per_interval: dict[int, tuple[str, int, int]] = {}
     print("beta,case,dim_toeplitz,dim_graph_algebra")
     for val, spec in rows:
-        i = bisect.bisect(values, val)
-        near = (i > 0 and val - values[i - 1] <= 2 * kms.TOL) or (
-            i < len(values) and values[i] - val <= 2 * kms.TOL
-        )
-        shape = None if near else per_interval.get(i)
-        if shape is None:
-            # One psi state per minimal critical component, one phi state per
-            # vertex outside K_beta; psi states and the phi states of quotient
-            # sources factor through the graph algebra.
-            reg = kms.regime(G, spec)
-            n_psi = len(reg.minimal_critical)
-            shape = (reg.case, n_psi + len(reg.outside) - 1, n_psi + len(reg.sources) - 1)
-            if not near:
-                per_interval[i] = shape
-        case, dim_t, dim_g = shape
-        print(f"{val:.12g},{case},{dim_t},{dim_g}")
+        # One psi state per minimal critical component, one phi state per
+        # vertex outside K_beta; psi states and the phi states of quotient
+        # sources factor through the graph algebra.
+        reg = kms.regime(G, spec)
+        n_psi = len(reg.minimal_critical)
+        print(f"{val:.12g},{reg.case},{n_psi + len(reg.outside) - 1},"
+              f"{n_psi + len(reg.sources) - 1}")
     return 0
 
 
 def cmd_perron(args) -> int:
+    if not math.isfinite(args.root):
+        raise ValueError("--root must be finite")
     coeffs = list(args.coeffs)
     roots, pick, dist = kms.nearest_root(coeffs, args.root)
     if dist > max(1e-2, 1e-2 * abs(args.root)):

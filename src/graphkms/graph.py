@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,55 @@ class Edge:
     multiplicity: int = 1
 
 
+class RowView(Mapping):
+    """Read-only mapping from names to the entries of one read-only float row.
+
+    Lookups return Python floats, unknown names raise KeyError, iteration
+    follows ``names``, and a view equals any mapping with the same items.
+    ``numpy.asarray(view)`` gives the row itself.  ``index`` maps each name
+    to its position; without one it is built on the first lookup.
+    """
+
+    __slots__ = ("_names", "_index", "_row")
+
+    def __init__(self, names: tuple, row: np.ndarray, index: dict | None = None):
+        self._names = names
+        self._row = row
+        self._index = index
+
+    def _positions(self) -> dict:
+        if self._index is None:
+            self._index = {name: i for i, name in enumerate(self._names)}
+        return self._index
+
+    def __getitem__(self, name) -> float:
+        return float(self._row[self._positions()[name]])
+
+    def __contains__(self, name) -> bool:
+        return name in self._positions()
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._row, dtype=dtype, copy=copy)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(zip(self._names, self._row.tolist()))!r})"
+
+
 @dataclass(frozen=True, eq=False)
 class Component:
     """A strongly connected component with its spectral data attached.
 
     ``trivial`` means a single vertex with no loop edge; such a component has
     spectral radius zero and no Perron vector.  ``members`` is ordered by
-    vertex declaration order.
+    vertex declaration order.  ``perron_vector`` is a :class:`RowView` of
+    the l1-unit Perron vector over ``members``; ``numpy.asarray`` of it is
+    the read-only vector itself.
     """
 
     id: int
@@ -57,7 +100,7 @@ class Component:
     trivial: bool
     spectral_radius: float
     period: int
-    perron_vector: dict[str, float] | None
+    perron_vector: RowView | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +125,15 @@ class DirectedGraph:
     line order, and the distinct arcs once, as the nonzero entries of the
     vertex matrix in row-major order (``arcs``).  The graph layer works on
     the arcs alone; the dense ``matrix`` is built on first access.
+    ``_memo`` holds what other modules derive from the graph alone, under
+    their own keys, each filled on first use: the critical temperatures
+    and the regime of each interval between them (:mod:`graphkms.kms`),
+    and the oracle's per-graph data (:mod:`graphkms.oracle`).
     """
 
-    __slots__ = ("vertices", "index", "_lines", "_arcs", "_edges", "_matrix", "_analysis_cache")
+    __slots__ = (
+        "vertices", "index", "_lines", "_arcs", "_edges", "_matrix", "_analysis_cache", "_memo",
+    )
 
     def __init__(self, vertices, edges):
         vertices = tuple(vertices)
@@ -128,6 +177,7 @@ class DirectedGraph:
         object.__setattr__(self, "_edges", None)
         object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_analysis_cache", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("DirectedGraph is immutable")
@@ -191,7 +241,7 @@ class DirectedGraph:
             radius, vec = 0.0, None
             if data is not None:
                 radius, x, _ = data
-                vec = dict(zip(members, x.tolist()))
+                vec = RowView(members, x)
             components.append(
                 Component(
                     id=cid,

@@ -22,6 +22,8 @@ without re-deriving them from floats.
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import itertools
 import math
 from collections.abc import Mapping
@@ -30,7 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .graph import Component, DirectedGraph, VertexSet, saturated_mask, swallowed_mask
+from .graph import (
+    Component,
+    DirectedGraph,
+    RowView,
+    VertexSet,
+    saturated_mask,
+    swallowed_mask,
+)
 
 TOL = 1e-9
 
@@ -105,40 +114,19 @@ class Mixture:
     t: dict[int, float]
 
 
-class MeasureView(Mapping):
+class MeasureView(RowView):
     """Read-only mapping from vertex name to the mass of one measure row.
 
-    Lookups return Python floats, unknown names raise KeyError, iteration
-    follows the graph's vertex order, and a view equals any mapping with the
-    same items.  ``numpy.asarray(view)`` gives the read-only row itself.
+    A :class:`RowView` over the graph's vertices: iteration follows the
+    vertex order and ``numpy.asarray(view)`` gives the read-only row itself.
     """
 
-    __slots__ = ("_vertices", "_index", "_row")
+    __slots__ = ()
 
     def __init__(self, G: DirectedGraph, row: np.ndarray):
         if row.flags.writeable or row.shape != (len(G.vertices),):
             raise ValueError("a measure view needs a read-only row over the vertices")
-        self._vertices = G.vertices
-        self._index = G.index
-        self._row = row
-
-    def __getitem__(self, v) -> float:
-        return float(self._row[self._index[v]])
-
-    def __contains__(self, v) -> bool:
-        return v in self._index
-
-    def __iter__(self):
-        return iter(self._vertices)
-
-    def __len__(self) -> int:
-        return len(self._vertices)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self._row, dtype=dtype, copy=copy)
-
-    def __repr__(self) -> str:
-        return f"MeasureView({dict(zip(self._vertices, self._row.tolist()))!r})"
+        super().__init__(G.vertices, row, G.index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +206,35 @@ def regime(G: DirectedGraph, beta) -> Regime:
     component's own ln rho, so that component always falls inside it.  A
     critical component is minimal when its strict divergence stays below
     beta - TOL.
+
+    Every divergence value lies within TOL of a critical value, so at a
+    numeric beta more than 2 TOL from every critical value each of these
+    comparisons comes out as at any other such beta between the same two
+    consecutive critical values.  Such a beta gets its interval's regime,
+    derived once and cached on G, with only ``beta`` and ``beta_value``
+    replaced; the cache holds at most one regime per interval, that is
+    ``len(critical_temperatures(G)) + 1``.  A numeric beta nearer a critical
+    value and every CriticalOf are derived afresh.
     """
     spec = _as_beta(beta)
     bval = beta_value(G, spec)
+    if isinstance(spec, CriticalOf):
+        return _derive_regime(G, spec, bval)
+    _, values, per_interval = _intervals(G)
+    i = bisect.bisect(values, bval)
+    near = (i and bval - values[i - 1] <= 2 * TOL) or (
+        i < len(values) and values[i] - bval <= 2 * TOL
+    )
+    if near:
+        return _derive_regime(G, spec, bval)
+    cached = per_interval.get(i)
+    if cached is None:
+        cached = per_interval[i] = _derive_regime(G, spec, bval)
+        return cached
+    return dataclasses.replace(cached, beta=spec, beta_value=bval)
+
+
+def _derive_regime(G: DirectedGraph, spec: BetaSpec, bval: float) -> Regime:
     comps = G.components
     top = G.divergence
     # Per-vertex divergence: the closures H_beta and K_beta are masks.
@@ -303,8 +317,23 @@ def critical_temperatures(G: DirectedGraph) -> list[CriticalOf]:
     that is iff its divergence value is its own ln rho (up to TOL); then the
     restriction of A to the survivors still has spectral radius ln-equal to
     the candidate.  Values closer than TOL are merged, keeping the smallest
-    component id.
+    component id.  Derived once per graph, with the regime cache.
     """
+    return list(_intervals(G)[0])
+
+
+def _intervals(G: DirectedGraph):
+    """The critical temperatures of G, their values and the regime of each
+    interval between them met so far, cached on G on first use."""
+    cached = G._memo.get("intervals")
+    if cached is None:
+        criticals = _criticals(G)
+        values = [beta_value(G, c) for c in criticals]
+        cached = G._memo["intervals"] = (criticals, values, {})
+    return cached
+
+
+def _criticals(G: DirectedGraph) -> tuple[CriticalOf, ...]:
     top = G.divergence
     candidates = sorted(
         (math.log(c.spectral_radius), c.id)
@@ -318,7 +347,7 @@ def critical_temperatures(G: DirectedGraph) -> list[CriticalOf]:
             clusters.append([])
             last = ln
         clusters[-1].append(cid)
-    return [CriticalOf(min(ids)) for ids in clusters]
+    return tuple(CriticalOf(min(ids)) for ids in clusters)
 
 
 def beta_v(G: DirectedGraph, v: str) -> float | None:
@@ -345,17 +374,15 @@ def _psi_row(G: DirectedGraph, reg: Regime, C: Component, out: np.ndarray) -> np
     components; the rest of the graph carries measure zero.
     """
     A = G.matrix
-    out_idx = list(reg.outside)
+    out_idx = np.array(reg.outside, dtype=np.intp)
     c_idx = [G.index[v] for v in C.members]
     rho = C.spectral_radius
-    x = np.array([C.perron_vector[v] for v in C.members])
-    if out_idx:
-        rhs = A[np.ix_(out_idx, c_idx)].astype(float) @ x / rho
+    x = np.asarray(C.perron_vector)
+    if out_idx.size:
+        rows = out_idx[:, None]
+        rhs = A[rows, c_idx].astype(float) @ x / rho
         z = spectral.resolvent_solve(
-            A[np.ix_(out_idx, out_idx)],
-            math.log(rho),
-            rhs,
-            radius=reg.outside_radius,
+            A[rows, out_idx].astype(float), math.log(rho), rhs, radius=reg.outside_radius
         )
     else:
         z = np.zeros(0)
@@ -413,12 +440,15 @@ def _phi_rows(G: DirectedGraph, reg: Regime, out: np.ndarray) -> np.ndarray:
     (I - e^-beta M)^-1, M the matrix on those vertices, scaled to mass one.
     y holds the column sums before scaling, the y-vector of that part.
     """
-    out_idx = list(reg.outside)
-    if not out_idx:
+    if not reg.outside:
         return np.zeros(0)
-    M = G.matrix[np.ix_(out_idx, out_idx)]
+    out_idx = np.array(reg.outside, dtype=np.intp)
+    # Gathered straight to float, so no integer copy lives through the solve.
     resolvent = spectral.resolvent_solve(
-        M, reg.beta_value, np.eye(len(out_idx)), radius=reg.outside_radius
+        G.matrix[out_idx[:, None], out_idx].astype(float),
+        reg.beta_value,
+        np.eye(out_idx.size),
+        radius=reg.outside_radius,
     )
     y = resolvent.sum(axis=0)
     resolvent /= y

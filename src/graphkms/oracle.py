@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kms
+from . import kms, spectral
 from .graph import Component, DirectedGraph, edge_instances, hereditary_closure
 from .spectral import ConvergenceError
 
@@ -216,6 +216,24 @@ def _as_vector(G: DirectedGraph, m) -> np.ndarray:
     return vec
 
 
+def _invariants(G: DirectedGraph):
+    """What ``verify_simplex`` reads of G alone, derived once per graph.
+
+    The float vertex matrix; the distinct (source, range) edge pairs in
+    ``edge_instances`` order with the source index of each; the vertices
+    that receive an edge; the spectral radius of every vertex's component.
+    Kept on G, so every later call on the same graph reuses them.
+    """
+    cached = G._memo.get("oracle")
+    if cached is None:
+        A = G.matrix.astype(float)
+        pairs = list(dict.fromkeys((e.source, e.range) for e in G.edges))
+        src = np.array([G.index[s] for s, _ in pairs], dtype=np.intp)
+        radii = np.array([c.spectral_radius for c in G.components])
+        cached = G._memo["oracle"] = (A, pairs, src, A.any(axis=1), radii[G.vertex_components])
+    return cached
+
+
 def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> list[str]:
     """Run every consistency check on a simplex; returns failure descriptions.
 
@@ -226,42 +244,44 @@ def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> li
     per-state checks run on the stacked measures at once; failures list per
     state in that order, with at most one atom (the first failing path).
     """
-    from . import spectral
-
+    A, _, _, _, vertex_radius = _invariants(G)
     failures: list[str] = []
     bval = simplex.beta_value
-    A = G.matrix.astype(float)
     states = simplex.extremes
     X = np.array([_as_vector(G, s.m) for s in states]).reshape(len(states), len(G.vertices))
-    Xc = X.clip(min=0.0)
+    Xc = np.maximum(X, 0.0)
     scale = np.array([math.exp(kms.beta_value(G, _spec_or_float(s.beta))) for s in states])
-    subinvariant = np.all(Xc @ A.T <= scale[:, None] * Xc + 1e-9, axis=1).tolist()
-    in_H = np.array([v in simplex.H_beta.members for v in G.vertices], dtype=bool)
-    charges = (X[:, in_H] > 1e-9).any(axis=1).tolist()
+    subinvariant = (Xc @ A.T <= scale[:, None] * Xc + 1e-9).all(axis=1).tolist()
+    charges = [False] * len(states)
+    if simplex.H_beta.members:
+        in_H = G._mask(simplex.H_beta.members)
+        charges = (X[:, in_H] > 1e-9).any(axis=1).tolist()
     totals, lows = X.sum(axis=1).tolist(), X.min(axis=1).tolist()
 
-    psi_failures = _psi_failures(G, A, X, states, bval)
+    psi_failures = _psi_failures(G, X, states, bval)
 
     for k, state in enumerate(states):
-        name = kms.label_text(state)
+        found = []
         if abs(totals[k] - 1.0) > 1e-9:
-            failures.append(f"{name}: normalization off by {totals[k] - 1.0:.3g}")
+            found.append(f"normalization off by {totals[k] - 1.0:.3g}")
         if lows[k] < -1e-12:
-            failures.append(f"{name}: negative entry {lows[k]:.3g}")
+            found.append(f"negative entry {lows[k]:.3g}")
         if not subinvariant[k]:
-            failures.append(f"{name}: subinvariance violated")
+            found.append("subinvariance violated")
         if charges[k]:
             charged = [v for v in simplex.H_beta.members if X[k, G.index[v]] > 1e-9]
-            failures.append(f"{name}: charges H_beta at {sorted(charged)}")
-        failures += psi_failures.get(k, ())
+            found.append(f"charges H_beta at {sorted(charged)}")
+        found += psi_failures.get(k, ())
+        if found:
+            name = kms.label_text(state)
+            failures += [f"{name}: {f}" for f in found]
     # Solve-vs-series on the resolvent actually used for phi states.  Its
     # matrix is a union of whole components, whose radii G already holds.
-    K_members = simplex.K_beta.members
-    out_idx = [i for i, v in enumerate(G.vertices) if v not in K_members]
-    if out_idx:
-        M = G.matrix[np.ix_(out_idx, out_idx)]
-        radii = [c.spectral_radius for c in G.components if c.members[0] not in K_members]
-        radius = max(radii, default=0.0)
+    out = ~G._mask(simplex.K_beta.members)
+    if out.any():
+        out_idx = np.flatnonzero(out)
+        M = A[out_idx[:, None], out_idx]
+        radius = float(vertex_radius[out].max())
         if radius == 0.0 or bval >= math.log(radius) + series_margin:
             rhs = np.ones(len(out_idx))
             direct = spectral.resolvent_solve(M, bval, rhs, radius=radius)
@@ -272,37 +292,35 @@ def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> li
     return failures
 
 
-def _psi_failures(G: DirectedGraph, A: np.ndarray, X: np.ndarray, states, bval):
+def _psi_failures(G: DirectedGraph, X: np.ndarray, states, bval) -> dict[int, list[str]]:
     """Eigen-identity and atom failures of the psi states, by row of X.
 
-    Atoms are checked on the length-0 and length-1 paths whose source
-    receives an edge; only the first failing path of a state is reported.
-    The parallel copies of an edge share their atom, so only copy 0 of
-    each (source, range) pair, in ``edge_instances`` order, is looked at.
+    Failures are given without the state's name.  Atoms are checked on the
+    length-0 and length-1 paths whose source receives an edge; only the
+    first failing path of a state is reported.  The parallel copies of an
+    edge share their atom, so only copy 0 of each (source, range) pair, in
+    ``edge_instances`` order, is looked at.
     """
     psi = [k for k, s in enumerate(states) if isinstance(s.label, kms.PsiC)]
     if not psi:
         return {}
+    A, pairs, src, receives, _ = _invariants(G)
     P = X[psi]
     resid = np.abs(P @ A.T - math.exp(bval) * P).max(axis=1).tolist()
-    pairs = list(dict.fromkeys((e.source, e.range) for e in G.edges))
-    src = [G.index[s] for s, _ in pairs]
     at_vertex, at_edge = _path_atoms(A, P, [states[k].beta_value for k in psi], src)
-    receives = A.any(axis=1)
     bad_vertex = (np.abs(at_vertex) > 1e-9) & receives
     bad_edge = (np.abs(at_edge) > 1e-9) & receives[src]
     out = {}
     for j, k in enumerate(psi):
-        name = kms.label_text(states[k])
         found = out[k] = []
         if resid[j] > 1e-9:
-            found.append(f"{name}: eigen-identity residual {resid[j]:.3g}")
+            found.append(f"eigen-identity residual {resid[j]:.3g}")
         if bad_vertex[j].any():
             i = int(np.argmax(bad_vertex[j]))
-            found.append(f"{name}: atom {at_vertex[j, i]:.3g} at {G.vertices[i]!r}")
+            found.append(f"atom {at_vertex[j, i]:.3g} at {G.vertices[i]!r}")
         elif bad_edge[j].any():
             i = int(np.argmax(bad_edge[j]))
-            found.append(f"{name}: atom {at_edge[j, i]:.3g} at {((*pairs[i], 0),)!r}")
+            found.append(f"atom {at_edge[j, i]:.3g} at {((*pairs[i], 0),)!r}")
     return out
 
 

@@ -55,7 +55,7 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     ``blocks[b]`` lists the rows of an irreducible diagonal block of the
     matrix whose arcs are ``arcs``; every row lies in exactly one block.
     ``names[i]`` names row i in errors.  A block with a cycle gets
-    (radius, vector, residual), one without gets None.
+    (radius, vector, residual), the vector read-only; one without gets None.
 
     Blocks of one size are stacked and run Noda's iteration together
     (Noda 1971), which needs only LU solves and products.  From the uniform
@@ -123,6 +123,7 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
             _, r, residual[live] = _radius_and_residual(Sl, y)
             x[live], radius[live], shift[live] = y, r, s
             sigma[live] = np.where(positive, noda, r * (1.0 + 1e-10))
+        x.setflags(write=False)
         for b, r, xb, res in zip(which.tolist(), radius.tolist(), x, residual.tolist()):
             out[b] = (r, xb, res)
     return out
@@ -176,7 +177,6 @@ def analyze_irreducible(M) -> SpectralData:
     if n == 1 and A[0, 0] == 0:
         return SpectralData(0.0, np.array([1.0]), 0, 0.0)
     ((radius, vector, residual),) = perron_blocks(arcs, [range(n)], range(n))
-    vector.setflags(write=False)
     period = int(block_periods(arcs, np.zeros(n, dtype=np.int64), [0])[0])
     return SpectralData(radius, vector, period, residual)
 
@@ -236,7 +236,12 @@ def resolvent_solve(M, beta: float, b, *, radius: float | None = None) -> np.nda
     n = A.shape[0]
     if n == 0:
         return b.copy()
-    return np.linalg.solve(np.eye(n) - math.exp(-beta) * A, b)
+    # I - e^-beta A in one new array (A may be the caller's): 0 - x keeps
+    # the zeros at +0.0, and 1 + (0 - x) rounds exactly as 1 - x.
+    W = A * math.exp(-beta)
+    np.subtract(0.0, W, out=W)
+    W.flat[:: n + 1] += 1
+    return np.linalg.solve(W, b)
 
 
 def resolvent_series(

@@ -7,8 +7,11 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,17 @@ def run(capsys, *argv):
 
 
 # -- analyze -----------------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_command_line(graph_file):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphkms", "analyze", graph_file("golden_feeder")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "graph: 3 vertices, 9 edges"
 
 
 def test_analyze_text(graph_file, capsys):
@@ -301,6 +315,18 @@ def test_phase_diagram_rejects_bad_ranges(graph_file, capsys):
     assert rc == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("bounds", [
+    ("0", "inf"), ("-inf", "1"), ("-inf", "inf"), ("nan", "1"), ("0", "nan"),
+])
+def test_phase_diagram_rejects_bounds_that_are_not_finite(graph_file, capsys, bounds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "phase-diagram", graph_file("pair_toward_large"),
+                           f"--beta-min={bounds[0]}", f"--beta-max={bounds[1]}")
+    assert (rc, out) == (1, "")
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+
+
 # -- perron --------------------------------------------------------------------
 
 
@@ -323,6 +349,17 @@ def test_perron_rejects_far_root(capsys):
 def test_perron_rejects_fractional_coefficients(capsys):
     rc, _, err = run(capsys, "perron", "1", "-2.5", "--root", "2.5")
     assert rc == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("root", ["nan", "inf", "-inf"])
+def test_perron_rejects_a_root_that_is_not_finite(capsys, monkeypatch, root):
+    def no_roots(*args):
+        raise AssertionError("roots computed for a root that is not finite")
+
+    monkeypatch.setattr(kms, "nearest_root", no_roots)
+    rc, out, err = run(capsys, "perron", "1", "-3", f"--root={root}")
+    assert (rc, out) == (1, "")
+    assert err == "error: --root must be finite\n"
 
 
 # -- verify --------------------------------------------------------------------

@@ -142,6 +142,20 @@ def test_trivial_component_has_no_spectral_data():
     assert c.perron_vector is None
 
 
+def test_perron_vector_is_a_read_only_view_of_one_array():
+    G = example("golden_feeder")
+    c = G.component_of("w")
+    x = np.asarray(c.perron_vector)
+    assert np.asarray(c.perron_vector) is x and not x.flags.writeable
+    assert list(c.perron_vector) == list(c.members) == ["w", "u"]
+    assert c.perron_vector == dict(zip(c.members, x.tolist()))
+    assert type(c.perron_vector["u"]) is float and "v" not in c.perron_vector
+    with pytest.raises(KeyError):
+        c.perron_vector["v"]
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+
+
 def test_component_of_and_members():
     G = example("golden_feeder")
     assert G.component_of("w") is G.component_of("u")

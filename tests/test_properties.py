@@ -1,15 +1,17 @@
 """Randomized invariants; seeds come from hypothesis so failures replay."""
 
+import dataclasses
 import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphkms as gk
 from graphkms import oracle
 
-from conftest import random_graph
+from conftest import GRAPHS, random_graph
 
 seeds = st.integers(0, 10**6)
 
@@ -267,3 +269,63 @@ def test_beta_v_is_the_largest_log_radius_below_v(seed):
         below = [math.log(c.spectral_radius) for c in G.components
                  if not c.trivial and gk.talks_to(G, c, here)]
         assert gk.beta_v(G, v) == max(below, default=None)
+
+
+def _fresh(G):
+    """A newly parsed copy of G, with nothing cached on it."""
+    lines = ["vertices: " + " ".join(G.vertices)]
+    lines += [f"edge {e.source} {e.range} {e.multiplicity}" for e in G.edges]
+    return gk.parse_graph("\n".join(lines))
+
+
+def _regime_fields(reg):
+    out = {}
+    for f in dataclasses.fields(reg):
+        value = getattr(reg, f.name)
+        if isinstance(value, gk.VertexSet):
+            value = (value.members, value.hereditary, value.saturated)
+        out[f.name] = value
+    return out
+
+
+def _check_reuse(graph, order, rng):
+    """Regimes, measures and verify lists of one graph reused across a beta
+    grid in the given order equal those of a fresh copy per beta."""
+    criticals = gk.critical_temperatures(graph)
+    values = [gk.beta_value(graph, c) for c in criticals]
+    # The grid, points just inside and just outside each critical value's
+    # 2 TOL window, and the criticals themselves.
+    offsets = (-2.5e-9, -1.5e-9, -9e-10, -1e-10, 1e-10, 9e-10, 1.5e-9, 2.5e-9)
+    betas = _sweep_betas(graph) + [v + d for v in values for d in offsets]
+    betas.sort(key=lambda b: gk.beta_value(graph, b))
+    if order == "descending":
+        betas.reverse()
+    elif order == "shuffled":
+        rng.shuffle(betas)
+    for beta in betas:
+        fresh = _fresh(graph)
+        assert _regime_fields(gk.kms.regime(graph, beta)) == _regime_fields(
+            gk.kms.regime(fresh, beta)
+        ), beta
+        sx, ref = gk.kms_simplex(graph, beta), gk.kms_simplex(fresh, beta)
+        assert sx.measures.tobytes() == ref.measures.tobytes(), beta
+        assert oracle.verify_simplex(graph, sx) == oracle.verify_simplex(fresh, ref)
+        assert len(graph._memo["intervals"][2]) <= len(criticals) + 1
+    assert graph._memo["intervals"][2]
+
+
+ORDERS = ["ascending", "descending", "shuffled"]
+
+
+@given(seeds, st.sampled_from(ORDERS))
+@settings(max_examples=40, deadline=None)
+def test_regimes_reused_on_one_graph_match_a_fresh_graph_per_beta(seed, order):
+    rng, G = _setup(seed)
+    _check_reuse(G, order, rng)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_regimes_reused_on_tied_graphs_match_a_fresh_graph_per_beta(order):
+    for text in GRAPHS.values():
+        _check_reuse(gk.parse_graph(text), order, random.Random(5))
+    _check_reuse(_fresh(TIED), order, random.Random(5))

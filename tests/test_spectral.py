@@ -118,6 +118,30 @@ def test_resolvent_solve_zero_matrix_is_identity():
     assert np.allclose(out, b, atol=1e-12)
 
 
+def test_resolvent_matrix_and_solve_match_the_textbook_expression(monkeypatch):
+    # I - e^-beta A is built in one array; it, and so the solve, must equal
+    # np.eye(n) - e^-beta * A bit for bit, with no -0.0 off the diagonal,
+    # and the caller's float array (which np.asarray aliases) is not touched.
+    rng = np.random.default_rng(7)
+    solve = np.linalg.solve
+    seen = []
+    monkeypatch.setattr(np.linalg, "solve", lambda W, b: seen.append(W.copy()) or solve(W, b))
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        A = rng.integers(0, 4, (n, n)) * (rng.random((n, n)) < 0.4)
+        radius = spectral.spectral_radius(A)
+        beta = math.log(max(radius, 1.0)) + float(rng.uniform(1e-3, 2.0))
+        b = rng.random((n, int(rng.integers(1, 4))))
+        for M in (A, A.astype(float)):
+            before = M.copy()
+            got = spectral.resolvent_solve(M, beta, b, radius=radius)
+            expect_matrix = np.eye(n) - math.exp(-beta) * A
+            assert seen.pop().tobytes() == expect_matrix.tobytes()
+            assert got.tobytes() == solve(expect_matrix, b).tobytes()
+            assert M.tobytes() == before.tobytes()
+        assert not np.signbit(expect_matrix[expect_matrix == 0.0]).any()
+
+
 def test_resolvent_solve_divergent_raises():
     A = example("pair_toward_small").matrix
     with pytest.raises(gk.ConvergenceError):
