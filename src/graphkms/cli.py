@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
+from collections.abc import Iterator
+from itertools import accumulate, chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -23,6 +26,79 @@ class _Parser(argparse.ArgumentParser):
 def _f12(x: float) -> float:
     """Round to 12 significant digits; the result round-trips through JSON."""
     return float(f"{x:.12g}")
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_dumps(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, for payloads of
+    dicts with str keys, lists, str, int, float, bool and None.
+
+    json's own encoder runs in pure Python whenever ``indent`` is set, one
+    generator step per value.  Here the values of a list or dict that are
+    all floats, or all str, are formatted by one ``map`` of ``float.__repr__``
+    or of json's C string encoder, and each dict fills a %-template made
+    once per key sequence and level.
+    """
+    return _json(payload, "\n", {})
+
+
+def _json(value, newline: str, templates: dict) -> str:
+    """JSON text of value; ``newline`` breaks the line and indents to value's level."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        keys = tuple(value)
+        template = templates.get((keys, newline))
+        if template is None:
+            fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+            template = templates[keys, newline] = (
+                "{" + inner + ("," + inner).join(fields) + newline + "}"
+            )
+        return template % tuple(_json_items(list(value.values()), inner, templates))
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        texts = _json_items(value, inner, templates)
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    return _json_scalar(value)
+
+
+def _json_items(values, newline: str, templates: dict) -> list[str]:
+    """JSON texts of the values of one list or dict, at the level ``newline`` indents to."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, values))
+        if not math.isfinite(sum(values)):
+            texts = [_NONFINITE.get(t, t) for t in texts]
+        return texts
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds <= _SCALARS:
+        return list(map(_json_scalar, values))
+    return [_json(v, newline, templates) for v in values]
+
+
+def _json_scalar(value) -> str:
+    # bool before int: True is an int
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _load(path: str):
@@ -105,7 +181,7 @@ def cmd_analyze(args) -> int:
             "graph": _graph_json(G),
             "criticals": _criticals_json(G, criticals),
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_dumps(payload))
         return 0
     n_edges = int(G.arcs.mult.sum())
     print(f"graph: {len(G.vertices)} vertices, {n_edges} edges")
@@ -156,27 +232,57 @@ def cmd_states(args) -> int:
             "criticals": _criticals_json(G, kms.critical_temperatures(G)),
             "simplex": _simplex_json(G, sx),
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_dumps(payload))
         return _verify(G, sx, sys.stderr) if args.verify else 0
-    print(f"beta = {_beta_text(G, spec)}")
-    print(f"case: {sx.case}")
-    print(f"H_beta = {{{','.join(sorted(sx.H_beta.members, key=G.index.get))}}}")
-    print(f"K_beta = {{{','.join(sorted(sx.K_beta.members, key=G.index.get))}}}")
+    head = [
+        f"beta = {_beta_text(G, spec)}\n",
+        f"case: {sx.case}\n",
+        f"H_beta = {{{','.join(sorted(sx.H_beta.members, key=G.index.get))}}}\n",
+        f"K_beta = {{{','.join(sorted(sx.K_beta.members, key=G.index.get))}}}\n",
+    ]
+    rows = ()
     if not sx.extremes:
-        print("no KMS states at this beta")
+        head.append("no KMS states at this beta\n")
     else:
-        print(f"extreme states ({len(sx.extremes)}):")
-        width = max(len(kms.label_text(s)) for s in sx.extremes)
-        # One %-template per graph; "%.9g" % x renders exactly as f"{x:.9g}".
-        template = "  ".join(f"m[{v.replace('%', '%%')}]=%.9g" for v in G.vertices)
-        for s, row in zip(sx.extremes, sx.measures):
-            factors = "yes" if s.factors_through_graph_algebra else "no"
-            mvals = template % tuple(row.tolist())
-            print(
-                f"  {kms.label_text(s):<{width}}  type={s.state_type:<8} "
-                f"factors={factors:<3}  {mvals}"
-            )
+        head.append(f"extreme states ({len(sx.extremes)}):\n")
+        labels = [kms.label_text(s) for s in sx.extremes]
+        width = max(map(len, labels))
+        rows = (
+            f"  {label:<{width}}  type={s.state_type:<8} "
+            f"factors={'yes' if s.factors_through_graph_algebra else 'no':<3}  {mvals}\n"
+            for s, label, mvals in zip(sx.extremes, labels, _measure_cells(G, sx.measures))
+        )
+    # One call writes the table; its rows are formatted as it goes, so only
+    # one row at a time is held, however large the table.
+    sys.stdout.writelines(chain(head, rows))
     return _verify(G, sx) if args.verify else 0
+
+
+def _measure_cells(G, measures: np.ndarray) -> Iterator[str]:
+    """Row by row, the ``m[v]=%.9g`` cells of the measures, joined by two spaces.
+
+    Only a row's span from its first to its last entry other than +0.0 is
+    formatted; the cells either side of it are cut from one precomputed line
+    of ``m[v]=0`` cells.  -0.0 and NaN count as entries, so they still print
+    as -0 and nan.  A row whose span is the whole row formats the whole-graph
+    template, since slicing a whole string returns it unchanged.
+    """
+    # One %-template per graph; "%.9g" % x renders exactly as f"{x:.9g}".
+    cells = [f"m[{v.replace('%', '%%')}]=%.9g" for v in G.vertices]
+    zero_cells = [f"m[{v}]=0" for v in G.vertices]
+    template, zeros = "  ".join(cells), "  ".join(zero_cells)
+    # Cell i of a line starts at start[i] and ends two characters before start[i + 1].
+    t_start = list(accumulate((len(c) + 2 for c in cells), initial=0))
+    z_start = list(accumulate((len(c) + 2 for c in zero_cells), initial=0))
+    # A row without entries gets the span of the whole row.
+    entries = (measures != 0.0) | np.signbit(measures)
+    first = entries.argmax(axis=1).tolist()
+    end = (len(G.vertices) - entries[:, ::-1].argmax(axis=1)).tolist()
+    return (
+        zeros[:z_start[a]] + template[t_start[a]:t_start[b] - 2] % tuple(row[a:b].tolist())
+        + zeros[z_start[b] - 2:]
+        for row, a, b in zip(measures, first, end)
+    )
 
 
 def cmd_phase_diagram(args) -> int:
@@ -239,7 +345,11 @@ def cmd_verify(args) -> int:
     return _verify(G, sx)
 
 
-def build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every later
+    ``main`` in the process: parsing leaves no state on it, and building it
+    costs more than most commands' parsing."""
     parser = _Parser(prog="graphkms", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -282,9 +392,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

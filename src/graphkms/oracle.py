@@ -8,6 +8,7 @@ in the spectral module, so tests can pit the two routes against each other.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -221,8 +222,9 @@ def _invariants(G: DirectedGraph):
 
     The float vertex matrix; the distinct (source, range) edge pairs in
     ``edge_instances`` order with the source index of each; the vertices
-    that receive an edge; the spectral radius of every vertex's component.
-    Kept on G, so every later call on the same graph reuses them.
+    that receive an edge; the spectral radius of every vertex's component;
+    the ``_outside`` data of each K_beta seen so far.  Kept on G, so every
+    later call on the same graph reuses them.
     """
     cached = G._memo.get("oracle")
     if cached is None:
@@ -230,35 +232,74 @@ def _invariants(G: DirectedGraph):
         pairs = list(dict.fromkeys((e.source, e.range) for e in G.edges))
         src = np.array([G.index[s] for s, _ in pairs], dtype=np.intp)
         radii = np.array([c.spectral_radius for c in G.components])
-        cached = G._memo["oracle"] = (A, pairs, src, A.any(axis=1), radii[G.vertex_components])
+        cached = G._memo["oracle"] = (
+            A, pairs, src, A.any(axis=1), radii[G.vertex_components], {}
+        )
+    return cached
+
+
+def _outside(G: DirectedGraph, K_members: frozenset):
+    """What ``verify_simplex`` reads of the vertices outside K_beta, derived
+    once per graph and K_beta: their names in vertex order, the vertex
+    matrix on them and its spectral radius (that of a union of whole
+    components, whose radii G already holds; None when there are none)."""
+    A, _, _, _, vertex_radius, by_K = _invariants(G)
+    cached = by_K.get(K_members)
+    if cached is None:
+        idx = np.flatnonzero(~G._mask(K_members))
+        radius = float(vertex_radius[idx].max()) if len(idx) else None
+        M = A[idx[:, None], idx]
+        M.setflags(write=False)
+        cached = by_K[K_members] = ([G.vertices[i] for i in idx.tolist()], M, radius)
     return cached
 
 
 def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> list[str]:
     """Run every consistency check on a simplex; returns failure descriptions.
 
-    Checks: normalization, nonnegativity, subinvariance, vanishing on H_beta,
-    the exact eigen-identity for psi states, solve-vs-series agreement on the
-    resolvent (when beta clears the quotient radius by the margin), and
-    path-measure atoms at non-source path-sources for psi states.  The
-    per-state checks run on the stacked measures at once; failures list per
-    state in that order, with at most one atom (the first failing path).
+    Checks: the labels (one phi state per vertex outside K_beta, distinct
+    psi components), normalization, nonnegativity, subinvariance, vanishing
+    on H_beta, the exact eigen-identity for psi states, solve-vs-series
+    agreement on the resolvent (when beta clears the quotient radius by the
+    margin), path-measure atoms at non-source path-sources for psi states,
+    and for each phi state that its atoms off its own vertex vanish.  The
+    per-state checks run on the stacked measures at once; failures list the
+    labels first, then per state in that order, with at most one atom (the
+    first failing path, or the largest off-vertex atom) each.
     """
-    A, _, _, _, vertex_radius = _invariants(G)
-    failures: list[str] = []
+    A, _, src, _, _, _ = _invariants(G)
     bval = simplex.beta_value
     states = simplex.extremes
+    outside, M, radius = _outside(G, simplex.K_beta.members)
+    psi, phi, phi_vertices = [], [], []
+    for k, s in enumerate(states):
+        if isinstance(s.label, kms.PsiC):
+            psi.append(k)
+        elif isinstance(s.label, kms.PhiBetaV):
+            phi.append(k)
+            phi_vertices.append(s.label.vertex)
+    failures = _label_failures([states[k] for k in psi], phi_vertices, outside)
     X = np.array([_as_vector(G, s.m) for s in states]).reshape(len(states), len(G.vertices))
-    Xc = np.maximum(X, 0.0)
+    totals, lows = X.sum(axis=1).tolist(), X.min(axis=1).tolist()
+    XA = X @ A.T
+    # Subinvariance is checked on X clipped at 0, which changes X only where
+    # an entry is negative or NaN.
+    Xc, XcA = X, XA
+    if not all(low >= 0.0 for low in lows):
+        Xc = np.maximum(X, 0.0)
+        XcA = Xc @ A.T
+    # e^beta of each state, as a column
     scale = np.array([math.exp(kms.beta_value(G, _spec_or_float(s.beta))) for s in states])
-    subinvariant = (Xc @ A.T <= scale[:, None] * Xc + 1e-9).all(axis=1).tolist()
+    scale = scale.reshape(-1, 1)
+    subinvariant = (XcA <= scale * Xc + 1e-9).all(axis=1).tolist()
     charges = [False] * len(states)
     if simplex.H_beta.members:
         in_H = G._mask(simplex.H_beta.members)
         charges = (X[:, in_H] > 1e-9).any(axis=1).tolist()
-    totals, lows = X.sum(axis=1).tolist(), X.min(axis=1).tolist()
 
-    psi_failures = _psi_failures(G, X, states, bval)
+    at_vertex, at_edge = _path_atoms(X, XA, scale, src, psi)
+    atom_failures = _psi_failures(G, X, XA, at_vertex, at_edge, psi, bval)
+    atom_failures.update(_phi_failures(G, at_vertex, phi, phi_vertices))
 
     for k, state in enumerate(states):
         found = []
@@ -271,47 +312,59 @@ def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> li
         if charges[k]:
             charged = [v for v in simplex.H_beta.members if X[k, G.index[v]] > 1e-9]
             found.append(f"charges H_beta at {sorted(charged)}")
-        found += psi_failures.get(k, ())
+        found += atom_failures.get(k, ())
         if found:
             name = kms.label_text(state)
             failures += [f"{name}: {f}" for f in found]
-    # Solve-vs-series on the resolvent actually used for phi states.  Its
-    # matrix is a union of whole components, whose radii G already holds.
-    out = ~G._mask(simplex.K_beta.members)
-    if out.any():
-        out_idx = np.flatnonzero(out)
-        M = A[out_idx[:, None], out_idx]
-        radius = float(vertex_radius[out].max())
-        if radius == 0.0 or bval >= math.log(radius) + series_margin:
-            rhs = np.ones(len(out_idx))
-            direct = spectral.resolvent_solve(M, bval, rhs, radius=radius)
-            summed = spectral.resolvent_series(M, bval, rhs, 1e-12, radius=radius)
-            gap = float(np.max(np.abs(direct - summed)))
-            if gap > 1e-9:
-                failures.append(f"resolvent solve vs series gap {gap:.3g}")
+    # Solve-vs-series on the resolvent actually used for phi states.
+    if outside and (radius == 0.0 or bval >= math.log(radius) + series_margin):
+        rhs = np.ones(len(outside))
+        direct = spectral.resolvent_solve(M, bval, rhs, radius=radius)
+        summed = spectral.resolvent_series(M, bval, rhs, 1e-12, radius=radius)
+        gap = float(np.max(np.abs(direct - summed)))
+        if gap > 1e-9:
+            failures.append(f"resolvent solve vs series gap {gap:.3g}")
     return failures
 
 
-def _psi_failures(G: DirectedGraph, X: np.ndarray, states, bval) -> dict[int, list[str]]:
-    """Eigen-identity and atom failures of the psi states, by row of X.
+def _label_failures(psi_states, phi_vertices, outside: list) -> list[str]:
+    """The theorem's labels: the phi states' vertices are exactly the
+    vertices ``outside`` K_beta, each once, and no psi component repeats."""
+    components = {s.label.component.id for s in psi_states}
+    if phi_vertices == outside and len(components) == len(psi_states):
+        return []
+    allowed, counts = set(outside), Counter(phi_vertices)
+    failures = [f"phi[{v}]: not a vertex outside K_beta" for v in counts if v not in allowed]
+    failures += [f"phi[{v}]: listed {n} times" for v, n in counts.items() if n > 1]
+    psi_counts = Counter(kms.label_text(s) for s in psi_states)
+    failures += [f"{name}: listed {n} times" for name, n in psi_counts.items() if n > 1]
+    missing = [v for v in outside if v not in counts]
+    if missing:
+        failures.append(f"no phi state at {missing}")
+    return failures
 
+
+def _psi_failures(G: DirectedGraph, X, XA, at_vertex, at_edge, rows,
+                  bval) -> dict[int, list[str]]:
+    """Eigen-identity and atom failures of the psi states, rows ``rows`` of X.
+
+    ``XA`` is ``X @ A.T``; ``at_vertex`` holds the vertex atoms of every
+    row and ``at_edge`` the edge atoms of the psi rows (see ``_path_atoms``).
     Failures are given without the state's name.  Atoms are checked on the
     length-0 and length-1 paths whose source receives an edge; only the
     first failing path of a state is reported.  The parallel copies of an
     edge share their atom, so only copy 0 of each (source, range) pair, in
     ``edge_instances`` order, is looked at.
     """
-    psi = [k for k, s in enumerate(states) if isinstance(s.label, kms.PsiC)]
-    if not psi:
+    if not rows:
         return {}
-    A, pairs, src, receives, _ = _invariants(G)
-    P = X[psi]
-    resid = np.abs(P @ A.T - math.exp(bval) * P).max(axis=1).tolist()
-    at_vertex, at_edge = _path_atoms(A, P, [states[k].beta_value for k in psi], src)
+    _, pairs, src, receives, _, _ = _invariants(G)
+    at_vertex = at_vertex[rows]
+    resid = np.abs(XA[rows] - math.exp(bval) * X[rows]).max(axis=1).tolist()
     bad_vertex = (np.abs(at_vertex) > 1e-9) & receives
     bad_edge = (np.abs(at_edge) > 1e-9) & receives[src]
     out = {}
-    for j, k in enumerate(psi):
+    for j, k in enumerate(rows):
         found = out[k] = []
         if resid[j] > 1e-9:
             found.append(f"eigen-identity residual {resid[j]:.3g}")
@@ -324,15 +377,51 @@ def _psi_failures(G: DirectedGraph, X: np.ndarray, states, bval) -> dict[int, li
     return out
 
 
-def _path_atoms(A: np.ndarray, X: np.ndarray, beta_values, src):
+def _phi_failures(G: DirectedGraph, at_vertex, rows, vertices) -> dict[int, list[str]]:
+    """Atom failures of the phi states of ``vertices``, by row of ``at_vertex``.
+
+    ``phi_{beta,v}`` charges the length-0 path at ``v`` and no other vertex:
+    its measure ``m`` solves ``m - e^-beta A m = e_v / y_v`` outside K_beta
+    and vanishes on K_beta.  A row fails when its atom at ``v`` is not
+    positive, or else when its largest atom off ``v`` exceeds 1e-6 of the
+    one at ``v``; this ties each phi row to its own vertex.
+    """
+    if not rows:
+        return {}
+    off = np.abs(at_vertex)
+    at_own = {}
+    for k, v in zip(rows, vertices):
+        i = G.index.get(v)
+        if i is not None:  # otherwise a label failure already
+            at_own[k] = at_vertex.item(k, i)
+            off[k, i] = 0.0
+    worst = np.maximum.reduce(off, axis=1).tolist()
+    out = {}
+    for k, atom in at_own.items():
+        # Strict, so that an atom at v that is not positive fails too, as does NaN.
+        if worst[k] < 1e-6 * atom:
+            continue
+        if not atom > 0.0:
+            out[k] = [f"atom {atom:.3g} at its own vertex is not positive"]
+        else:
+            i = int(np.argmax(off[k]))
+            out[k] = [f"atom {at_vertex[k, i]:.3g} at {G.vertices[i]!r}, "
+                      f"beside {atom:.3g} at its own vertex"]
+    return out
+
+
+def _path_atoms(X: np.ndarray, XA: np.ndarray, scale: np.ndarray, src, edge_rows):
     """Atoms of the states with measure rows X on every path of length <= 1.
 
-    One product gives them all: the atom at the vertex v is
+    ``XA`` is the product ``X @ A.T`` and ``scale`` the column of each
+    state's e^beta, from which they all follow: the atom at the vertex v is
     m_v - e^-beta (A m)_v, and the atom at a one-edge path is e^-beta times
-    the atom at the edge's source.  Returns the vertex atoms (a column per
-    vertex) and the edge atoms (a column per edge, ``src`` holding the
-    source index of each).  ``path_measure_atom`` is the definition.
+    the atom at the edge's source.  Returns the vertex atoms of every row (a
+    column per vertex) and the edge atoms of the rows ``edge_rows`` (a
+    column per edge, ``src`` holding the source index of each), or None if
+    there are none.  ``path_measure_atom`` is the definition.
     """
-    decay = np.array([math.exp(-b) for b in beta_values]).reshape(-1, 1)
-    at_vertex = X - decay * (X @ A.T)
-    return at_vertex, decay * at_vertex[:, src]
+    at_vertex = X - XA / scale
+    if not edge_rows:
+        return at_vertex, None
+    return at_vertex, at_vertex[edge_rows][:, src] / scale[edge_rows]

@@ -86,7 +86,7 @@ def graph_file(tmp_path):
     def write(name_or_text, filename="graph.txt"):
         text = GRAPHS.get(name_or_text, name_or_text)
         path = tmp_path / filename
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     return write

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import graphkms as gk
 from graphkms import cli, kms
@@ -151,12 +151,40 @@ def _graph_text(G):
     ])
 
 
-def test_states_lines_match_a_per_value_rendering(graph_file, capsys):
+def _chain_text(rng: random.Random, length: int, shuffle: bool) -> str:
+    """A line of loops c0 -> c1 -> ..., some closed into 2-cycles, so that
+    each phi row lives on a stretch of the line with zeros either side."""
+    names = [f"c{i}" for i in range(length)]
+    edges = [f"edge c{i} c{i} {rng.randint(1, 3)}" for i in range(length) if rng.random() < 0.6]
+    edges += [f"edge c{i} c{i + 1}" for i in range(length - 1)]
+    edges += [f"edge c{i + 1} c{i}" for i in range(length - 1) if rng.random() < 0.2]
+    if shuffle:
+        rng.shuffle(names)
+    return "\n".join(["vertices: " + " ".join(names)] + edges)
+
+
+def _expected_states_lines(G, sx) -> list[str]:
+    """The states table rendered one value at a time, from each state's ``m``."""
+    width = max((len(gk.kms.label_text(s)) for s in sx.extremes), default=0)
+    expect = []
+    for s in sx.extremes:
+        factors = "yes" if s.factors_through_graph_algebra else "no"
+        mvals = "  ".join(f"m[{v}]={s.m[v]:.9g}" for v in G.vertices)
+        expect.append(f"  {gk.kms.label_text(s):<{width}}  type={s.state_type:<8} "
+                      f"factors={factors:<3}  {mvals}")
+    head = f"extreme states ({len(expect)}):" if expect else "no KMS states at this beta"
+    return [head] + expect
+
+
+def test_states_lines_match_a_per_value_rendering(graph_file, capsys, monkeypatch):
     # Names holding '%' must pass through the printed template unchanged.
     texts = list(GRAPHS.values()) + [
         "vertices: a%d b%s c%%\nedge a%d b%s 2\nedge b%s a%d\nedge c%% a%d 3\nedge c%% c%% 2"
     ]
     texts += [_graph_text(random_graph(random.Random(seed))) for seed in range(200)]
+    # Chains: rows with long runs of zeros before and after their entries.
+    texts += [_chain_text(random.Random(seed), 3 + seed % 20, seed % 3 == 0)
+              for seed in range(30)]
     for text in texts:
         path = graph_file(text)
         G = gk.parse_graph(text)
@@ -168,15 +196,112 @@ def test_states_lines_match_a_per_value_rendering(graph_file, capsys):
             assert rc == 0
             sx = gk.kms_simplex(G, gk.critical_temperatures(G)[int(value)]
                                 if flag == "--critical" else float(value))
-            width = max((len(gk.kms.label_text(s)) for s in sx.extremes), default=0)
-            expect = []
-            for s in sx.extremes:
-                factors = "yes" if s.factors_through_graph_algebra else "no"
-                mvals = "  ".join(f"m[{v}]={s.m[v]:.9g}" for v in G.vertices)
-                expect.append(f"  {gk.kms.label_text(s):<{width}}  type={s.state_type:<8} "
-                              f"factors={factors:<3}  {mvals}")
-            head = f"extreme states ({len(expect)}):" if expect else "no KMS states at this beta"
-            assert out.splitlines()[4:] == [head] + expect, (text, flag, value)
+            assert out.splitlines()[4:] == _expected_states_lines(G, sx), (text, flag, value)
+
+    # A zero is printed from a precomputed cell only when it is +0.0: -0.0
+    # and NaN go through the format, wherever they sit in the row.
+    text = _chain_text(random.Random(5), 12, False)
+    G = gk.parse_graph(text)
+    real = gk.kms_simplex(G, 3.0)
+    n = len(G.vertices)
+    rows = real.measures.copy()[:6]
+    rows[0] = 0.0
+    rows[1, :] = 0.0
+    rows[1, 0] = rows[1, -1] = -0.0
+    rows[2, 5] = -0.0
+    rows[3, 3] = math.nan
+    rows[4, :] = 0.0
+    rows[4, n // 2] = math.nan
+    rows[5, :] = -0.0
+    rows.setflags(write=False)
+    fake = dataclasses.replace(
+        real,
+        extremes=tuple(dataclasses.replace(s, m=dict(zip(G.vertices, row.tolist())))
+                       for s, row in zip(real.extremes, rows)),
+        measures=rows,
+    )
+    monkeypatch.setattr(cli.kms, "kms_simplex", lambda *a, **k: fake)
+    rc, out, _ = run(capsys, "states", graph_file(text), "--beta", "3.0")
+    assert rc == 0
+    lines = out.splitlines()[4:]
+    assert lines == _expected_states_lines(G, fake)
+    assert "=-0" in lines[2] and "nan" in lines[4] and "nan" in lines[5]
+    assert "=-0" not in lines[1] and "=-0" in lines[6]
+
+
+# -- --json output -------------------------------------------------------------
+
+
+def _is_indented_json(out: str) -> bool:
+    return out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_output_matches_json_dumps(graph_file, capsys):
+    texts = list(GRAPHS.values()) + [
+        # quotes, backslashes, '%' and non-ASCII names go through json's escapes
+        'vertices: a"b c\\d e%s% f\u00e9 g\u4e2d \U0001f600\n'
+        'edge a"b c\\d 2\nedge c\\d a"b\nedge e%s% e%s% 3\nedge f\u00e9 g\u4e2d\n'
+        'edge g\u4e2d \U0001f600\nedge \U0001f600 \U0001f600 2\nedge \U0001f600 f\u00e9',
+    ]
+    texts += [_graph_text(random_graph(random.Random(seed))) for seed in range(40)]
+    texts += [_chain_text(random.Random(seed), 8, seed % 2 == 0) for seed in range(5)]
+    for text in texts:
+        path = graph_file(text)
+        rc, out, _ = run(capsys, "analyze", path, "--json")
+        assert rc == 0 and _is_indented_json(out), text
+        G = gk.parse_graph(text)
+        flags = [("--critical", str(k)) for k in range(len(gk.critical_temperatures(G)))]
+        for flag, value in flags + [("--beta", "0.3"), ("--beta", "1.5")]:
+            rc, out, _ = run(capsys, "states", path, flag, value, "--json")
+            assert rc == 0 and _is_indented_json(out), (text, flag, value)
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers(-2**80, 2**80)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text()
+    | st.sampled_from([1e16, 1e-05, -0.0, math.nan, math.inf, -math.inf, 2**64, ""])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(), inner, max_size=6),
+    max_leaves=30,
+)
+
+
+@given(_json_values)
+@example({"empty": [[], {}], "floats": [math.nan, math.inf, -math.inf, 1e16, 1e-05, -0.0],
+          "m": {"a": 0.5, "b%s": math.nan, "c": -math.inf}, "flags": [True, False, None],
+          "ints": [2**70, -2**64, 0], "mixed": [1, 1.0, "1", True, None, {"": []}]})
+@settings(max_examples=120, deadline=None)
+def test_json_emitter_matches_json_dumps(payload):
+    assert cli._json_dumps(payload) == json.dumps(payload, indent=2)
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def _fresh_process(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "graphkms", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_carries_nothing_between_calls(graph_file, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = graph_file("golden_feeder")
+    sequences = [
+        [["states", path, "--critical", "0"], ["states", path, "--beta", "0.9"]],
+        [["states", path, "--beta", "0.9", "--critical", "0"], ["analyze", path]],
+        [["--help"], ["analyze", path]],
+    ]
+    for argvs in sequences:
+        for argv in argvs:
+            assert run(capsys, *argv) == _fresh_process(argv), argv
+    assert cli._parser() is cli._parser()
+    args = cli._parser().parse_args(["states", path, "--beta", "0.9"])
+    assert args.critical is None and args.beta == 0.9
 
 
 # -- phase-diagram -------------------------------------------------------------

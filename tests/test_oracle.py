@@ -206,8 +206,10 @@ def test_vectorised_atoms_match_path_measure_atom():
         src = [G.index[e[0]] for e in instances]
         for beta in gk.critical_temperatures(G):
             sx = gk.kms_simplex(G, beta)
+            rows = list(range(len(sx.extremes)))
+            scale = np.array([[math.exp(s.beta_value)] for s in sx.extremes])
             at_vertex, at_edge = oracle._path_atoms(
-                A, sx.measures, [s.beta_value for s in sx.extremes], src
+                sx.measures, sx.measures @ A.T, scale, src, rows
             )
             for k, state in enumerate(sx.extremes):
                 for v in G.vertices:
@@ -235,9 +237,22 @@ def test_verify_simplex_clean_on_examples():
 
 
 def _corrupt(simplex, which, m):
-    new = dataclasses.replace(simplex.extremes[which], m=m)
+    """The simplex with extreme ``which`` changed: its measure replaced by
+    the dict ``m``; for m = "swap", its measure swapped with that of the next
+    phi state; for "duplicate", listed twice; for "drop", left out."""
     extremes = list(simplex.extremes)
-    extremes[which] = new
+    state = extremes[which]
+    if m == "swap":
+        k = next(k for k in range(which + 1, len(extremes))
+                 if isinstance(extremes[k].label, gk.kms.PhiBetaV))
+        extremes[which] = dataclasses.replace(state, m=extremes[k].m)
+        extremes[k] = dataclasses.replace(extremes[k], m=state.m)
+    elif m == "duplicate":
+        extremes.insert(which + 1, state)
+    elif m == "drop":
+        del extremes[which]
+    else:
+        extremes[which] = dataclasses.replace(state, m=m)
     return dataclasses.replace(simplex, extremes=tuple(extremes))
 
 
@@ -268,20 +283,53 @@ def test_verify_simplex_flags_negative_entry():
 
 @pytest.mark.parametrize("name, beta, which, m, expect", [
     ("pair_toward_small", 1.4, 0, {"v": 1.25, "w": -0.25},
-     ["phi[v]: negative entry -0.25"]),
+     ["phi[v]: negative entry -0.25",
+      "phi[v]: atom -0.0651 at 'w', beside 0.695 at its own vertex"]),
     ("pair_toward_small", 0.9, 0, {"v": 0.5, "w": 0.5},
-     ["phi[v]: subinvariance violated", "phi[v]: charges H_beta at ['w']"]),
+     ["phi[v]: subinvariance violated", "phi[v]: charges H_beta at ['w']",
+      "phi[v]: atom -0.11 at its own vertex is not positive"]),
     ("pair_toward_small", gk.CriticalOf(1), 0, {"v": 0.6, "w": 0.5},
      ["psi{w}: normalization off by 0.1", "psi{w}: eigen-identity residual 0.1",
       "psi{w}: atom 0.0333 at 'v'"]),
     ("pair_toward_small", gk.CriticalOf(1), 1, {"v": -0.1, "w": 1.1},
-     ["phi[v]: negative entry -0.1", "phi[v]: subinvariance violated"]),
+     ["phi[v]: negative entry -0.1", "phi[v]: subinvariance violated",
+      "phi[v]: atom -0.4 at its own vertex is not positive"]),
     ("twin_minimal", gk.CriticalOf(1), 0, {"u": 0.2, "v": 0.3, "w": 0.1, "x": 0.4},
      ["psi{v}: subinvariance violated", "psi{v}: eigen-identity residual 0.4",
       "psi{v}: atom -0.1 at 'u'"]),
     ("twin_minimal", 0.1, 0, {"u": 0.5, "v": 0.2, "w": 0.2, "x": 0.1},
-     ["phi[u]: subinvariance violated", "phi[u]: charges H_beta at ['v', 'w', 'x']"]),
+     ["phi[u]: subinvariance violated", "phi[u]: charges H_beta at ['v', 'w', 'x']",
+      "phi[u]: atom -0.314 at its own vertex is not positive"]),
+    ("two_sources_chain", 2.0, 1, "swap",
+     ["phi[v]: atom 0 at its own vertex is not positive",
+      "phi[u2]: atom 0 at its own vertex is not positive"]),
+    ("two_sources_chain", gk.CriticalOf(1), 0, "duplicate", ["psi{v}: listed 2 times"]),
+    ("two_sources_chain", 1.2, 1, "duplicate", ["phi[v]: listed 2 times"]),
+    ("two_sources_chain", 1.2, 1, "drop", ["no phi state at ['v']"]),
 ])
 def test_verify_simplex_failure_strings(name, beta, which, m, expect):
     G = example(name)
     assert oracle.verify_simplex(G, _corrupt(gk.kms_simplex(G, beta), which, m)) == expect
+
+
+def test_verify_simplex_ties_every_phi_row_to_its_vertex():
+    # Each corruption the theorem rules out is caught on the examples and on
+    # random graphs at every critical value and above the top one.
+    graphs = [example(name) for name in GRAPHS]
+    graphs += [random_graph(random.Random(seed)) for seed in range(150)]
+    named = {"swap": "atom", "duplicate": "listed 2 times", "drop": "no phi state at"}
+    caught = dict.fromkeys(named, 0)
+    for G in graphs:
+        crits = gk.critical_temperatures(G)
+        top = max((gk.beta_value(G, c) for c in crits), default=0.0)
+        for beta in [*crits, top + 0.3, top + 1.0]:
+            sx = gk.kms_simplex(G, beta)
+            phi = [k for k, s in enumerate(sx.extremes)
+                   if isinstance(s.label, gk.kms.PhiBetaV)]
+            cases = [(k, "duplicate") for k in range(len(sx.extremes))]
+            cases += [(k, "drop") for k in phi] + [(k, "swap") for k in phi[:-1]]
+            for which, how in cases:
+                failures = oracle.verify_simplex(G, _corrupt(sx, which, how))
+                assert any(named[how] in f for f in failures), (G.vertices, beta, which, how)
+                caught[how] += 1
+    assert min(caught.values()) > 100, caught
