@@ -6,9 +6,11 @@ Nothing here iterates open-endedly.  Perron data comes from Noda's
 shift-invert iteration (Noda 1971; quadratic convergence, Elsner 1976), run
 on one stack of equal-sized irreducible blocks at a time with LU solves and
 products only, at most 64 steps, checked by its residual and by the gap
-between its shift and its radius; no eigensolver runs.  Periods of all
-blocks of a matrix come from one breadth-first pass, and the series oracle
-doubles its number of terms at most 64 times.
+between its shift and its radius; no eigensolver runs.  A 2x2 block or a
+single weighted cycle starts from its closed-form Perron vector, which
+passes those checks without a solve.  Periods of all blocks of a matrix
+come from one breadth-first search, linear in the arcs, and the series
+oracle doubles its number of terms at most 64 times.
 """
 
 from __future__ import annotations
@@ -58,11 +60,14 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     (radius, vector, residual), the vector read-only; one without gets None.
 
     Blocks of one size are stacked and run Noda's iteration together
-    (Noda 1971), which needs only LU solves and products.  From the uniform
-    vector x, each step solves (shift I - S) y = x, with the shift at the
-    Collatz-Wielandt upper bound sigma = max_i (Sx)_i / x_i of rho.  For
-    y > 0 the next bound is shift - min_i x_i / y_i, and the bounds fall to
-    rho quadratically (Elsner 1976).  The shift never drops below 1e-10
+    (Noda 1971), which needs only LU solves and products.  The start x is
+    the closed-form Perron vector of a 2x2 block or of a single cycle with
+    unequal multiplicities (:func:`_closed_form_start`), and the uniform
+    vector for every other block.  Each step solves (shift I - S) y = x,
+    with the shift at the Collatz-Wielandt upper bound
+    sigma = max_i (Sx)_i / x_i of rho.  For y > 0 the next bound is
+    shift - min_i x_i / y_i, and the bounds fall to rho quadratically
+    (Elsner 1976).  The shift never drops below 1e-10
     (relative) above the radius sum(Ax), which keeps the solve nonsingular;
     a y that is not positive is signed to sum positive, has negative
     rounding clipped to 0 and resets the bound to that floor.  x is y
@@ -71,8 +76,9 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     A block stops once its residual max|Ax - rho x| is at most
     1e-12 max(1, rho) and its last shift lies within 1e-9 (relative) of
     its radius: with loops of multiplicity 10^6 the residual alone can pass on a
-    pair that is not the Perron pair.  Cycles, 1x1 blocks and blocks with
-    constant row sums stop at the start, without a solve.  A stopped block
+    pair that is not the Perron pair.  2x2 blocks, cycles, 1x1 blocks and
+    blocks with constant row sums stop at the start, without a solve.  A
+    start that fails the test iterates like any other.  A stopped block
     leaves the stack, so its data do not depend on the blocks stacked with
     it.  Raises when a block has not stopped after 64 steps.
     """
@@ -88,7 +94,8 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     inner = block[arcs.rng] == block[arcs.src]
     b_in, r_in, s_in = block[arcs.rng[inner]], pos[arcs.rng[inner]], pos[arcs.src[inner]]
     m_in = arcs.mult[inner].astype(float)
-    cyclic = (sizes > 1) | (np.bincount(b_in, minlength=len(blocks)) > 0)
+    inner_arcs = np.bincount(b_in, minlength=len(blocks))
+    cyclic = (sizes > 1) | (inner_arcs > 0)
     for k in set(sizes[cyclic].tolist()):
         which = np.flatnonzero(cyclic & (sizes == k))
         slot = np.empty(len(blocks), dtype=np.int64)
@@ -96,7 +103,7 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
         here = sizes[b_in] == k
         S = np.zeros((len(which), k, k))
         S[slot[b_in[here]], r_in[here], s_in[here]] = m_in[here]
-        x = np.full((len(which), k), 1.0 / k)
+        x = _closed_form_start(S, inner_arcs[which] == k)
         Ax, radius, residual = _radius_and_residual(S, x)
         sigma = (Ax / x).max(axis=1)
         shift = sigma.copy()
@@ -115,7 +122,11 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
                 )
             s = np.maximum(sigma[live], radius[live] * (1.0 + 1e-10))
             Sl, xl = S[live], x[live]
-            y = np.linalg.solve(s[:, None, None] * np.eye(k) - Sl, xl[:, :, None])[:, :, 0]
+            # s I - S in one new array, bit for bit: 0 - S keeps the zeros at
+            # +0.0, and (0 - S_ii) + s rounds exactly as s - S_ii.
+            W = np.subtract(0.0, Sl)
+            W.reshape(len(live), k * k)[:, :: k + 1] += s[:, None]
+            y = np.linalg.solve(W, xl[:, :, None])[:, :, 0]
             positive = (y > 0).all(axis=1)
             noda = s - (xl / np.where(positive[:, None], y, 1.0)).min(axis=1)
             y = np.clip(np.where(y.sum(axis=1, keepdims=True) > 0, y, -y), 0.0, None)
@@ -127,6 +138,67 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
         for b, r, xb, res in zip(which.tolist(), radius.tolist(), x, residual.tolist()):
             out[b] = (r, xb, res)
     return out
+
+
+def _closed_form_start(S: np.ndarray, cycle: np.ndarray) -> np.ndarray:
+    """l1-unit start vectors for a stack S of k x k irreducible blocks.
+
+    A 2 x 2 block [[a, b], [c, d]] gets its Perron vector, proportional to
+    (b, rho - a): with h = (a - d)/2 and g = sqrt(h^2 + bc), rho - a is
+    g - h, taken as bc/(g + h) when h > 0 so that nothing cancels.  A block
+    with ``cycle[i]`` set is a single cycle, row r with one arc, of
+    multiplicity m_r, to column next(r), so x_next(r) = x_r rho/m_r with
+    ln rho the mean of ln m: ln x is a cumulative sum of ln rho - ln m,
+    shifted to maximum 0 before exp so nothing overflows.  Every other
+    block, a cycle of equal multiplicities included, keeps the uniform
+    vector, and so does a start with an entry that is not positive and
+    finite (one that underflowed to 0, say).
+    """
+    count, k = S.shape[:2]
+    x = np.full((count, k), 1.0 / k)
+    if k == 1:
+        return x
+    if k == 2:
+        a, b, c, d = S[:, 0, 0], S[:, 0, 1], S[:, 1, 0], S[:, 1, 1]
+        h = 0.5 * (a - d)
+        q = np.sqrt(h * h + b * c) + np.abs(h)
+        closed = np.stack([b, np.where(h > 0, b * c / q, q)], axis=1)
+        which = np.arange(count)
+    else:
+        which = np.flatnonzero(cycle)
+        C = S[which]
+        succ, m = C.argmax(axis=2), C.max(axis=2)
+        weighted = (m != m[:, :1]).any(axis=1)
+        which, succ, m = which[weighted], succ[weighted], m[weighted]
+        if not which.size:
+            return x
+        # The rows of each cycle in the order it visits them from row 0.
+        at = np.arange(len(which))[:, None]
+        order = np.zeros((len(which), k), dtype=np.int64)
+        for j in range(1, k):
+            order[:, j] = succ[at[:, 0], order[:, j - 1]]
+        log_m = np.log(m[at, order])
+        rise = log_m.mean(axis=1, keepdims=True) - log_m
+        # ln x_j sums the first j rises, carried as hi + lo: hi is the
+        # running sum and lo the running sum of the exact rounding error of
+        # each addition (Knuth's two-sum).  The k rises of the whole cycle
+        # miss 0 by the rounding of the mean; that miss is spread evenly
+        # along the cycle instead of falling on its last arc.
+        hi, lo = np.zeros((len(which), k + 1)), np.zeros((len(which), k + 1))
+        np.cumsum(rise, axis=1, out=hi[:, 1:])
+        prev, total = hi[:, 1:-1], hi[:, 2:]
+        back = total - prev
+        np.cumsum((prev - (total - back)) + (rise[:, 1:] - back), axis=1, out=lo[:, 2:])
+        lo -= (hi[:, -1:] + lo[:, -1:]) * np.linspace(0.0, 1.0, k + 1)
+        hi, lo = hi[:, :-1], lo[:, :-1]
+        top = (hi + lo).argmax(axis=1)[:, None]
+        log_x = (hi - hi[at, top]) + (lo - lo[at, top])
+        closed = np.empty((len(which), k))
+        closed[at, order] = np.exp(log_x)
+    closed /= closed.sum(axis=1, keepdims=True)
+    usable = (np.isfinite(closed) & (closed > 0)).all(axis=1)
+    x[which[usable]] = closed[usable]
+    return x
 
 
 def _radius_and_residual(S: np.ndarray, x: np.ndarray):
@@ -144,20 +216,25 @@ def block_periods(arcs: Arcs, comp: np.ndarray, roots) -> np.ndarray:
     ``roots[c]`` a row of block c.  Breadth-first levels run inside each
     block from its root along arcs u -> w (row u, column w); the period is
     the gcd of level[u] + 1 - level[w] over the block's arcs, classic for
-    irreducible matrices, and 0 without arcs.
+    irreducible matrices, and 0 without arcs.  The search visits each inner
+    arc once, so the pass is linear in the arcs whatever the depth.
     """
     u, w = arcs.rng, arcs.src
     inner = comp[u] == comp[w]
+    # Row i's inner arcs are cols[ends[i]:ends[i + 1]].
+    cols = w[inner].tolist()
+    ends = np.concatenate(([0], np.cumsum(inner)))[arcs.indptr].tolist()
+    level = [-1] * arcs.n
+    queue = list(roots)
+    for r in queue:
+        level[r] = 0
+    for v in queue:  # the queue grows while it is read
+        for t in cols[ends[v] : ends[v + 1]]:
+            if level[t] == -1:
+                level[t] = level[v] + 1
+                queue.append(t)
+    level = np.array(level)
     u, w = u[inner], w[inner]
-    level = np.full(arcs.n, -1)
-    level[roots] = 0
-    depth = 0
-    while True:
-        step = (level[u] == depth) & (level[w] == -1)
-        if not step.any():
-            break
-        depth += 1
-        level[w[step]] = depth
     periods = np.zeros(len(roots), dtype=np.int64)
     np.gcd.at(periods, comp[u], level[u] + 1 - level[w])
     return periods

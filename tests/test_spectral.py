@@ -1,14 +1,19 @@
 """Spectral radius, Perron vectors, periods, resolvents."""
 
+import decimal
+import itertools
 import math
 import random
+import warnings
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 import graphkms as gk
 from graphkms import oracle, spectral
+from graphkms._scc import arcs_from_entries
 
 from conftest import example, random_graph
 
@@ -311,9 +316,12 @@ def test_perron_data_where_eigenvalues_cluster_near_rho():
 
 
 def test_perron_failure_names_the_component(monkeypatch):
-    # The multiplicity 2 keeps the uniform start from being the Perron pair,
-    # so the 2-cycle needs solves, which the skew keeps from converging.
-    G = gk.parse_graph("vertices: a b c\nedge a b\nedge b c\nedge c b 2\n")
+    # A 3-cycle with a loop has no closed-form start and the loop keeps the
+    # uniform start from being the Perron pair, so the block needs solves,
+    # which the skew keeps from converging.
+    G = gk.parse_graph(
+        "vertices: a b c d\nedge a b\nedge b c\nedge c d\nedge d b\nedge d d 2\n"
+    )
     solve = np.linalg.solve
 
     def skewed(M, b):
@@ -322,7 +330,7 @@ def test_perron_failure_names_the_component(monkeypatch):
         return x
 
     monkeypatch.setattr(np.linalg, "solve", skewed)
-    with pytest.raises(gk.ConvergenceError, match="2-vertex block with first member b "):
+    with pytest.raises(gk.ConvergenceError, match="3-vertex block with first member b "):
         G.components
 
 
@@ -462,6 +470,87 @@ def test_cycles_and_loops_need_no_solve(monkeypatch):
     assert radii == pytest.approx({"a0": 1, "b0": 1, "c0": 1, "l": 3, "m": 1}, abs=1e-15)
     for c in G.components:
         assert set(c.perron_vector.values()) == {1.0 / len(c.members)}
+
+
+def _weighted_cycle(multiplicities):
+    # Row i + 1 holds the arc from vertex i, of multiplicity m_i.
+    n = len(multiplicities)
+    A = np.zeros((n, n), dtype=np.int64)
+    for i, m in enumerate(multiplicities):
+        A[(i + 1) % n, i] = m
+    return A
+
+
+def _cycle_radius(multiplicities) -> float:
+    # rho of a weighted cycle, the geometric mean of its multiplicities,
+    # to 40 digits.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        log_rho = sum(Decimal(m).ln() for m in multiplicities) / len(multiplicities)
+        return float(log_rho.exp())
+
+
+def _two_by_two_radius(a, b, c, d) -> float:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        h = Decimal(a - d) / 2
+        return float(Decimal(a + d) / 2 + (h * h + Decimal(b * c)).sqrt())
+
+
+def test_cycle_with_one_heavy_arc_needs_no_solve(monkeypatch):
+    # Noda's iteration from the uniform start gave up on this cycle.
+    calls = _counted_solves(monkeypatch)
+    data = spectral.analyze_irreducible(_weighted_cycle([10**6] + [1] * 599))
+    assert calls == []
+    assert abs(data.radius - 10 ** (6 / 600)) <= 1e-15 * 10 ** (6 / 600)
+    assert data.residual <= 1e-12 * data.radius
+    assert (data.perron_vector > 0).all() and data.period == 600
+
+
+@pytest.mark.parametrize("turn", [0, 30, 50, 100, 170])
+def test_cycle_of_heavy_and_light_runs_does_not_overflow(monkeypatch, turn):
+    # Its Perron entries span 300 decades, and ln x sums 100 rises of
+    # ln 1000 before it falls back: the start is built from logs, and the
+    # rounding of those sums must not reach the ratio of neighbours.
+    calls = _counted_solves(monkeypatch)
+    ms = [10**6] * 100 + [1] * 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = spectral.analyze_irreducible(_weighted_cycle(ms[turn:] + ms[:turn]))
+    assert calls == []
+    assert abs(data.radius - 1000.0) <= 1e-15 * 1000.0
+    assert data.residual <= 1e-12 * data.radius
+    assert (data.perron_vector > 0).all()
+
+
+def test_two_vertex_blocks_and_weighted_cycles_need_no_solve(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    weights = [1, 2, 3, 7, 1000, 10**6]
+    for a, b, c, d in itertools.product([0] + weights, weights, weights, [0] + weights):
+        data = spectral.analyze_irreducible([[a, b], [c, d]])
+        expect = _two_by_two_radius(a, b, c, d)
+        assert abs(data.radius - expect) <= 1e-14 * expect, (a, b, c, d)
+        assert data.residual <= 1e-12 * max(1.0, data.radius), (a, b, c, d)
+    rng = random.Random(3)
+    for k in [*range(2, 13), 200]:
+        for _ in range(20):
+            ms = [rng.choice(weights) for _ in range(k)]
+            data = spectral.analyze_irreducible(_weighted_cycle(ms))
+            expect = _cycle_radius(ms)
+            assert abs(data.radius - expect) <= 1e-14 * expect, ms
+            assert data.residual <= 1e-12 * max(1.0, data.radius), ms
+    assert calls == []
+
+
+def test_periods_of_a_deep_block():
+    # A 6000-cycle with a chord that closes a 4000-cycle: breadth-first
+    # levels run 6000 deep, and the period is gcd(6000, 4000).
+    n = 6000
+    rng = [(i + 1) % n for i in range(n)] + [0]
+    src = list(range(n)) + [3999]
+    arcs = arcs_from_entries(n, rng, src, np.ones(n + 1, dtype=np.int64))
+    periods = spectral.block_periods(arcs, np.zeros(n, dtype=np.int64), [0])
+    assert periods.tolist() == [2000]
 
 
 @pytest.mark.parametrize("seed", [4059, 11126, 11867, 16195])
