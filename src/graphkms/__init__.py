@@ -13,12 +13,9 @@ from .graph import (
     VertexSet,
     hereditary_closure,
     parse_graph,
-    path_count,
-    quotient_graph,
     saturation,
     seneta_order,
     sources,
-    talks_to,
 )
 from .kms import (
     CriticalOf,
@@ -34,20 +31,14 @@ from .kms import (
     beta_value,
     critical_temperatures,
     eval_state,
-    factors_through_graph_algebra,
     general_state_measure,
     kms_simplex,
     minimal_critical_components,
     perron_check,
-    phi_beta_v_measure,
-    psi_C_measure,
-    z_vector,
 )
 from .spectral import (
     ConvergenceError,
     SpectralData,
-    period,
-    perron_vector,
     resolvent_series,
     resolvent_solve,
     spectral_radius,
@@ -75,27 +66,18 @@ __all__ = [
     "beta_value",
     "critical_temperatures",
     "eval_state",
-    "factors_through_graph_algebra",
     "general_state_measure",
     "hereditary_closure",
     "kms_simplex",
     "minimal_critical_components",
     "parse_graph",
-    "path_count",
-    "period",
     "perron_check",
-    "perron_vector",
-    "phi_beta_v_measure",
-    "psi_C_measure",
-    "quotient_graph",
     "resolvent_series",
     "resolvent_solve",
     "saturation",
     "seneta_order",
     "sources",
     "spectral_radius",
-    "talks_to",
-    "z_vector",
     "y_vector",
 ]
 

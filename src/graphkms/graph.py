@@ -278,7 +278,8 @@ class DirectedGraph:
 
     def component_of(self, v: str) -> Component:
         comps, comp_of = self._analysis()[:2]
-        return comps[comp_of[self.index[v]]]
+        (i,) = self._indices((v,))
+        return comps[comp_of[i]]
 
     @property
     def vertex_components(self) -> np.ndarray:
@@ -321,9 +322,6 @@ class DirectedGraph:
             mem = frozenset(itertools.compress(self.vertices, inside.tolist()))
         else:
             mem = frozenset(members)
-            for v in mem:
-                if v not in self.index:
-                    raise ValueError(f"unknown vertex: {v}")
             inside = self._mask(mem)
         arcs = self._arcs
         hereditary = not (inside[arcs.rng] & ~inside[arcs.src]).any()
@@ -332,8 +330,15 @@ class DirectedGraph:
 
     def _mask(self, members) -> np.ndarray:
         inside = np.zeros(len(self.vertices), dtype=bool)
-        inside[[self.index[v] for v in members]] = True
+        inside[self._indices(members)] = True
         return inside
+
+    def _indices(self, names) -> list[int]:
+        """Positions of the named vertices; an unknown name raises ValueError."""
+        try:
+            return [self.index[v] for v in names]
+        except KeyError as err:
+            raise ValueError(f"unknown vertex: {err.args[0]}") from None
 
 
 def _arcs_from_outside(arcs: Arcs, inside: np.ndarray) -> np.ndarray:
@@ -438,52 +443,6 @@ def parse_graph(text: str) -> DirectedGraph:
 # -- basic operations ----------------------------------------------------------
 
 
-def path_count(G: DirectedGraph, v: str, w: str, n: int) -> int:
-    """Exact number of paths of length ``n`` with range ``v`` and source ``w``.
-
-    Computed over Python integers, so the count never overflows.
-    """
-    if n < 0:
-        raise ValueError("path length must be nonnegative")
-    i, j = G.index[v], G.index[w]
-    if n == 0:
-        return 1 if i == j else 0
-    size = len(G.vertices)
-    base = [[0] * size for _ in range(size)]
-    for r, s, m in zip(G.arcs.rng.tolist(), G.arcs.src.tolist(), G.arcs.mult.tolist()):
-        base[r][s] = m
-
-    def mul(X, Y):
-        return [
-            [sum(X[a][k] * Y[k][b] for k in range(size)) for b in range(size)]
-            for a in range(size)
-        ]
-
-    result = None
-    power = base
-    m = n
-    while m:
-        if m & 1:
-            result = power if result is None else mul(result, power)
-        m >>= 1
-        if m:
-            power = mul(power, power)
-    return result[i][j]
-
-
-def talks_to(G: DirectedGraph, C: Component, D: Component) -> bool:
-    """True when there is a path with range in C and source in D.
-
-    This is the component order ``C <= D``; it is reflexive via the length
-    zero paths at each vertex.
-    """
-    comps = G.components
-    for comp in (C, D):
-        if comp.id >= len(comps) or comps[comp.id].members != comp.members:
-            raise ValueError("component does not belong to this graph")
-    return D.members[0] in hereditary_closure(G, C.members).members
-
-
 def seneta_order(G: DirectedGraph) -> tuple[Component, ...]:
     """Components ordered so the permuted vertex matrix is block upper triangular.
 
@@ -531,7 +490,7 @@ def hereditary_closure(G: DirectedGraph, S) -> VertexSet:
     cols = G.arcs.src.tolist()
     ends = G.arcs.indptr.tolist()
     seen = [False] * len(G.vertices)
-    work = [G.index[v] for v in members]
+    work = G._indices(members)
     for i in work:
         seen[i] = True
     while work:
@@ -554,22 +513,6 @@ def saturation(G: DirectedGraph, H) -> VertexSet:
     if not vs.hereditary:
         raise ValueError("saturation is only defined for hereditary sets")
     return G.vertex_set(saturated_mask(G.arcs, G._mask(vs.members)))
-
-
-def quotient_graph(G: DirectedGraph, H) -> DirectedGraph:
-    """The graph on ``E^0 \\ H`` keeping the edges whose source survives.
-
-    ``H`` must be hereditary, which guarantees the kept edges also have their
-    range outside ``H``.
-    """
-    vs = H if isinstance(H, VertexSet) else G.vertex_set(_members_of(H))
-    if not vs.hereditary:
-        raise ValueError("quotients are only defined for hereditary sets")
-    kept = [v for v in G.vertices if v not in vs.members]
-    if not kept:
-        raise ValueError("quotient by the full vertex set is empty")
-    edges = [e for e in G.edges if e.source not in vs.members]
-    return DirectedGraph(kept, edges)
 
 
 def sources(G: DirectedGraph) -> frozenset[str]:

@@ -73,7 +73,7 @@ BetaSpec = Numeric | CriticalOf
 def _as_beta(beta) -> BetaSpec:
     if isinstance(beta, (Numeric, CriticalOf)):
         return beta
-    if isinstance(beta, (int, float)):
+    if isinstance(beta, (int, float)) and not isinstance(beta, bool):
         return Numeric(float(beta))
     raise TypeError(f"not a beta specification: {beta!r}")
 
@@ -297,17 +297,16 @@ def K_beta(G: DirectedGraph, beta) -> VertexSet:
     return regime(G, beta).K_beta
 
 
-def _top_regime(G: DirectedGraph) -> Regime:
-    """The regime at the largest critical temperature, where H_beta is empty."""
+def minimal_critical_components(G: DirectedGraph) -> frozenset[Component]:
+    """Components attaining rho(A), minimal in the order induced on them.
+
+    These are the minimal critical components of the regime at the largest
+    critical temperature, where H_beta is empty.
+    """
     criticals = critical_temperatures(G)
     if not criticals:
         raise ValueError("an acyclic graph has no critical components")
-    return regime(G, criticals[-1])
-
-
-def minimal_critical_components(G: DirectedGraph) -> frozenset[Component]:
-    """Components attaining rho(A), minimal in the order induced on them."""
-    return frozenset(G.components[c] for c in _top_regime(G).minimal_critical)
+    return frozenset(G.components[c] for c in regime(G, criticals[-1]).minimal_critical)
 
 
 def critical_temperatures(G: DirectedGraph) -> list[CriticalOf]:
@@ -366,12 +365,15 @@ def beta_v(G: DirectedGraph, v: str) -> float | None:
 # before any state takes a view of them.
 
 
-def _psi_row(G: DirectedGraph, reg: Regime, C: Component, out: np.ndarray) -> np.ndarray:
-    """Write psi_C's measure into the zeroed row ``out``; return its z-vector.
+def _psi_row(G: DirectedGraph, reg: Regime, C: Component, out: np.ndarray) -> None:
+    """Write psi_C's measure into the zeroed row ``out``.
 
-    z lives on the vertices outside K_beta, the part of the quotient by
-    H_beta that stays outside the closure of its minimal critical
-    components; the rest of the graph carries measure zero.
+    It is (z^C, x^C, 0 on the rest) scaled to mass one, where
+    z^C = rho^-1 (I - rho^-1 A_out)^-1 A_{out,C} x^C; it satisfies the
+    eigen-identity A m = rho(A_C) m.  z lives on the vertices outside
+    K_beta, the part of the quotient by H_beta that stays outside the
+    closure of its minimal critical components; the rest of the graph
+    carries measure zero.
     """
     A = G.matrix
     out_idx = np.array(reg.outside, dtype=np.intp)
@@ -389,48 +391,6 @@ def _psi_row(G: DirectedGraph, reg: Regime, C: Component, out: np.ndarray) -> np
     scale = 1.0 / (1.0 + float(z.sum()))
     out[out_idx] = scale * z
     out[c_idx] = scale * x
-    return z
-
-
-def _psi_state(G: DirectedGraph, C: Component, spec: BetaSpec, row) -> StateMeasure:
-    return StateMeasure(
-        beta=spec,
-        beta_value=math.log(C.spectral_radius),
-        m=MeasureView(G, row),
-        label=PsiC(C),
-        factors_through_graph_algebra=True,
-        state_type=INFINITE,
-    )
-
-
-def _minimal_critical_psi(G: DirectedGraph, C: Component):
-    """(regime, psi_C, z^C) at the top critical temperature."""
-    reg = _top_regime(G)
-    if C.id not in reg.minimal_critical or G.components[C.id].members != C.members:
-        raise ValueError("component is not minimal critical in this graph")
-    row = np.zeros(len(G.vertices))
-    z = _psi_row(G, reg, C, row)
-    return reg, _psi_state(G, C, CriticalOf(C.id), _frozen(row)), z
-
-
-def z_vector(G: DirectedGraph, C: Component) -> dict[str, float]:
-    """The quick-exit weight vector z^C over the complement of closure(mc).
-
-    z^C = rho^{-1} (1 - rho^{-1} A_out)^{-1} A_{out,C} x^C, where "out" is
-    the complement of the hereditary closure of all minimal critical
-    components.  Empty complement gives an empty vector.
-    """
-    reg, _, z = _minimal_critical_psi(G, C)
-    return {G.vertices[i]: float(zi) for i, zi in zip(reg.outside, z)}
-
-
-def psi_C_measure(G: DirectedGraph, C: Component) -> StateMeasure:
-    """The infinite-type extreme state attached to a minimal critical component.
-
-    m = (z^C, x^C, 0 on the rest of closure(mc)) scaled to mass one; it
-    satisfies the exact eigen-identity A m = rho(A) m.
-    """
-    return _minimal_critical_psi(G, C)[1]
 
 
 def _phi_rows(G: DirectedGraph, reg: Regime, out: np.ndarray) -> np.ndarray:
@@ -468,36 +428,6 @@ def _extreme_rows(G: DirectedGraph, reg: Regime) -> tuple[np.ndarray, np.ndarray
     for row, cid in zip(rows, mc):
         _psi_row(G, reg, G.components[cid], row)
     return _frozen(rows), y
-
-
-def _phi_state(G: DirectedGraph, reg: Regime, v: str, row) -> StateMeasure:
-    return StateMeasure(
-        beta=reg.beta,
-        beta_value=reg.beta_value,
-        m=MeasureView(G, row),
-        label=PhiBetaV(v),
-        factors_through_graph_algebra=v in reg.sources,
-        state_type=FINITE,
-    )
-
-
-def phi_beta_v_measure(G: DirectedGraph, beta, v: str) -> StateMeasure:
-    """The finite-type extreme state of the vertex v at beta.
-
-    m_w sums e^{-beta |path|} over the paths with range w and source v,
-    normalized by y_v; computed on the quotient by K_beta, which any other
-    valid hereditary choice reproduces.
-    """
-    if v not in G.index:
-        raise ValueError(f"unknown vertex: {v}")
-    reg = regime(G, beta)
-    if v in reg.K_beta.members:
-        raise ValueError(
-            f"phi state undefined: beta must exceed beta_v for vertex {v}"
-        )
-    rows = np.zeros((len(reg.outside), len(G.vertices)))
-    _phi_rows(G, reg, rows)
-    return _phi_state(G, reg, v, _frozen(rows)[reg.outside.index(G.index[v])])
 
 
 def general_state_measure(
@@ -560,7 +490,10 @@ def general_state_measure(
         beta_value=reg.beta_value,
         m=MeasureView(G, _frozen(m)),
         label=Mixture(r=r, epsilon=eps_map, t=tmap),
-        factors_through_graph_algebra=_mixture_factors(r, eps_map, reg.sources),
+        # A mixture factors iff it has no phi part or its phi part charges
+        # sources only.
+        factors_through_graph_algebra=r <= TOL
+        or all(v in reg.sources for v, w in eps_map.items() if w > TOL),
         state_type=kind,
     )
 
@@ -573,15 +506,36 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     Critical (psi states of the quotient's minimal critical components plus
     phi states outside K_beta) on the boundary.  The psi rows come first in
     ``measures``, in ascending component id, then the phi rows in vertex
-    order.
+    order.  This is the one constructor of extreme states: a single psi_C
+    or phi_{beta,v} is one of these rows.
     """
     reg = regime(G, beta)
     mc = [G.components[cid] for cid in reg.minimal_critical]
     measures, _ = _extreme_rows(G, reg)
-    psi = [_psi_state(G, C, reg.beta, row) for row, C in zip(measures, mc)]
+    psi = [
+        StateMeasure(
+            beta=reg.beta,
+            beta_value=math.log(C.spectral_radius),
+            m=MeasureView(G, row),
+            label=PsiC(C),
+            factors_through_graph_algebra=True,
+            state_type=INFINITE,
+        )
+        for row, C in zip(measures, mc)
+    ]
+    # phi_{beta,v} factors through C*(E) iff v is a source of the quotient
+    # by the saturation of K_beta.
+    outside = [G.vertices[i] for i in reg.outside]
     phi = [
-        _phi_state(G, reg, G.vertices[i], row)
-        for i, row in zip(reg.outside, measures[len(mc):])
+        StateMeasure(
+            beta=reg.beta,
+            beta_value=reg.beta_value,
+            m=MeasureView(G, row),
+            label=PhiBetaV(v),
+            factors_through_graph_algebra=v in reg.sources,
+            state_type=FINITE,
+        )
+        for v, row in zip(outside, measures[len(mc):])
     ]
     return SimplexDescriptor(
         beta=reg.beta,
@@ -592,30 +546,6 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
         extremes=tuple(psi + phi),
         measures=measures,
     )
-
-
-def factors_through_graph_algebra(G: DirectedGraph, state: StateMeasure) -> bool:
-    """Recompute whether the state kills every generating projection gap.
-
-    psi states always factor; a phi state factors iff its vertex is a source
-    of the quotient by the saturation of K_beta; a mixture factors iff every
-    positively weighted extreme does.
-    """
-    for v in state.m:
-        if v not in G.index:
-            raise ValueError("state does not belong to this graph")
-    label = state.label
-    if isinstance(label, PsiC):
-        return True
-    sources = regime(G, state.beta).sources
-    if isinstance(label, PhiBetaV):
-        return label.vertex in sources
-    return _mixture_factors(label.r, label.epsilon, sources)
-
-
-def _mixture_factors(r: float, epsilon: dict[str, float], sources) -> bool:
-    """A mixture factors iff it has no phi part or its phi part charges sources only."""
-    return r <= TOL or all(v in sources for v, w in epsilon.items() if w > TOL)
 
 
 def label_text(state: StateMeasure) -> str:

@@ -1,8 +1,13 @@
-"""Brute-force series and path enumerations backing the closed forms.
+"""Independent checks of the KMS simplex.
 
-Deliberately naive: every value here is recomputed from path counts or
-partial sums with explicit tail control, independently of the dense solves
-in the spectral module, so tests can pit the two routes against each other.
+The oracles are deliberately naive: path enumeration, the series for y and
+for psi's quick-exit vector z, and the path-measure atom are recomputed from
+paths or partial sums with explicit tail control, independently of the
+dense solves in the spectral module, so tests can pit the two routes
+against each other.  ``verify_simplex`` checks one simplex as a whole: its
+labels, and per state normalization, sign, subinvariance, charge on
+H_beta, the psi eigen-identity and the atoms, plus the resolvent's solve
+against its series.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +23,6 @@ from .graph import Component, DirectedGraph, edge_instances, hereditary_closure
 from .spectral import ConvergenceError
 
 MAX_TERMS = 10**6
-
-
-@dataclass(frozen=True, eq=False)
-class PathEnumeration:
-    """Exhaustive paths up to a length bound plus the mass left uncounted."""
-
-    paths: tuple
-    length_bound: int
-    tail_bound: float
 
 
 def enumerate_paths(G: DirectedGraph, v: str, w: str, n: int) -> list:
@@ -60,26 +55,6 @@ def enumerate_paths(G: DirectedGraph, v: str, w: str, n: int) -> list:
         for e in by_range.get(tip, ()):
             stack.append((prefix + (e,), e[0]))
     return out
-
-
-def collect_paths(
-    G: DirectedGraph, v: str, w: str, length_bound: int, beta: float | None = None
-) -> PathEnumeration:
-    """Paths between v and w of every length up to the bound.
-
-    With a beta, the tail bound is the crude geometric estimate
-    (#edge instances * e^-beta)^(L+1)/(1-q); infinite when that ratio is not
-    below 1 or no beta is given.
-    """
-    paths: list = []
-    for n in range(length_bound + 1):
-        paths.extend(enumerate_paths(G, v, w, n))
-    tail = math.inf
-    if beta is not None:
-        q = len(edge_instances(G)) * math.exp(-beta)
-        if q < 1.0:
-            tail = q ** (length_bound + 1) / (1.0 - q)
-    return PathEnumeration(paths=tuple(paths), length_bound=length_bound, tail_bound=tail)
 
 
 def _sum_tail_bounded(terms, tol: float) -> float:
@@ -171,14 +146,6 @@ def quick_exit_series_oracle(
     return _sum_tail_bounded(terms(), tol)
 
 
-def subinvariance_check(G: DirectedGraph, beta, m) -> bool:
-    """Does A m <= e^beta m hold entrywise (within 1e-9)?"""
-    bval = kms.beta_value(G, _spec_or_float(beta))
-    vec = _as_vector(G, m)
-    lhs = G.matrix.astype(float) @ vec
-    return bool(np.all(lhs <= math.exp(bval) * vec + 1e-9))
-
-
 def path_measure_atom(G: DirectedGraph, state: kms.StateMeasure, path) -> float:
     """nu({path}): the diagonal measure mass sitting on the path itself.
 
@@ -195,12 +162,6 @@ def path_measure_atom(G: DirectedGraph, state: kms.StateMeasure, path) -> float:
             ext = (path + (e,)) if isinstance(path, tuple) else (e,)
             total -= kms.eval_state(state, ext, ext)
     return total
-
-
-def _spec_or_float(beta):
-    if isinstance(beta, (kms.Numeric, kms.CriticalOf)):
-        return beta
-    return float(beta)
 
 
 def _as_vector(G: DirectedGraph, m) -> np.ndarray:
@@ -289,7 +250,7 @@ def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> li
         Xc = np.maximum(X, 0.0)
         XcA = Xc @ A.T
     # e^beta of each state, as a column
-    scale = np.array([math.exp(kms.beta_value(G, _spec_or_float(s.beta))) for s in states])
+    scale = np.array([math.exp(kms.beta_value(G, s.beta)) for s in states])
     scale = scale.reshape(-1, 1)
     subinvariant = (XcA <= scale * Xc + 1e-9).all(axis=1).tolist()
     charges = [False] * len(states)

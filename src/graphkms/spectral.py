@@ -274,21 +274,6 @@ def spectral_radius(M) -> float:
     return max((d[0] for d in data if d is not None), default=0.0)
 
 
-def perron_vector(M) -> np.ndarray:
-    """The l1-unimodular Perron eigenvector of an irreducible matrix.
-
-    Non-negative; entries below rounding are 0.
-    """
-    return analyze_irreducible(M).perron_vector
-
-
-def period(M) -> int:
-    data = analyze_irreducible(M)
-    if data.period == 0:
-        raise ValueError("period needs at least one cycle")
-    return data.period
-
-
 def _check_convergent(radius: float, beta: float) -> None:
     if not math.exp(-beta) * radius < 1.0 - CONVERGENCE_MARGIN:
         raise ConvergenceError(

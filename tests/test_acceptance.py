@@ -15,7 +15,7 @@ import pytest
 import graphkms as gk
 from graphkms import oracle
 
-from conftest import example, random_graph
+from conftest import example, psi_state, quotient_graph, random_graph, z_of
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -57,7 +57,7 @@ def test_criterion_2_two_transition_regression():
     values = [gk.beta_value(G, s) for s in criticals]
     assert values == [pytest.approx(LN2, abs=1e-9), pytest.approx(LN3, abs=1e-9)]
 
-    psi = gk.psi_C_measure(G, G.components[1])
+    psi = psi_state(G, G.components[1])
     assert psi.m["v"] == pytest.approx(0.5, abs=1e-9)
     assert psi.m["w"] == pytest.approx(0.5, abs=1e-9)
 
@@ -102,7 +102,7 @@ def test_criterion_3_golden_feeder_regression():
     assert dims == [2, 1, 0, 0, -1]
     assert cases == ["Subcritical", "Critical", "Subcritical", "Critical", "Empty"]
 
-    psi = gk.psi_C_measure(G, big)
+    psi = psi_state(G, big)
     s5 = math.sqrt(5)
     assert psi.m["v"] == pytest.approx(1 / 3, abs=1e-7)
     assert psi.m["w"] == pytest.approx((s5 - 1) / 3, abs=1e-7)
@@ -180,7 +180,7 @@ def _expected_extreme_count(G, sx):
     n_phi = len(G.vertices) - len(sx.K_beta.members)
     if sx.case == "Subcritical":
         return n_phi
-    Q = gk.quotient_graph(G, sx.H_beta) if sx.H_beta.members else G
+    Q = quotient_graph(G, sx.H_beta) if sx.H_beta.members else G
     return len(gk.minimal_critical_components(Q)) + n_phi
 
 
@@ -223,7 +223,7 @@ def test_criterion_7_oracle_equivalence():
         mc = gk.minimal_critical_components(G)
         closure = gk.hereditary_closure(G, [v for c in mc for v in c.members]).members
         for c in mc:
-            z = gk.z_vector(G, c)
+            z = z_of(G, c)
             for v in G.vertices:
                 if v in closure:
                     continue

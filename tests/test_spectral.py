@@ -15,7 +15,7 @@ import graphkms as gk
 from graphkms import oracle, spectral
 from graphkms._scc import arcs_from_entries
 
-from conftest import example, random_graph
+from conftest import example, quotient_graph, random_graph
 
 
 def test_radius_examples():
@@ -49,7 +49,7 @@ def test_radius_rejects_bad_input():
 
 
 def test_perron_vector_golden_block():
-    x = spectral.perron_vector([[2, 2], [2, 0]])
+    x = spectral.analyze_irreducible([[2, 2], [2, 0]]).perron_vector
     assert x[0] == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-9)
     assert x[1] == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-9)
     assert x.sum() == pytest.approx(1.0, abs=1e-12)
@@ -59,13 +59,13 @@ def test_perron_vector_golden_block():
 def test_perron_vector_satisfies_eigen_identity():
     M = np.array([[1, 3], [2, 1]])
     rho = spectral.spectral_radius(M)
-    x = spectral.perron_vector(M)
+    x = spectral.analyze_irreducible(M).perron_vector
     assert np.max(np.abs(M @ x - rho * x)) < 1e-9
 
 
 def test_perron_vector_requires_irreducible():
     with pytest.raises(ValueError):
-        spectral.perron_vector([[2, 1], [0, 3]])
+        spectral.analyze_irreducible([[2, 1], [0, 3]])
 
 
 def test_analyze_irreducible_residual():
@@ -76,18 +76,21 @@ def test_analyze_irreducible_residual():
 
 
 def test_period_examples():
-    assert spectral.period([[3]]) == 1
-    assert spectral.period([[0, 1], [1, 0]]) == 2
-    assert spectral.period([[2, 2], [2, 0]]) == 1
+    def period(M):
+        return spectral.analyze_irreducible(M).period
+
+    assert period([[3]]) == 1
+    assert period([[0, 1], [1, 0]]) == 2
+    assert period([[2, 2], [2, 0]]) == 1
     cycle3 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-    assert spectral.period(cycle3) == 3
+    assert period(cycle3) == 3
 
 
 def test_period_rejects_trivial_and_reducible():
+    # A 1x1 zero block has no cycle: period 0.
+    assert spectral.analyze_irreducible([[0]]).period == 0
     with pytest.raises(ValueError):
-        spectral.period([[0]])
-    with pytest.raises(ValueError):
-        spectral.period([[1, 1], [0, 1]])
+        spectral.analyze_irreducible([[1, 1], [0, 1]])
 
 
 def test_period_agrees_with_cycle_gcd():
@@ -99,7 +102,7 @@ def test_period_agrees_with_cycle_gcd():
             [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)], dtype=np.int64
         )
         try:
-            p = spectral.period(M)
+            p = spectral.analyze_irreducible(M).period
         except ValueError:
             continue
         g = 0
@@ -212,7 +215,7 @@ def test_y_vector_restricts_along_quotients():
     # y over the quotient equals the full solve restricted to the survivors
     G = example("two_sources_chain")
     H = gk.hereditary_closure(G, {"w"})
-    Q = gk.quotient_graph(G, H)
+    Q = quotient_graph(G, H)
     beta = math.log(2) + 0.4
     yq = gk.y_vector(Q, beta)
     survivors = [v for v in G.vertices if v not in H.members]
