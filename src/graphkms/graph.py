@@ -321,7 +321,7 @@ class DirectedGraph:
             inside = members
             mem = frozenset(itertools.compress(self.vertices, inside.tolist()))
         else:
-            mem = frozenset(members)
+            mem = _members_of(members)
             inside = self._mask(mem)
         arcs = self._arcs
         hereditary = not (inside[arcs.rng] & ~inside[arcs.src]).any()
@@ -509,7 +509,7 @@ def saturation(G: DirectedGraph, H) -> VertexSet:
     its in-edge sources already lies inside; vertices with no incoming edges
     are never swallowed.
     """
-    vs = H if isinstance(H, VertexSet) else G.vertex_set(_members_of(H))
+    vs = H if isinstance(H, VertexSet) else G.vertex_set(H)
     if not vs.hereditary:
         raise ValueError("saturation is only defined for hereditary sets")
     return G.vertex_set(saturated_mask(G.arcs, G._mask(vs.members)))

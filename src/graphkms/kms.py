@@ -71,10 +71,12 @@ BetaSpec = Numeric | CriticalOf
 
 
 def _as_beta(beta) -> BetaSpec:
-    if isinstance(beta, (Numeric, CriticalOf)):
+    """CriticalOf as is; an int or float, not bool, bare or in Numeric, as Numeric(float)."""
+    if isinstance(beta, CriticalOf):
         return beta
-    if isinstance(beta, (int, float)) and not isinstance(beta, bool):
-        return Numeric(float(beta))
+    value = beta.value if isinstance(beta, Numeric) else beta
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return Numeric(float(value))
     raise TypeError(f"not a beta specification: {beta!r}")
 
 
@@ -365,68 +367,40 @@ def beta_v(G: DirectedGraph, v: str) -> float | None:
 # before any state takes a view of them.
 
 
-def _psi_row(G: DirectedGraph, reg: Regime, C: Component, out: np.ndarray) -> None:
-    """Write psi_C's measure into the zeroed row ``out``.
-
-    It is (z^C, x^C, 0 on the rest) scaled to mass one, where
-    z^C = rho^-1 (I - rho^-1 A_out)^-1 A_{out,C} x^C; it satisfies the
-    eigen-identity A m = rho(A_C) m.  z lives on the vertices outside
-    K_beta, the part of the quotient by H_beta that stays outside the
-    closure of its minimal critical components; the rest of the graph
-    carries measure zero.
-    """
-    A = G.matrix
-    out_idx = np.array(reg.outside, dtype=np.intp)
-    c_idx = [G.index[v] for v in C.members]
-    rho = C.spectral_radius
-    x = np.asarray(C.perron_vector)
-    if out_idx.size:
-        rows = out_idx[:, None]
-        rhs = A[rows, c_idx].astype(float) @ x / rho
-        z = spectral.resolvent_solve(
-            A[rows, out_idx].astype(float), math.log(rho), rhs, radius=reg.outside_radius
-        )
-    else:
-        z = np.zeros(0)
-    scale = 1.0 / (1.0 + float(z.sum()))
-    out[out_idx] = scale * z
-    out[c_idx] = scale * x
-
-
-def _phi_rows(G: DirectedGraph, reg: Regime, out: np.ndarray) -> np.ndarray:
-    """Write every phi_{beta,v} measure into the zeroed rows ``out``; return y.
-
-    Row k belongs to the k-th vertex outside K_beta: column k of
-    (I - e^-beta M)^-1, M the matrix on those vertices, scaled to mass one.
-    y holds the column sums before scaling, the y-vector of that part.
-    """
-    if not reg.outside:
-        return np.zeros(0)
-    out_idx = np.array(reg.outside, dtype=np.intp)
-    # Gathered straight to float, so no integer copy lives through the solve.
-    resolvent = spectral.resolvent_solve(
-        G.matrix[out_idx[:, None], out_idx].astype(float),
-        reg.beta_value,
-        np.eye(out_idx.size),
-        radius=reg.outside_radius,
-    )
-    y = resolvent.sum(axis=0)
-    resolvent /= y
-    out[:, out_idx] = resolvent.T
-    return y
-
-
 def _extreme_rows(G: DirectedGraph, reg: Regime) -> tuple[np.ndarray, np.ndarray]:
     """The read-only measure rows of every extreme point, and y.
 
     The psi rows come first, in ascending component id, then the phi rows
-    in vertex order.
+    in vertex order.  M, the vertex matrix on the vertices outside K_beta,
+    is gathered once, straight to float, and serves every solve.  phi_{beta,v}
+    is column v of (I - e^-beta M)^-1 and y its column sums; psi_C is
+    (z^C, x^C, 0 on the rest), where z^C = rho^-1 (I - rho^-1 M)^-1 A_{out,C} x^C
+    solves the eigen-identity A m = rho(A_C) m.  Rows are scaled to mass one.
     """
     mc = reg.minimal_critical
-    rows = np.zeros((len(mc) + len(reg.outside), len(G.vertices)))
-    y = _phi_rows(G, reg, rows[len(mc):])
+    out = np.array(reg.outside, dtype=np.intp)
+    rows = np.zeros((len(mc) + out.size, len(G.vertices)))
+    y = np.zeros(0)
+    if out.size:
+        M = G.matrix[out[:, None], out].astype(float)
+        resolvent = spectral.resolvent_solve(
+            M, reg.beta_value, np.eye(out.size), radius=reg.outside_radius
+        )
+        y = resolvent.sum(axis=0)
+        resolvent /= y
+        rows[len(mc):, out] = resolvent.T
     for row, cid in zip(rows, mc):
-        _psi_row(G, reg, G.components[cid], row)
+        C = G.components[cid]
+        c_idx = np.flatnonzero(G.vertex_components == cid)
+        rho = C.spectral_radius
+        x = np.asarray(C.perron_vector)
+        z = np.zeros(0)
+        if out.size:
+            rhs = G.matrix[out[:, None], c_idx].astype(float) @ x / rho
+            z = spectral.resolvent_solve(M, math.log(rho), rhs, radius=reg.outside_radius)
+        scale = 1.0 / (1.0 + float(z.sum()))
+        row[out] = scale * z
+        row[c_idx] = scale * x
     return _frozen(rows), y
 
 
@@ -448,7 +422,9 @@ def general_state_measure(
 
     tmap: dict[int, float] = {}
     for key, weight in dict(t).items():
-        cid = key.id if isinstance(key, Component) else int(key)
+        if isinstance(key, bool) or not isinstance(key, (Component, int)):
+            raise TypeError(f"t is keyed by {key!r}, not a component or its id")
+        cid = key.id if isinstance(key, Component) else key
         if cid not in reg.minimal_critical:
             raise ValueError(f"t is keyed by component {cid}, not minimal critical")
         tmap[cid] = float(weight)

@@ -4,17 +4,16 @@ The oracles are deliberately naive: path enumeration, the series for y and
 for psi's quick-exit vector z, and the path-measure atom are recomputed from
 paths or partial sums with explicit tail control, independently of the
 dense solves in the spectral module, so tests can pit the two routes
-against each other.  ``verify_simplex`` checks one simplex as a whole: its
-labels, and per state normalization, sign, subinvariance, charge on
-H_beta, the psi eigen-identity and the atoms, plus the resolvent's solve
-against its series.
+against each other.  ``verify_simplex`` checks one simplex as a whole, on
+its ``measures`` array at its beta, the array the CLI prints: its labels,
+and per row normalization, sign, subinvariance, charge on H_beta, the psi
+eigen-identity and the atoms, plus the resolvent's solve against its series.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .graph import Component, DirectedGraph, edge_instances, hereditary_closure
 from .spectral import ConvergenceError
 
 MAX_TERMS = 10**6
+SERIES_MARGIN = 0.05  # verify_simplex sums the series when beta - ln rho outside K clears it
 
 
 def enumerate_paths(G: DirectedGraph, v: str, w: str, n: int) -> list:
@@ -164,20 +164,6 @@ def path_measure_atom(G: DirectedGraph, state: kms.StateMeasure, path) -> float:
     return total
 
 
-def _as_vector(G: DirectedGraph, m) -> np.ndarray:
-    if isinstance(m, kms.MeasureView) and tuple(m) == G.vertices:
-        return np.asarray(m)
-    if isinstance(m, Mapping):
-        unknown = set(m) - set(G.vertices)
-        if unknown:
-            raise ValueError(f"unknown vertices in measure: {sorted(unknown)}")
-        return np.array([float(m.get(v, 0.0)) for v in G.vertices])
-    vec = np.asarray(m, dtype=float)
-    if vec.shape != (len(G.vertices),):
-        raise ValueError("measure length does not match the vertex count")
-    return vec
-
-
 def _invariants(G: DirectedGraph):
     """What ``verify_simplex`` reads of G alone, derived once per graph.
 
@@ -215,22 +201,27 @@ def _outside(G: DirectedGraph, K_members: frozenset):
     return cached
 
 
-def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> list[str]:
+def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
     """Run every consistency check on a simplex; returns failure descriptions.
 
-    Checks: the labels (one phi state per vertex outside K_beta, distinct
+    What is checked is the array the CLI prints, ``simplex.measures`` (row k
+    for ``simplex.extremes[k]``), at ``simplex.beta_value``; a ``measures``
+    not ``len(extremes) x len(G.vertices)`` raises ValueError.  Checks: the labels (one phi state per vertex outside K_beta, distinct
     psi components), normalization, nonnegativity, subinvariance, vanishing
     on H_beta, the exact eigen-identity for psi states, solve-vs-series
-    agreement on the resolvent (when beta clears the quotient radius by the
-    margin), path-measure atoms at non-source path-sources for psi states,
-    and for each phi state that its atoms off its own vertex vanish.  The
-    per-state checks run on the stacked measures at once; failures list the
-    labels first, then per state in that order, with at most one atom (the
-    first failing path, or the largest off-vertex atom) each.
+    agreement on the resolvent (when beta clears the quotient radius by
+    SERIES_MARGIN), path-measure atoms at non-source path-sources for psi
+    states, and for each phi state that its atoms off its own vertex vanish.
+    The per-state checks run on all rows at once; failures list the labels
+    first, then per state in that order, with at most one atom (the first
+    failing path, or the largest off-vertex atom) each.
     """
     A, _, src, _, _, _ = _invariants(G)
     bval = simplex.beta_value
     states = simplex.extremes
+    X = simplex.measures
+    if X.shape != (len(states), len(G.vertices)):
+        raise ValueError(f"measures of shape {X.shape}, not {len(states)} x {len(G.vertices)}")
     outside, M, radius = _outside(G, simplex.K_beta.members)
     psi, phi, phi_vertices = [], [], []
     for k, s in enumerate(states):
@@ -240,7 +231,6 @@ def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> li
             phi.append(k)
             phi_vertices.append(s.label.vertex)
     failures = _label_failures([states[k] for k in psi], phi_vertices, outside)
-    X = np.array([_as_vector(G, s.m) for s in states]).reshape(len(states), len(G.vertices))
     totals, lows = X.sum(axis=1).tolist(), X.min(axis=1).tolist()
     XA = X @ A.T
     # Subinvariance is checked on X clipped at 0, which changes X only where
@@ -249,9 +239,7 @@ def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> li
     if not all(low >= 0.0 for low in lows):
         Xc = np.maximum(X, 0.0)
         XcA = Xc @ A.T
-    # e^beta of each state, as a column
-    scale = np.array([math.exp(kms.beta_value(G, s.beta)) for s in states])
-    scale = scale.reshape(-1, 1)
+    scale = math.exp(bval)
     subinvariant = (XcA <= scale * Xc + 1e-9).all(axis=1).tolist()
     charges = [False] * len(states)
     if simplex.H_beta.members:
@@ -259,7 +247,7 @@ def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> li
         charges = (X[:, in_H] > 1e-9).any(axis=1).tolist()
 
     at_vertex, at_edge = _path_atoms(X, XA, scale, src, psi)
-    atom_failures = _psi_failures(G, X, XA, at_vertex, at_edge, psi, bval)
+    atom_failures = _psi_failures(G, X, XA, at_vertex, at_edge, psi, scale)
     atom_failures.update(_phi_failures(G, at_vertex, phi, phi_vertices))
 
     for k, state in enumerate(states):
@@ -278,7 +266,7 @@ def verify_simplex(G: DirectedGraph, simplex, series_margin: float = 0.05) -> li
             name = kms.label_text(state)
             failures += [f"{name}: {f}" for f in found]
     # Solve-vs-series on the resolvent actually used for phi states.
-    if outside and (radius == 0.0 or bval >= math.log(radius) + series_margin):
+    if outside and (radius == 0.0 or bval >= math.log(radius) + SERIES_MARGIN):
         rhs = np.ones(len(outside))
         direct = spectral.resolvent_solve(M, bval, rhs, radius=radius)
         summed = spectral.resolvent_series(M, bval, rhs, 1e-12, radius=radius)
@@ -306,10 +294,10 @@ def _label_failures(psi_states, phi_vertices, outside: list) -> list[str]:
 
 
 def _psi_failures(G: DirectedGraph, X, XA, at_vertex, at_edge, rows,
-                  bval) -> dict[int, list[str]]:
+                  scale: float) -> dict[int, list[str]]:
     """Eigen-identity and atom failures of the psi states, rows ``rows`` of X.
 
-    ``XA`` is ``X @ A.T``; ``at_vertex`` holds the vertex atoms of every
+    ``XA`` is ``X @ A.T`` and ``scale`` e^beta; ``at_vertex`` holds the vertex atoms of every
     row and ``at_edge`` the edge atoms of the psi rows (see ``_path_atoms``).
     Failures are given without the state's name.  Atoms are checked on the
     length-0 and length-1 paths whose source receives an edge; only the
@@ -321,7 +309,7 @@ def _psi_failures(G: DirectedGraph, X, XA, at_vertex, at_edge, rows,
         return {}
     _, pairs, src, receives, _, _ = _invariants(G)
     at_vertex = at_vertex[rows]
-    resid = np.abs(XA[rows] - math.exp(bval) * X[rows]).max(axis=1).tolist()
+    resid = np.abs(XA[rows] - scale * X[rows]).max(axis=1).tolist()
     bad_vertex = (np.abs(at_vertex) > 1e-9) & receives
     bad_edge = (np.abs(at_edge) > 1e-9) & receives[src]
     out = {}
@@ -371,18 +359,18 @@ def _phi_failures(G: DirectedGraph, at_vertex, rows, vertices) -> dict[int, list
     return out
 
 
-def _path_atoms(X: np.ndarray, XA: np.ndarray, scale: np.ndarray, src, edge_rows):
+def _path_atoms(X: np.ndarray, XA: np.ndarray, scale: float, src, edge_rows):
     """Atoms of the states with measure rows X on every path of length <= 1.
 
-    ``XA`` is the product ``X @ A.T`` and ``scale`` the column of each
-    state's e^beta, from which they all follow: the atom at the vertex v is
-    m_v - e^-beta (A m)_v, and the atom at a one-edge path is e^-beta times
-    the atom at the edge's source.  Returns the vertex atoms of every row (a
-    column per vertex) and the edge atoms of the rows ``edge_rows`` (a
-    column per edge, ``src`` holding the source index of each), or None if
-    there are none.  ``path_measure_atom`` is the definition.
+    ``XA`` is the product ``X @ A.T`` and ``scale`` is e^beta, from which
+    they all follow: the atom at the vertex v is m_v - e^-beta (A m)_v, and
+    the atom at a one-edge path is e^-beta times the atom at the edge's
+    source.  Returns the vertex atoms of every row (a column per vertex) and
+    the edge atoms of the rows ``edge_rows`` (a column per edge, ``src``
+    holding the source index of each), or None if there are none.
+    ``path_measure_atom`` is the definition.
     """
     at_vertex = X - XA / scale
     if not edge_rows:
         return at_vertex, None
-    return at_vertex, at_vertex[edge_rows][:, src] / scale[edge_rows]
+    return at_vertex, at_vertex[edge_rows][:, src] / scale

@@ -505,7 +505,7 @@ def test_verify_catches_corrupted_states(graph_file, capsys, monkeypatch):
     broken = dataclasses.replace(
         real.extremes[0], m={"v": 0.6, "w": 0.5}
     )
-    fake = dataclasses.replace(real, extremes=(broken,))
+    fake = dataclasses.replace(real, extremes=(broken,), measures=np.array([[0.6, 0.5]]))
     monkeypatch.setattr(cli.kms, "kms_simplex", lambda *a, **k: fake)
     rc, out, _ = run(capsys, "verify", path, "--critical", "1")
     assert rc == 2

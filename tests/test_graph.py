@@ -171,6 +171,13 @@ def test_unknown_vertex_names_raise_value_error():
             call()
 
 
+def test_vertex_set_rejects_a_single_string():
+    G = example("pair_toward_small")
+    with pytest.raises(TypeError, match="not a single string"):
+        G.vertex_set("vw")
+    assert G.vertex_set(["v", "w"]).members == {"v", "w"}
+
+
 def test_talks_to_direction():
     G = example("pair_toward_small")
     Cv, Cw = G.components

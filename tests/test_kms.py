@@ -50,6 +50,19 @@ def test_bool_is_not_a_beta():
                 call(G, flag)
 
 
+def test_numeric_takes_a_number_as_a_bare_beta_does():
+    G = example("pair_toward_small")
+    for call in (gk.kms_simplex, kms.regime, gk.beta_value):
+        for bad in (True, False, "1.0", None):
+            with pytest.raises(TypeError, match="^not a beta specification: Numeric"):
+                call(G, gk.Numeric(bad))
+    for value in (1, 1.0):
+        assert type(gk.beta_value(G, gk.Numeric(value))) is float
+        sx = gk.kms_simplex(G, gk.Numeric(value))
+        assert sx.beta == gk.Numeric(1.0) and type(sx.beta_value) is float
+        assert sx.measures.tobytes() == gk.kms_simplex(G, 1.0).measures.tobytes()
+
+
 def test_H_beta_ranges():
     G = example("pair_toward_small")
     assert gk.H_beta(G, 0.5).members == {"v", "w"}
@@ -286,6 +299,13 @@ def test_general_state_measure_accepts_component_keys():
         G, gk.CriticalOf(1), 0.25, {"v": 1 / 3}, {G.components[1]: 1.0}
     )
     assert by_id.m == by_comp.m
+
+
+def test_general_state_measure_rejects_keys_that_are_not_components():
+    G = example("pair_toward_small")
+    for key in (True, "1", 1.0):
+        with pytest.raises(TypeError, match="not a component or its id"):
+            gk.general_state_measure(G, gk.CriticalOf(1), 0.25, {"v": 1 / 3}, {key: 1.0})
 
 
 def test_general_state_measure_validation():

@@ -129,14 +129,25 @@ def test_quick_exit_validation():
 # -- pointwise checks ------------------------------------------------------
 
 
+def _measures(vertices, extremes):
+    """The read-only measure array of ``extremes``, one row per state's
+    ``m`` over ``vertices``; a vertex that ``m`` leaves out gets 0."""
+    X = np.array([[float(s.m.get(v, 0.0)) for v in vertices] for s in extremes])
+    X = X.reshape(len(extremes), len(vertices))
+    X.setflags(write=False)
+    return X
+
+
 def _subinvariant(G, beta, m):
     """verify_simplex's subinvariance verdict on the measure m at beta, put in
     place of the first extreme of the simplex at the top critical value."""
     sx = gk.kms_simplex(G, gk.critical_temperatures(G)[-1])
-    state = dataclasses.replace(sx.extremes[0], beta=beta, m=m)
-    failures = oracle.verify_simplex(
-        G, dataclasses.replace(sx, extremes=(state, *sx.extremes[1:]))
-    )
+    state = dataclasses.replace(sx.extremes[0], m=m)
+    extremes = (state, *sx.extremes[1:])
+    failures = oracle.verify_simplex(G, dataclasses.replace(
+        sx, beta=gk.Numeric(beta), beta_value=beta, extremes=extremes,
+        measures=_measures(G.vertices, extremes),
+    ))
     return f"{gk.kms.label_text(state)}: subinvariance violated" not in failures
 
 
@@ -248,7 +259,24 @@ def _corrupt(simplex, which, m):
         del extremes[which]
     else:
         extremes[which] = dataclasses.replace(state, m=m)
-    return dataclasses.replace(simplex, extremes=tuple(extremes))
+    return dataclasses.replace(simplex, extremes=tuple(extremes),
+                               measures=_measures(tuple(state.m), extremes))
+
+
+def test_verify_simplex_checks_the_measure_array():
+    # The rows of ``measures`` are what is checked (and printed), whatever
+    # the extremes' own views say.
+    G = example("two_sources_chain")
+    sx = gk.kms_simplex(G, 1.2)
+    assert oracle.verify_simplex(G, sx) == []
+    X = sx.measures.copy()
+    X[0] *= 1.25
+    X.setflags(write=False)
+    failures = oracle.verify_simplex(G, dataclasses.replace(sx, measures=X))
+    assert f"{gk.kms.label_text(sx.extremes[0])}: normalization off by 0.25" in failures
+    for shape in [X[1:], X[:, 1:], X.ravel()]:
+        with pytest.raises(ValueError, match="measures of shape"):
+            oracle.verify_simplex(G, dataclasses.replace(sx, measures=shape))
 
 
 def test_verify_simplex_flags_bad_normalization():
