@@ -27,6 +27,11 @@ import numpy as np
 from ._scc import Arcs, arcs_from_entries, successor_lists, tarjan_sccs
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class GraphParseError(ValueError):
     """Raised for malformed graph text; carries the offending line number."""
 
@@ -230,18 +235,20 @@ class DirectedGraph:
         for cid, rows in enumerate(blocks):
             for i in rows:
                 comp_of[i] = cid
-        comp_arr = np.array(comp_of, dtype=np.int64)
-        comp_arr.setflags(write=False)
+        comp_arr = _frozen(np.array(comp_of, dtype=np.int64))
         perron = spectral.perron_blocks(arcs, blocks, self.vertices)
         periods = spectral.block_periods(arcs, comp_arr, [rows[0] for rows in blocks])
         names = self.vertices
         components = []
+        radii = [0.0] * len(blocks)
+        ln_radii = [-math.inf] * len(blocks)
         for cid, (rows, data, period) in enumerate(zip(blocks, perron, periods.tolist())):
             members = tuple(names[i] for i in rows)
             radius, vec = 0.0, None
             if data is not None:
                 radius, x, _ = data
                 vec = RowView(members, x)
+                radii[cid], ln_radii[cid] = radius, math.log(radius)
             components.append(
                 Component(
                     id=cid,
@@ -261,14 +268,14 @@ class DirectedGraph:
         strict = [-math.inf] * len(raw)
         top = [-math.inf] * len(raw)
         for comp in reversed(raw):
-            c = components[comp_of[comp[0]]]
-            strict[c.id] = top[c.id]
-            if not c.trivial:
-                top[c.id] = max(top[c.id], math.log(c.spectral_radius))
+            cid = comp_of[comp[0]]
+            strict[cid] = top[cid]
+            top[cid] = max(top[cid], ln_radii[cid])
             for i in comp:
                 for j in succ[i]:
-                    top[comp_of[j]] = max(top[comp_of[j]], top[c.id])
-        cached = (tuple(components), comp_arr, tuple(top), tuple(strict))
+                    top[comp_of[j]] = max(top[comp_of[j]], top[cid])
+        floats = (_frozen(np.array(a, dtype=float)) for a in (top, strict, radii, ln_radii))
+        cached = (tuple(components), comp_arr, *floats)
         object.__setattr__(self, "_analysis_cache", cached)
         return cached
 
@@ -287,28 +294,39 @@ class DirectedGraph:
         return self._analysis()[1]
 
     @property
-    def divergence(self) -> tuple[float, ...]:
+    def divergence(self) -> np.ndarray:
         """Per component id C, the largest ln rho(A_D) over nontrivial D <= C.
 
-        D <= C means the hereditary closure of D contains C, so the path
-        series out of C diverges exactly for beta at or below this value;
-        -inf when no such D exists.  It is the larger of C's own ln rho and
-        ``strict_divergence[C]``.  Every temperature-indexed set (H_beta,
-        K_beta, the critical list, beta_v) is a comparison against this
-        array.
+        A read-only float array.  D <= C means the hereditary closure of D
+        contains C, so the path series out of C diverges exactly for beta at
+        or below this value; -inf when no such D exists.  It is the larger
+        of C's own ln rho and ``strict_divergence[C]``.  Every
+        temperature-indexed set (H_beta, K_beta, the critical list, beta_v)
+        is a comparison against this array.
         """
         return self._analysis()[2]
 
     @property
-    def strict_divergence(self) -> tuple[float, ...]:
+    def strict_divergence(self) -> np.ndarray:
         """Per component id C, the largest ln rho(A_D) over nontrivial D < C.
 
-        D < C means D <= C and D != C; -inf when no such D exists.  A
-        critical component is minimal among the critical ones exactly when
-        this value falls below beta - TOL, so the minimal critical
-        components are a comparison against this array.
+        A read-only float array.  D < C means D <= C and D != C; -inf when
+        no such D exists.  A critical component is minimal among the
+        critical ones exactly when this value falls below beta - TOL, so the
+        minimal critical components are a comparison against this array.
         """
         return self._analysis()[3]
+
+    @property
+    def spectral_radii(self) -> np.ndarray:
+        """Per component id, rho(A_C); 0.0 for a trivial component (read-only)."""
+        return self._analysis()[4]
+
+    @property
+    def ln_spectral_radii(self) -> np.ndarray:
+        """Per component id, ln rho(A_C), the one place it is taken; -inf for
+        a trivial component (read-only)."""
+        return self._analysis()[5]
 
     # -- vertex sets ---------------------------------------------------------
 
@@ -457,7 +475,7 @@ def seneta_order(G: DirectedGraph) -> tuple[Component, ...]:
     successors, so one heap drains it before any other component.
     """
     comps = G.components
-    late = [top != -math.inf for top in G.divergence]
+    late = np.isfinite(G.divergence).tolist()
     comp_of = G.vertex_components
     rng, src = G.arcs.rng, G.arcs.src
     cross = comp_of[rng] != comp_of[src]

@@ -3,13 +3,15 @@
 Every KMS state at inverse temperature beta is determined by its vertex
 measure m, a probability vector with A m <= e^beta m.  Which states exist at
 one beta is combinatorial and derived in one place, :func:`regime`: H_beta,
-K_beta, the case, the minimal critical components of the quotient by H_beta,
-the vertices outside K_beta and the quotient sources after saturation all
-come from comparing beta with the per-component arrays ``G.divergence`` and
-``G.strict_divergence``.  Only the measures need linear algebra, and they
-are solved only when asked for: psi-type states attached to minimal critical
-components, phi-type states attached to vertices outside K_beta, and their
-convex mixtures, with the factor-through and finite/infinite classification.
+K_beta, the case, the minimal critical components of the quotient by H_beta
+and the vertices outside K_beta all come from comparing beta with the
+per-component arrays ``G.divergence``, ``G.strict_divergence`` and
+``G.ln_spectral_radii``, and the sources of the quotient by the saturation
+of K_beta are the sources of G outside K_beta.  Only the measures need
+linear algebra, and they are solved only when asked for: psi-type states
+attached to minimal critical components, phi-type states attached to
+vertices outside K_beta, and their convex mixtures, with the factor-through
+and finite/infinite classification.
 
 The measures of a simplex live in one read-only float array, one row per
 extreme point with columns in vertex order; each state's ``m`` is a
@@ -23,23 +25,18 @@ without re-deriving them from floats.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
 import itertools
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .graph import (
-    Component,
-    DirectedGraph,
-    RowView,
-    VertexSet,
-    saturated_mask,
-    swallowed_mask,
-)
+from .graph import Component, DirectedGraph, RowView, VertexSet, _frozen, swallowed_mask
 
 TOL = 1e-9
 
@@ -71,12 +68,17 @@ BetaSpec = Numeric | CriticalOf
 
 
 def _as_beta(beta) -> BetaSpec:
-    """CriticalOf as is; an int or float, not bool, bare or in Numeric, as Numeric(float)."""
+    """CriticalOf of a non-bool integer, with the id as a Python int; an int or
+    float, not bool, bare or in Numeric, as Numeric(float)."""
     if isinstance(beta, CriticalOf):
-        return beta
-    value = beta.value if isinstance(beta, Numeric) else beta
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Numeric(float(value))
+        cid = beta.component
+        if not isinstance(cid, bool):
+            with contextlib.suppress(TypeError):
+                return beta if type(cid) is int else CriticalOf(operator.index(cid))
+    else:
+        value = beta.value if isinstance(beta, Numeric) else beta
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return Numeric(float(value))
     raise TypeError(f"not a beta specification: {beta!r}")
 
 
@@ -87,13 +89,12 @@ def beta_value(G: DirectedGraph, beta) -> float:
         if not math.isfinite(spec.value):
             raise ValueError("numeric beta must be finite")
         return spec.value
-    comps = G.components
-    if not 0 <= spec.component < len(comps):
+    ln_radii = G.ln_spectral_radii
+    if not 0 <= spec.component < len(ln_radii):
         raise ValueError(f"no component with id {spec.component}")
-    comp = comps[spec.component]
-    if comp.trivial:
+    if ln_radii[spec.component] == -math.inf:
         raise ValueError("CriticalOf needs a nontrivial component")
-    return math.log(comp.spectral_radius)
+    return float(ln_radii[spec.component])
 
 
 # -- state labels and containers -----------------------------------------------
@@ -162,11 +163,6 @@ class SimplexDescriptor:
     measures: np.ndarray
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 # -- the regime at one beta -------------------------------------------------------
 
 
@@ -174,13 +170,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Regime:
     """The combinatorial data that fixes the simplex at one beta.
 
-    Everything here is a comparison against ``G.divergence`` and
-    ``G.strict_divergence``; no linear algebra runs until measures are asked
-    for.  ``minimal_critical`` holds the ascending ids of the minimal
-    critical components of the quotient by H_beta, ``outside`` the
-    ascending vertex indices outside K_beta (one phi state each),
-    ``outside_radius`` the spectral radius of that part, and ``sources`` the
-    vertices that are sources of the quotient by the saturation of K_beta.
+    Everything here is a comparison against the per-component arrays of G;
+    no linear algebra runs until measures are asked for.
+    ``minimal_critical`` holds the ascending ids of the minimal critical
+    components of the quotient by H_beta, ``outside`` the ascending vertex
+    indices outside K_beta (one phi state each), ``outside_radius`` the
+    spectral radius of that part, and ``sources`` the sources of the
+    quotient by the saturation of K_beta, which are the sources of G outside
+    K_beta.
     """
 
     beta: BetaSpec
@@ -237,55 +234,40 @@ def regime(G: DirectedGraph, beta) -> Regime:
 
 
 def _derive_regime(G: DirectedGraph, spec: BetaSpec, bval: float) -> Regime:
-    comps = G.components
     top = G.divergence
     # Per-vertex divergence: the closures H_beta and K_beta are masks.
-    vtop = np.array(top)[G.vertex_components]
+    vtop = top[G.vertex_components]
     in_H = vtop > bval + TOL
     in_K = vtop >= bval - TOL
-    crit = [
-        c.id
-        for c in comps
-        if not c.trivial
-        and top[c.id] <= bval + TOL
-        and math.log(c.spectral_radius) >= bval - TOL
-    ]
-    # A critical component is minimal unless a critical D < C exists, and
-    # any nontrivial D < C that reaches beta - TOL is critical.
-    strict = G.strict_divergence
-    mc = tuple(c for c in crit if strict[c] < bval - TOL)
-    outside = tuple(np.flatnonzero(~in_K).tolist())
-    if in_H.all():
-        case = EMPTY
-    else:
-        case = CRITICAL if mc else SUBCRITICAL
+    # The critical components are those outside H_beta with ln rho inside
+    # the TOL window (a trivial one's -inf never is).  A critical component
+    # is minimal unless a critical D < C exists, and any nontrivial D < C
+    # that reaches beta - TOL is critical.
+    mc = np.flatnonzero(
+        (top <= bval + TOL)
+        & (G.ln_spectral_radii >= bval - TOL)
+        & (G.strict_divergence < bval - TOL)
+    )
+    case = EMPTY if in_H.all() else CRITICAL if mc.size else SUBCRITICAL
     arcs = G.arcs
-    sources = frozenset()
-    K_saturated = True
-    if outside:
-        # Sources of the quotient by the saturation: vertices outside it
-        # that receive no edge from outside it.  A vertex outside that
-        # receives any edge receives one from outside, or saturating would
-        # have swallowed it, so these are the sources of G outside it.
-        keep = ~saturated_mask(arcs, in_K)
-        # Saturating K_beta adds nothing exactly when it is saturated.
-        K_saturated = int(keep.sum()) == len(outside)
-        sources = _names(G, keep & (arcs.indptr[1:] == arcs.indptr[:-1]))
+    # Sources of the quotient by the saturation of K_beta.  Saturating adds
+    # only vertices that receive an edge, and a vertex left outside that
+    # receives one receives one from outside, or it would have been
+    # swallowed.  So these are the sources of G outside K_beta.
+    sources = ~in_K & (arcs.indptr[1:] == arcs.indptr[:-1])
     # Both closures are hereditary by construction.
     H = VertexSet(_names(G, in_H), hereditary=True, saturated=not swallowed_mask(arcs, in_H).any())
-    K = VertexSet(_names(G, in_K), hereditary=True, saturated=K_saturated)
+    K = VertexSet(_names(G, in_K), hereditary=True, saturated=not swallowed_mask(arcs, in_K).any())
     return Regime(
         beta=spec,
         beta_value=bval,
         case=case,
         H_beta=H,
         K_beta=K,
-        minimal_critical=mc,
-        outside=outside,
-        outside_radius=max(
-            (c.spectral_radius for c in comps if top[c.id] < bval - TOL), default=0.0
-        ),
-        sources=sources,
+        minimal_critical=tuple(mc.tolist()),
+        outside=tuple(np.flatnonzero(~in_K).tolist()),
+        outside_radius=float(G.spectral_radii[top < bval - TOL].max(initial=0.0)),
+        sources=_names(G, sources),
     )
 
 
@@ -335,15 +317,12 @@ def _intervals(G: DirectedGraph):
 
 
 def _criticals(G: DirectedGraph) -> tuple[CriticalOf, ...]:
-    top = G.divergence
-    candidates = sorted(
-        (math.log(c.spectral_radius), c.id)
-        for c in G.components
-        if not c.trivial and top[c.id] <= math.log(c.spectral_radius) + TOL
-    )
+    ln_radii = G.ln_spectral_radii
+    cand = np.flatnonzero(np.isfinite(ln_radii) & (G.divergence <= ln_radii + TOL))
+    cand = cand[np.argsort(ln_radii[cand], kind="stable")]
     clusters: list[list[int]] = []
     last = None
-    for ln, cid in candidates:
+    for ln, cid in zip(ln_radii[cand].tolist(), cand.tolist()):
         if last is None or ln > last + TOL:
             clusters.append([])
             last = ln
@@ -357,7 +336,7 @@ def beta_v(G: DirectedGraph, v: str) -> float | None:
     phi_{beta,v} exists exactly for beta above this value (at every beta when
     None).
     """
-    top = G.divergence[G.component_of(v).id]
+    top = float(G.divergence[G.component_of(v).id])
     return None if top == -math.inf else top
 
 
@@ -397,7 +376,7 @@ def _extreme_rows(G: DirectedGraph, reg: Regime) -> tuple[np.ndarray, np.ndarray
         z = np.zeros(0)
         if out.size:
             rhs = G.matrix[out[:, None], c_idx].astype(float) @ x / rho
-            z = spectral.resolvent_solve(M, math.log(rho), rhs, radius=reg.outside_radius)
+            z = spectral.resolvent_solve(M, G.ln_spectral_radii[cid], rhs, radius=reg.outside_radius)
         scale = 1.0 / (1.0 + float(z.sum()))
         row[out] = scale * z
         row[c_idx] = scale * x
@@ -432,10 +411,13 @@ def general_state_measure(
         raise ValueError("t is not a probability vector")
 
     out_idx = list(reg.outside)
-    eps_map = {str(k): float(w) for k, w in dict(epsilon).items()}
-    for name, w in eps_map.items():
+    eps_map: dict[str, float] = {}
+    for name, weight in dict(epsilon).items():
+        if not isinstance(name, str):
+            raise TypeError(f"epsilon is keyed by {name!r}, not a vertex name")
         if name not in G.index:
             raise ValueError(f"unknown vertex in epsilon: {name}")
+        w = eps_map[name] = float(weight)
         if w < -TOL:
             raise ValueError("epsilon must be nonnegative")
         if w > TOL and name in reg.K_beta.members:
@@ -491,7 +473,7 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     psi = [
         StateMeasure(
             beta=reg.beta,
-            beta_value=math.log(C.spectral_radius),
+            beta_value=float(G.ln_spectral_radii[C.id]),
             m=MeasureView(G, row),
             label=PsiC(C),
             factors_through_graph_algebra=True,

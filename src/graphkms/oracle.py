@@ -178,9 +178,8 @@ def _invariants(G: DirectedGraph):
         A = G.matrix.astype(float)
         pairs = list(dict.fromkeys((e.source, e.range) for e in G.edges))
         src = np.array([G.index[s] for s, _ in pairs], dtype=np.intp)
-        radii = np.array([c.spectral_radius for c in G.components])
         cached = G._memo["oracle"] = (
-            A, pairs, src, A.any(axis=1), radii[G.vertex_components], {}
+            A, pairs, src, A.any(axis=1), G.spectral_radii[G.vertex_components], {}
         )
     return cached
 

@@ -339,5 +339,5 @@ def y_vector(G, beta: float) -> np.ndarray:
     system (I - e^(-beta) A)^T y = 1.  Every entry is at least 1 (the empty
     path).  Diverges unless beta > ln rho(A).
     """
-    radius = max(c.spectral_radius for c in G.components)
+    radius = float(G.spectral_radii.max())
     return resolvent_solve(G.matrix.T, beta, np.ones(len(G.vertices)), radius=radius)

@@ -156,6 +156,21 @@ def test_perron_vector_is_a_read_only_view_of_one_array():
         x[0] = 1.0
 
 
+def test_per_component_arrays_hold_each_radius_and_its_log():
+    graphs = [example(name) for name in GRAPHS]
+    graphs += [random_graph(random.Random(seed)) for seed in range(200)]
+    for G in graphs:
+        comps = G.components
+        arrays = (G.divergence, G.strict_divergence, G.spectral_radii, G.ln_spectral_radii)
+        for a in arrays:
+            assert a.dtype == np.float64 and a.shape == (len(comps),)
+            assert not a.flags.writeable
+        radii = [0.0 if c.trivial else c.spectral_radius for c in comps]
+        logs = [-math.inf if c.trivial else math.log(c.spectral_radius) for c in comps]
+        assert G.spectral_radii.tobytes() == np.array(radii).tobytes()
+        assert G.ln_spectral_radii.tobytes() == np.array(logs).tobytes()
+
+
 def test_component_of_and_members():
     G = example("golden_feeder")
     assert G.component_of("w") is G.component_of("u")

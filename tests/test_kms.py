@@ -63,6 +63,21 @@ def test_numeric_takes_a_number_as_a_bare_beta_does():
         assert sx.measures.tobytes() == gk.kms_simplex(G, 1.0).measures.tobytes()
 
 
+def test_critical_of_takes_an_integer_id():
+    # bool is an int subclass; CriticalOf(True) must not run as component 1.
+    G = example("pair_toward_small")
+    for call in (gk.kms_simplex, kms.regime, gk.beta_value):
+        for bad in (True, False, 1.0, "1", None, np.True_):
+            with pytest.raises(TypeError, match="^not a beta specification: CriticalOf"):
+                call(G, gk.CriticalOf(bad))
+    ln3 = gk.beta_value(G, gk.CriticalOf(1))
+    assert gk.beta_value(G, gk.CriticalOf(np.int64(1))) == ln3
+    for call in (gk.kms_simplex, kms.regime):
+        got = call(G, gk.CriticalOf(np.int64(1)))
+        assert got.beta == gk.CriticalOf(1) and type(got.beta.component) is int
+        assert got.beta_value == ln3
+
+
 def test_H_beta_ranges():
     G = example("pair_toward_small")
     assert gk.H_beta(G, 0.5).members == {"v", "w"}
@@ -308,6 +323,16 @@ def test_general_state_measure_rejects_keys_that_are_not_components():
             gk.general_state_measure(G, gk.CriticalOf(1), 0.25, {"v": 1 / 3}, {key: 1.0})
 
 
+def test_general_state_measure_rejects_epsilon_keys_that_are_not_names():
+    # The vertex named "1" must not be reachable through the int key 1.
+    G = gk.parse_graph("vertices: 1 w\nedge w 1\nedge w w 3\n")
+    spec = gk.CriticalOf(1)
+    assert gk.general_state_measure(G, spec, 1.0, {"1": 1.0}, {1: 1.0}).m["1"] == 1.0
+    for key in (1, True, 1.0, None):
+        with pytest.raises(TypeError, match="not a vertex name"):
+            gk.general_state_measure(G, spec, 1.0, {key: 1.0}, {1: 1.0})
+
+
 def test_general_state_measure_validation():
     G = example("pair_toward_small")
     spec = gk.CriticalOf(1)
@@ -409,7 +434,7 @@ def test_simplex_critical_cases_match_examples():
 
 
 def test_regime_sets_carry_the_flags_of_vertex_set():
-    # regime sets the closure flags without the matrix gathers of
+    # regime builds H_beta and K_beta from its own masks, not through
     # G.vertex_set; both must agree on members and flags.
     for seed in range(300):
         G = random_graph(random.Random(seed))
