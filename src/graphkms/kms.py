@@ -67,14 +67,20 @@ class CriticalOf:
 BetaSpec = Numeric | CriticalOf
 
 
+def _component_id(key) -> int:
+    """A component id as a Python int: any integer, numpy's too, but no bool."""
+    if isinstance(key, (bool, np.bool_)):
+        raise TypeError(f"{key!r} is a bool, not a component id")
+    return operator.index(key)
+
+
 def _as_beta(beta) -> BetaSpec:
-    """CriticalOf of a non-bool integer, with the id as a Python int; an int or
+    """CriticalOf of a component id, with the id as a Python int; an int or
     float, not bool, bare or in Numeric, as Numeric(float)."""
     if isinstance(beta, CriticalOf):
-        cid = beta.component
-        if not isinstance(cid, bool):
-            with contextlib.suppress(TypeError):
-                return beta if type(cid) is int else CriticalOf(operator.index(cid))
+        with contextlib.suppress(TypeError):
+            cid = _component_id(beta.component)
+            return beta if type(beta.component) is int else CriticalOf(cid)
     else:
         value = beta.value if isinstance(beta, Numeric) else beta
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -175,9 +181,8 @@ class Regime:
     ``minimal_critical`` holds the ascending ids of the minimal critical
     components of the quotient by H_beta, ``outside`` the ascending vertex
     indices outside K_beta (one phi state each), ``outside_radius`` the
-    spectral radius of that part, and ``sources`` the sources of the
-    quotient by the saturation of K_beta, which are the sources of G outside
-    K_beta.
+    spectral radius of that part, and ``sources`` the sources of G outside
+    K_beta, which are those of the quotient by the saturation of K_beta.
     """
 
     beta: BetaSpec
@@ -250,10 +255,9 @@ def _derive_regime(G: DirectedGraph, spec: BetaSpec, bval: float) -> Regime:
     )
     case = EMPTY if in_H.all() else CRITICAL if mc.size else SUBCRITICAL
     arcs = G.arcs
-    # Sources of the quotient by the saturation of K_beta.  Saturating adds
-    # only vertices that receive an edge, and a vertex left outside that
-    # receives one receives one from outside, or it would have been
-    # swallowed.  So these are the sources of G outside K_beta.
+    # Sources of the quotient by sat(K_beta): saturating adds only vertices
+    # that receive an edge, and one left outside receives one from outside,
+    # or it would be swallowed.  So they are the sources of G outside K_beta.
     sources = ~in_K & (arcs.indptr[1:] == arcs.indptr[:-1])
     # Both closures are hereditary by construction.
     H = VertexSet(_names(G, in_H), hereditary=True, saturated=not swallowed_mask(arcs, in_H).any())
@@ -369,14 +373,13 @@ def _extreme_rows(G: DirectedGraph, reg: Regime) -> tuple[np.ndarray, np.ndarray
         resolvent /= y
         rows[len(mc):, out] = resolvent.T
     for row, cid in zip(rows, mc):
-        C = G.components[cid]
         c_idx = np.flatnonzero(G.vertex_components == cid)
-        rho = C.spectral_radius
-        x = np.asarray(C.perron_vector)
+        rho, ln_rho = float(G.spectral_radii[cid]), float(G.ln_spectral_radii[cid])
+        x = np.asarray(G.components[cid].perron_vector)
         z = np.zeros(0)
         if out.size:
             rhs = G.matrix[out[:, None], c_idx].astype(float) @ x / rho
-            z = spectral.resolvent_solve(M, G.ln_spectral_radii[cid], rhs, radius=reg.outside_radius)
+            z = spectral.resolvent_solve(M, ln_rho, rhs, radius=reg.outside_radius)
         scale = 1.0 / (1.0 + float(z.sum()))
         row[out] = scale * z
         row[c_idx] = scale * x
@@ -401,9 +404,10 @@ def general_state_measure(
 
     tmap: dict[int, float] = {}
     for key, weight in dict(t).items():
-        if isinstance(key, bool) or not isinstance(key, (Component, int)):
-            raise TypeError(f"t is keyed by {key!r}, not a component or its id")
-        cid = key.id if isinstance(key, Component) else key
+        try:
+            cid = key.id if isinstance(key, Component) else _component_id(key)
+        except TypeError:
+            raise TypeError(f"t is keyed by {key!r}, not a component or its id") from None
         if cid not in reg.minimal_critical:
             raise ValueError(f"t is keyed by component {cid}, not minimal critical")
         tmap[cid] = float(weight)
@@ -437,12 +441,7 @@ def general_state_measure(
     psi_weights = [(1.0 - r) * tmap.get(cid, 0.0) for cid in reg.minimal_critical]
     m = np.concatenate([psi_weights, r * eps_vec * y]) @ rows
 
-    if r <= TOL:
-        kind = INFINITE
-    elif r >= 1.0 - TOL:
-        kind = FINITE
-    else:
-        kind = MIXED
+    kind = INFINITE if r <= TOL else FINITE if r >= 1.0 - TOL else MIXED
     return StateMeasure(
         beta=reg.beta,
         beta_value=reg.beta_value,

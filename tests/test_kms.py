@@ -318,9 +318,13 @@ def test_general_state_measure_accepts_component_keys():
 
 def test_general_state_measure_rejects_keys_that_are_not_components():
     G = example("pair_toward_small")
-    for key in (True, "1", 1.0):
+    for key in (True, np.True_, "1", 1.0):
         with pytest.raises(TypeError, match="not a component or its id"):
             gk.general_state_measure(G, gk.CriticalOf(1), 0.25, {"v": 1 / 3}, {key: 1.0})
+    # A numpy integer names a component here as it does in CriticalOf.
+    by_int = gk.general_state_measure(G, gk.CriticalOf(1), 0.25, {"v": 1 / 3}, {1: 1.0})
+    by_np = gk.general_state_measure(G, gk.CriticalOf(1), 0.25, {"v": 1 / 3}, {np.int64(1): 1.0})
+    assert dict(by_np.m) == dict(by_int.m)
 
 
 def test_general_state_measure_rejects_epsilon_keys_that_are_not_names():

@@ -1,6 +1,6 @@
 """Identity digest of graphkms: one diffable line per library graph and per CLI call.
 
-    python3 tools/digest.py [--root CHECKOUT] [--seeds N] > digest.txt
+    python3 tools/digest.py [--root CHECKOUT] > digest.txt
 
 graphkms, ``tests/conftest.py`` and the bench workloads are imported from
 CHECKOUT (default: the checkout holding this file), so one copy of this
@@ -8,7 +8,7 @@ script digests any checkout.  Run it on two checkouts and ``diff`` the
 outputs: equal lines mean bit-identical results.
 
 A library line covers one graph (``conftest.GRAPHS``, then
-``random_graph`` seeds 0..N-1): its critical values and, at every critical
+``random_graph`` seeds 0..999): its critical values and, at every critical
 value and on a 20-point beta grid, every ``Regime`` field, the measure
 bytes, labels, flags, state types, state beta values and the
 ``verify_simplex`` list.  A CLI line covers one ``cli.main`` call of the
@@ -31,6 +31,8 @@ import random  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+SEEDS = 1000
 
 
 def _hash(*parts) -> str:
@@ -55,14 +57,14 @@ def _at(G, beta, kms, oracle):
         return type(err).__name__, str(err)
 
 
-def library_lines(seeds: int):
+def library_lines():
     import numpy as np
 
     from conftest import GRAPHS, random_graph
     from graphkms import kms, oracle, parse_graph
 
     graphs = [(f"conftest.{k}", lambda t=t: parse_graph(t)) for k, t in GRAPHS.items()]
-    graphs += [(f"seed{s}", lambda s=s: random_graph(random.Random(s))) for s in range(seeds)]
+    graphs += [(f"seed{s}", lambda s=s: random_graph(random.Random(s))) for s in range(SEEDS)]
     for name, make in graphs:
         G = make()
         criticals = kms.critical_temperatures(G)
@@ -95,11 +97,10 @@ def cli_lines():
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--seeds", type=int, default=1000)
     args = parser.parse_args()
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "bench")]
-    for line in library_lines(args.seeds):
+    for line in library_lines():
         print(line)
     for line in cli_lines():
         print(line)
