@@ -411,7 +411,7 @@ def general_state_measure(
         if cid not in reg.minimal_critical:
             raise ValueError(f"t is keyed by component {cid}, not minimal critical")
         tmap[cid] = float(weight)
-    if any(w < -TOL for w in tmap.values()) or abs(sum(tmap.values()) - 1.0) > TOL:
+    if not all(-TOL <= w < math.inf for w in tmap.values()) or abs(sum(tmap.values()) - 1) > TOL:
         raise ValueError("t is not a probability vector")
 
     out_idx = list(reg.outside)
@@ -422,8 +422,8 @@ def general_state_measure(
         if name not in G.index:
             raise ValueError(f"unknown vertex in epsilon: {name}")
         w = eps_map[name] = float(weight)
-        if w < -TOL:
-            raise ValueError("epsilon must be nonnegative")
+        if not -TOL <= w < math.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
         if w > TOL and name in reg.K_beta.members:
             raise ValueError(
                 f"epsilon charges {name} inside K_beta, where the series diverges"

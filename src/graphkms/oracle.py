@@ -167,19 +167,19 @@ def path_measure_atom(G: DirectedGraph, state: kms.StateMeasure, path) -> float:
 def _invariants(G: DirectedGraph):
     """What ``verify_simplex`` reads of G alone, derived once per graph.
 
-    The float vertex matrix; the distinct (source, range) edge pairs in
-    ``edge_instances`` order with the source index of each; the vertices
-    that receive an edge; the spectral radius of every vertex's component;
-    the ``_outside`` data of each K_beta seen so far.  Kept on G, so every
-    later call on the same graph reuses them.
+    The float vertex matrix; the range and source indices of the distinct
+    (source, range) edge pairs, in order of first edge line as in
+    ``edge_instances``; the vertices that receive an edge; the spectral radius
+    of every vertex's component; the ``_outside`` data of each K_beta seen so
+    far.  Kept on G, so every later call on the same graph reuses them.
     """
     cached = G._memo.get("oracle")
     if cached is None:
         A = G.matrix.astype(float)
-        pairs = list(dict.fromkeys((e.source, e.range) for e in G.edges))
-        src = np.array([G.index[s] for s, _ in pairs], dtype=np.intp)
+        rng, src, _ = G._lines
+        first = np.sort(np.unique(src * len(G.vertices) + rng, return_index=True)[1])
         cached = G._memo["oracle"] = (
-            A, pairs, src, A.any(axis=1), G.spectral_radii[G.vertex_components], {}
+            A, rng[first], src[first], A.any(axis=1), G.spectral_radii[G.vertex_components], {}
         )
     return cached
 
@@ -306,7 +306,7 @@ def _psi_failures(G: DirectedGraph, X, XA, at_vertex, at_edge, rows,
     """
     if not rows:
         return {}
-    _, pairs, src, receives, _, _ = _invariants(G)
+    _, rng, src, receives, _, _ = _invariants(G)
     at_vertex = at_vertex[rows]
     resid = np.abs(XA[rows] - scale * X[rows]).max(axis=1).tolist()
     bad_vertex = (np.abs(at_vertex) > 1e-9) & receives
@@ -321,7 +321,8 @@ def _psi_failures(G: DirectedGraph, X, XA, at_vertex, at_edge, rows,
             found.append(f"atom {at_vertex[j, i]:.3g} at {G.vertices[i]!r}")
         elif bad_edge[j].any():
             i = int(np.argmax(bad_edge[j]))
-            found.append(f"atom {at_edge[j, i]:.3g} at {((*pairs[i], 0),)!r}")
+            pair = (G.vertices[src[i]], G.vertices[rng[i]], 0)
+            found.append(f"atom {at_edge[j, i]:.3g} at {(pair,)!r}")
     return out
 
 

@@ -8,9 +8,10 @@ on one stack of equal-sized irreducible blocks at a time with LU solves and
 products only, at most 64 steps, checked by its residual and by the gap
 between its shift and its radius; no eigensolver runs.  A 2x2 block or a
 single weighted cycle starts from its closed-form Perron vector, which
-passes those checks without a solve.  Periods of all blocks of a matrix
-come from one breadth-first search, linear in the arcs, and the series
-oracle doubles its number of terms at most 64 times.
+passes those checks without a solve, as does a block whose power steps
+converge.  Periods of all blocks of a matrix come from one breadth-first
+search, linear in the arcs, and the series oracle doubles its number of
+terms at most 64 times.
 """
 
 from __future__ import annotations
@@ -63,24 +64,27 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     (Noda 1971), which needs only LU solves and products.  The start x is
     the closed-form Perron vector of a 2x2 block or of a single cycle with
     unequal multiplicities (:func:`_closed_form_start`), and the uniform
-    vector for every other block.  Each step solves (shift I - S) y = x,
-    with the shift at the Collatz-Wielandt upper bound
-    sigma = max_i (Sx)_i / x_i of rho.  For y > 0 the next bound is
-    shift - min_i x_i / y_i, and the bounds fall to rho quadratically
-    (Elsner 1976).  The shift never drops below 1e-10
+    vector for every other block.  A start that fails the residual test
+    below first takes power steps x <- (S + I)x, l1-normalised, one product
+    each: at most k, and none once its residual is not below half that of 8
+    steps before.  The block keeps their result only if that passes the
+    test; stalled steps can leave entries from which solves lose positivity.
+    Each Noda step solves (shift I - S) y = x, with the shift at the
+    Collatz-Wielandt upper bound sigma = max_i (Sx)_i / x_i of rho.  For
+    y > 0 the next bound is shift - min_i x_i / y_i, and the bounds fall to
+    rho quadratically (Elsner 1976).  The shift never drops below 1e-10
     (relative) above the radius sum(Ax), which keeps the solve nonsingular;
-    a y that is not positive is signed to sum positive, has negative
-    rounding clipped to 0 and resets the bound to that floor.  x is y
-    l1-normalised.
+    a y that is not positive is signed to sum positive, has negative rounding
+    clipped to 0 and resets the bound to that floor.  x is y l1-normalised.
 
     A block stops once its residual max|Ax - rho x| is at most
-    1e-12 max(1, rho) and its last shift lies within 1e-9 (relative) of
-    its radius: with loops of multiplicity 10^6 the residual alone can pass on a
-    pair that is not the Perron pair.  2x2 blocks, cycles, 1x1 blocks and
-    blocks with constant row sums stop at the start, without a solve.  A
-    start that fails the test iterates like any other.  A stopped block
-    leaves the stack, so its data do not depend on the blocks stacked with
-    it.  Raises when a block has not stopped after 64 steps.
+    1e-12 max(1, rho) and its last shift lies within 1e-9 (relative) of its
+    radius: with loops of multiplicity 10^6 the residual alone can pass on
+    a pair that is not the Perron pair.  2x2 blocks, cycles, 1x1 blocks and
+    blocks with constant row sums stop at the start, with no power step or
+    solve.  A stopped block leaves the stack, so its data do not depend on
+    the blocks stacked with it.  Raises when a block has not stopped after
+    64 steps.
     """
     out: list = [None] * len(blocks)
     sizes = np.array([len(rows) for rows in blocks], dtype=np.int64)
@@ -105,6 +109,21 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
         S[slot[b_in[here]], r_in[here], s_in[here]] = m_in[here]
         x = _closed_form_start(S, inner_arcs[which] == k)
         Ax, radius, residual = _radius_and_residual(S, x)
+        start, trail = (x, Ax, radius, residual), [np.inf] * 8 + [residual]
+        live = residual > 1e-12 * np.maximum(1.0, radius)
+        for _ in range(k):
+            live &= residual < 0.5 * trail[-9]
+            if not live.any():
+                break
+            y = Ax + x
+            y /= y.sum(axis=1, keepdims=True)
+            Sy, r, res = _radius_and_residual(S, y)
+            x, Ax = np.where(live[:, None], y, x), np.where(live[:, None], Sy, Ax)
+            radius, residual = np.where(live, r, radius), np.where(live, res, residual)
+            trail.append(residual)
+        back = ~(residual <= 1e-12 * np.maximum(1.0, radius))
+        x, Ax = np.where(back[:, None], start[0], x), np.where(back[:, None], start[1], Ax)
+        radius, residual = np.where(back, start[2], radius), np.where(back, start[3], residual)
         sigma = (Ax / x).max(axis=1)
         shift = sigma.copy()
         live = np.arange(len(which))

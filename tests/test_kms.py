@@ -356,6 +356,21 @@ def test_general_state_measure_validation():
         gk.general_state_measure(G, spec, 0.5, {"v": -1 / 3}, {1: 1.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_general_state_measure_rejects_weights_that_are_not_finite(bad):
+    # Every range check is false for NaN, which once let an all-NaN
+    # "Mixed" state through.
+    G = example("pair_toward_small")
+    spec = gk.CriticalOf(1)
+    for epsilon, t in [
+        ({"v": bad}, {1: 1.0}),
+        ({"v": 1 / 3, "w": bad}, {1: 1.0}),
+        ({"v": 1 / 3}, {1: bad}),
+    ]:
+        with pytest.raises(ValueError):
+            gk.general_state_measure(G, spec, 0.5, epsilon, t)
+
+
 def test_general_state_measure_no_phi_part_left():
     # at ln2 every vertex lies inside K, so only r = 0 remains
     G = example("pair_toward_small")

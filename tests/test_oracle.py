@@ -335,6 +335,26 @@ def test_verify_simplex_failure_strings(name, beta, which, m, expect):
     assert oracle.verify_simplex(G, _corrupt(gk.kms_simplex(G, beta), which, m)) == expect
 
 
+def test_edge_atom_failure_names_its_pair(monkeypatch):
+    # Edge atoms are kept per distinct (source, range) pair, in order of the
+    # pair's first edge line; a failing one names copy 0 of its pair.
+    G = gk.parse_graph(
+        "vertices: a b c\nedge b c\nedge a b 2\nedge b c\nedge c a\nedge a a\nedge a b\n"
+    )
+    pairs = list(dict.fromkeys((e.source, e.range) for e in G.edges))
+    sx = gk.kms_simplex(G, gk.CriticalOf(0))
+    path_atoms = oracle._path_atoms
+    for i, pair in enumerate(pairs):
+        def one_bad_edge(*args, i=i):
+            at_vertex, at_edge = path_atoms(*args)
+            at_edge = np.zeros_like(at_edge)
+            at_edge[:, i] = 0.5
+            return np.zeros_like(at_vertex), at_edge
+
+        monkeypatch.setattr(oracle, "_path_atoms", one_bad_edge)
+        assert oracle.verify_simplex(G, sx) == [f"psi{{a,b,c}}: atom 0.5 at {((*pair, 0),)!r}"]
+
+
 def test_verify_simplex_ties_every_phi_row_to_its_vertex():
     # Each corruption the theorem rules out is caught on the examples and on
     # random graphs at every critical value and above the top one.

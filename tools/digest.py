@@ -57,11 +57,14 @@ def _at(G, beta, kms, oracle):
         return type(err).__name__, str(err)
 
 
-def library_lines():
+def library_graphs():
+    """(name, graph, critical temperatures, their values, betas) for every
+    library graph: ``conftest.GRAPHS``, then ``random_graph`` seeds 0..999;
+    the betas are the critical values, then a 20-point grid."""
     import numpy as np
 
     from conftest import GRAPHS, random_graph
-    from graphkms import kms, oracle, parse_graph
+    from graphkms import kms, parse_graph
 
     graphs = [(f"conftest.{k}", lambda t=t: parse_graph(t)) for k, t in GRAPHS.items()]
     graphs += [(f"seed{s}", lambda s=s: random_graph(random.Random(s))) for s in range(SEEDS)]
@@ -70,7 +73,13 @@ def library_lines():
         criticals = kms.critical_temperatures(G)
         values = [kms.beta_value(G, c) for c in criticals]
         top = values[-1] + 0.5 if values and values[-1] > 1e-9 else 1.0
-        betas = criticals + np.linspace(0.05, top, 20).tolist()
+        yield name, G, criticals, values, criticals + np.linspace(0.05, top, 20).tolist()
+
+
+def library_lines():
+    from graphkms import kms, oracle
+
+    for name, G, criticals, values, betas in library_graphs():
         yield f"lib {name} {_hash(criticals, values, [_at(G, b, kms, oracle) for b in betas])}"
 
 
@@ -94,12 +103,17 @@ def cli_lines():
                             yield f"cli {name} s{seed} r{round_no} g{g} {shown} {_hash(text, code)}"
 
 
+def use_checkout(root) -> None:
+    """Import graphkms, ``tests/conftest.py`` and the bench from ``root``."""
+    root = Path(root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "bench")]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args()
-    root = args.root.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "bench")]
+    use_checkout(args.root)
     for line in library_lines():
         print(line)
     for line in cli_lines():
