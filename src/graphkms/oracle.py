@@ -7,7 +7,8 @@ dense solves in the spectral module, so tests can pit the two routes
 against each other.  ``verify_simplex`` checks one simplex as a whole, on
 its ``measures`` array at its beta, the array the CLI prints: its labels,
 and per row normalization, sign, subinvariance, charge on H_beta, the psi
-eigen-identity and the atoms, plus the resolvent's solve against its series.
+eigen-identity and the atoms, plus the resolvent's solve, certified by one
+product or, where that certificate cannot settle it, checked against its series.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .graph import Component, DirectedGraph, edge_instances, hereditary_closure
 from .spectral import ConvergenceError
 
 MAX_TERMS = 10**6
-SERIES_MARGIN = 0.05  # verify_simplex sums the series when beta - ln rho outside K clears it
+# verify_simplex checks the resolvent solve when beta - ln rho outside K
+# clears SERIES_MARGIN: by its residual certificate, else against the series.
+SERIES_MARGIN = 0.05
 
 
 def enumerate_paths(G: DirectedGraph, v: str, w: str, n: int) -> list:
@@ -187,8 +190,9 @@ def _invariants(G: DirectedGraph):
 def _outside(G: DirectedGraph, K_members: frozenset):
     """What ``verify_simplex`` reads of the vertices outside K_beta, derived
     once per graph and K_beta: their names in vertex order, the vertex
-    matrix on them and its spectral radius (that of a union of whole
-    components, whose radii G already holds; None when there are none)."""
+    matrix on them, its spectral radius (that of a union of whole
+    components, whose radii G already holds; None when there are none) and
+    the largest count of nonzeros in one of its rows."""
     A, _, _, _, vertex_radius, by_K = _invariants(G)
     cached = by_K.get(K_members)
     if cached is None:
@@ -196,8 +200,23 @@ def _outside(G: DirectedGraph, K_members: frozenset):
         radius = float(vertex_radius[idx].max()) if len(idx) else None
         M = A[idx[:, None], idx]
         M.setflags(write=False)
-        cached = by_K[K_members] = ([G.vertices[i] for i in idx.tolist()], M, radius)
+        width = int(np.count_nonzero(M, axis=1).max(initial=0))
+        cached = by_K[K_members] = ([G.vertices[i] for i in idx.tolist()], M, radius, width)
     return cached
+
+
+def _solve_error_bound(M: np.ndarray, width: int, beta: float, x: np.ndarray) -> float:
+    """Bound on max|x_true - x| for the solve x of (I - T)x = 1, T = e^-beta M:
+    inf unless x > 0 and rho_r < 1, where rho_r is max|1 - (x - Tx)| plus its
+    rounding bound gamma_{width+3} max(1 + x + Tx), width the most nonzeros
+    in a row of M (Higham, ch. 3).  Then Tx <= qx with q < 1, so rho(T) < 1
+    (Collatz-Wielandt), and entrywise |x_true - x| <= rho_r x / (1 - rho_r)."""
+    if not x.min() > 0.0:  # NaN included
+        return math.inf
+    Tx = math.exp(-beta) * (M @ x)
+    k = (width + 3) * 2.0**-53
+    rho_r = float(np.abs(1.0 - (x - Tx)).max() + k / (1.0 - k) * (1.0 + x + Tx).max())
+    return rho_r * float(x.max()) / (1.0 - rho_r) if rho_r < 1.0 else math.inf
 
 
 def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
@@ -207,9 +226,11 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
     for ``simplex.extremes[k]``), at ``simplex.beta_value``; a ``measures``
     not ``len(extremes) x len(G.vertices)`` raises ValueError.  Checks: the labels (one phi state per vertex outside K_beta, distinct
     psi components), normalization, nonnegativity, subinvariance, vanishing
-    on H_beta, the exact eigen-identity for psi states, solve-vs-series
-    agreement on the resolvent (when beta clears the quotient radius by
-    SERIES_MARGIN), path-measure atoms at non-source path-sources for psi
+    on H_beta, the exact eigen-identity for psi states, the resolvent solve
+    x of (I - e^-beta M) x = 1 outside K_beta (when beta clears the quotient
+    radius by SERIES_MARGIN: it passes when its residual certificate bounds
+    its error by 0.5e-9, and otherwise when it agrees with the series to
+    1e-9), path-measure atoms at non-source path-sources for psi
     states, and for each phi state that its atoms off its own vertex vanish.
     The per-state checks run on all rows at once; failures list the labels
     first, then per state in that order, with at most one atom (the first
@@ -221,7 +242,7 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
     X = simplex.measures
     if X.shape != (len(states), len(G.vertices)):
         raise ValueError(f"measures of shape {X.shape}, not {len(states)} x {len(G.vertices)}")
-    outside, M, radius = _outside(G, simplex.K_beta.members)
+    outside, M, radius, width = _outside(G, simplex.K_beta.members)
     psi, phi, phi_vertices = [], [], []
     for k, s in enumerate(states):
         if isinstance(s.label, kms.PsiC):
@@ -264,14 +285,15 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
         if found:
             name = kms.label_text(state)
             failures += [f"{name}: {f}" for f in found]
-    # Solve-vs-series on the resolvent actually used for phi states.
+    # The phi states' resolvent: certified within 0.5e-9, or the series gap fails closed.
     if outside and (radius == 0.0 or bval >= math.log(radius) + SERIES_MARGIN):
         rhs = np.ones(len(outside))
         direct = spectral.resolvent_solve(M, bval, rhs, radius=radius)
-        summed = spectral.resolvent_series(M, bval, rhs, 1e-12, radius=radius)
-        gap = float(np.max(np.abs(direct - summed)))
-        if gap > 1e-9:
-            failures.append(f"resolvent solve vs series gap {gap:.3g}")
+        if not _solve_error_bound(M, width, bval, direct) <= 0.5e-9:
+            summed = spectral.resolvent_series(M, bval, rhs, 1e-12, radius=radius)
+            gap = float(np.max(np.abs(direct - summed)))
+            if not gap <= 1e-9:
+                failures.append(f"resolvent solve vs series gap {gap:.3g}")
     return failures
 
 

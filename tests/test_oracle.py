@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import graphkms as gk
-from graphkms import oracle
+from graphkms import oracle, spectral
 
 from conftest import GRAPHS, example, path_count, phi_state, psi_state, random_graph, z_of
 
@@ -376,3 +376,62 @@ def test_verify_simplex_ties_every_phi_row_to_its_vertex():
                 assert any(named[how] in f for f in failures), (G.vertices, beta, which, how)
                 caught[how] += 1
     assert min(caught.values()) > 100, caught
+
+
+# -- the resolvent check: certificate, then series ----------------------------
+
+
+def _with_solve(monkeypatch, change):
+    """Make the oracle's resolvent solve return ``change`` of the true one."""
+    solve = spectral.resolvent_solve
+    monkeypatch.setattr(spectral, "resolvent_solve", lambda *a, **k: change(solve(*a, **k)))
+
+
+def test_verify_simplex_fails_a_nan_resolvent_solve(monkeypatch):
+    # NaN is not positive, so the certificate refuses it, and a NaN gap to
+    # the series is not within 1e-9.
+    G = example("pair_toward_small")
+    sx = gk.kms_simplex(G, 3.0)
+    _with_solve(monkeypatch, lambda x: x * np.nan)
+    assert oracle.verify_simplex(G, sx) == ["resolvent solve vs series gap nan"]
+
+
+def test_verify_simplex_checks_an_uncertified_solve_against_the_series(monkeypatch):
+    G = example("pair_toward_small")
+    sx = gk.kms_simplex(G, 3.0)
+    _with_solve(monkeypatch, lambda x: x * (1 + 1e-8))
+    assert oracle.verify_simplex(G, sx) == ["resolvent solve vs series gap 1.18e-08"]
+
+
+def test_verify_simplex_sums_the_series_where_the_certificate_is_loose(monkeypatch):
+    # max x = 2453 here, so rounding alone puts the bound above 0.5e-9.
+    G = random_graph(random.Random(33))
+    sx = gk.kms_simplex(G, 0.05)
+    series, calls = spectral.resolvent_series, []
+    monkeypatch.setattr(spectral, "resolvent_series",
+                        lambda *a, **k: calls.append(a) or series(*a, **k))
+    assert oracle.verify_simplex(G, sx) == []
+    assert len(calls) == 1
+
+
+def test_resolvent_certificate_bounds_the_gap_to_the_series():
+    settled = 0
+    for seed in range(200):
+        G = random_graph(random.Random(seed))
+        rho = gk.spectral_radius(G.matrix)
+        top = math.log(rho) + 0.5 if rho > 1 else 1.0
+        betas = [*gk.critical_temperatures(G), *np.linspace(0.05, top, 20).tolist()]
+        for beta in betas:
+            sx = gk.kms_simplex(G, beta)
+            outside, M, radius, width = oracle._outside(G, sx.K_beta.members)
+            b = sx.beta_value
+            if not outside or (radius and b < math.log(radius) + oracle.SERIES_MARGIN):
+                continue
+            ones = np.ones(len(outside))
+            direct = spectral.resolvent_solve(M, b, ones, radius=radius)
+            bound = oracle._solve_error_bound(M, width, b, direct)
+            if bound <= 0.5e-9:
+                summed = spectral.resolvent_series(M, b, ones, 1e-12, radius=radius)
+                assert np.abs(direct - summed).max() <= bound + 1e-12, (seed, b)
+                settled += 1
+    assert settled > 2000
