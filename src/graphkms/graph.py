@@ -10,8 +10,8 @@ convention, so it is fixed here once and used unchanged everywhere else.
 The graph is held as the arcs of ``A`` (its nonzero entries, row-major), and
 every step here runs over them in time linear in the arcs: components,
 periods, divergence, Seneta order, closures, saturation and sources.  The
-dense ``A`` is only built when asked for, by the resolvent solves and the
-oracle.
+dense ``A`` is built once, in floats, when first asked for, by the resolvent
+solves and the oracle.
 """
 
 from __future__ import annotations
@@ -128,8 +128,10 @@ class DirectedGraph:
 
     The edge lines are held as int arrays (range, source, multiplicity) in
     line order, and the distinct arcs once, as the nonzero entries of the
-    vertex matrix in row-major order (``arcs``).  The graph layer works on
-    the arcs alone; the dense ``matrix`` is built on first access.
+    vertex matrix in row-major order (``arcs``); the edges from one vertex
+    to another may number at most 2^63 - 1, the int64 limit.  The graph
+    layer works on the arcs alone; the dense ``matrix`` is built on first
+    access.
     ``_memo`` holds what other modules derive from the graph alone, under
     their own keys, each filled on first use: the critical temperatures
     and the regime of each interval between them (:mod:`graphkms.kms`),
@@ -152,7 +154,7 @@ class DirectedGraph:
                 raise ValueError(f"duplicate vertex: {v}")
             seen.add(v)
         index = {v: i for i, v in enumerate(vertices)}
-        lines = []
+        lines: list[int] = []  # range, source and multiplicity of every edge line
         for e in edges:
             if not isinstance(e, Edge):
                 e = Edge(*e)
@@ -163,18 +165,22 @@ class DirectedGraph:
             m = e.multiplicity
             if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(f"edge multiplicity must be a positive integer: {e}")
-            lines.append((index[e.range], index[e.source], m))
-        self._store(vertices, index, np.array(lines, dtype=np.int64).reshape(-1, 3).T)
+            lines += (index[e.range], index[e.source], m)
+        overflow = _total_overflow(vertices, lines)
+        if overflow is not None:
+            raise ValueError(overflow[1])
+        self._store(vertices, index, lines)
 
     @classmethod
-    def _from_lines(cls, vertices: tuple, index: dict, lines: np.ndarray) -> DirectedGraph:
-        """A graph from checked edge lines: ``lines`` is (range, source, mult) x L."""
+    def _from_lines(cls, vertices: tuple, index: dict, lines: list[int]) -> DirectedGraph:
+        """A graph from checked edge lines: ``lines`` holds the range, source
+        and multiplicity of each, one after the other."""
         G = object.__new__(cls)
         G._store(vertices, index, lines)
         return G
 
     def _store(self, vertices, index, lines) -> None:
-        lines.setflags(write=False)
+        lines = _frozen(np.array(lines, dtype=np.int64).reshape(-1, 3).T)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "_lines", lines)
@@ -208,14 +214,15 @@ class DirectedGraph:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The read-only vertex matrix: ``A[v, w]`` counts the edges with
-        range v and source w.  Built from the arcs on first access."""
+        """The read-only float64 vertex matrix: ``A[v, w]`` counts the edges
+        with range v and source w.  Built from the arcs on first access, and
+        the one dense copy that every solve and check reads; its counts are
+        exact below 2^53, while ``arcs.mult`` and ``edges`` keep the integers."""
         if self._matrix is None:
             n = len(self.vertices)
-            A = np.zeros((n, n), dtype=np.int64)
+            A = np.zeros((n, n))
             A[self._arcs.rng, self._arcs.src] = self._arcs.mult
-            A.setflags(write=False)
-            object.__setattr__(self, "_matrix", A)
+            object.__setattr__(self, "_matrix", _frozen(A))
         return self._matrix
 
     # -- component analysis -------------------------------------------------
@@ -399,6 +406,24 @@ def saturated_mask(arcs: Arcs, inside: np.ndarray) -> np.ndarray:
     return np.array(flags)
 
 
+def _total_overflow(vertices, lines: list[int]) -> tuple[int, str] | None:
+    """The first edge line at which the multiplicities of its (range,
+    source) pair total more than 2^63 - 1, past which an int64 arc wraps,
+    as its position in ``lines`` (flat range, source, multiplicity triples)
+    and a message; None when there is none.  One sum settles it unless the
+    lines together pass that total."""
+    mult = lines[2::3]
+    if sum(mult) <= 2**63 - 1:
+        return None
+    totals: dict[tuple[int, int], int] = {}
+    for k, pair in enumerate(zip(lines[0::3], lines[1::3])):
+        totals[pair] = totals.get(pair, 0) + mult[k]
+        if totals[pair] > 2**63 - 1:
+            rng, src = pair
+            return k, f"more than 2^63 - 1 edges from {vertices[src]} to {vertices[rng]}"
+    return None
+
+
 def _members_of(s) -> frozenset[str]:
     if isinstance(s, VertexSet):
         return s.members
@@ -415,8 +440,9 @@ def parse_graph(text: str) -> DirectedGraph:
 
     The first effective line is ``vertices: name1 name2 ...``; every further
     line is ``edge SRC DST [MULT]`` and contributes MULT (default 1) edges
-    with source SRC and range DST.  MULT is written in ASCII decimal digits.
-    ``#`` starts a comment.
+    with source SRC and range DST.  MULT is written in ASCII decimal digits,
+    and the lines from one SRC to one DST total at most 2^63 - 1.  ``#``
+    starts a comment.
     """
     vertices: list[str] | None = None
     index: dict[str, int] = {}
@@ -453,9 +479,13 @@ def parse_graph(text: str) -> DirectedGraph:
         lines += (dst, src, mult)
     if vertices is None:
         raise GraphParseError("no 'vertices:' line found")
-    return DirectedGraph._from_lines(
-        tuple(vertices), index, np.array(lines, dtype=np.int64).reshape(-1, 3).T
-    )
+    overflow = _total_overflow(vertices, lines)
+    if overflow is not None:
+        # Every line past the vertices line that is not blank is an edge line.
+        edge_lines = [n for n, rawline in enumerate(text.splitlines(), start=1)
+                      if rawline.split("#", 1)[0].split()[:1] == ["edge"]]
+        raise GraphParseError(overflow[1], edge_lines[overflow[0]])
+    return DirectedGraph._from_lines(tuple(vertices), index, lines)
 
 
 # -- basic operations ----------------------------------------------------------

@@ -30,7 +30,6 @@ import dataclasses
 import itertools
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,14 +127,16 @@ class MeasureView(RowView):
 
     A :class:`RowView` over the graph's vertices: iteration follows the
     vertex order and ``numpy.asarray(view)`` gives the read-only row itself.
+    It keeps the graph, against which :func:`eval_state` checks its paths.
     """
 
-    __slots__ = ()
+    __slots__ = ("_graph",)
 
     def __init__(self, G: DirectedGraph, row: np.ndarray):
         if row.flags.writeable or row.shape != (len(G.vertices),):
             raise ValueError("a measure view needs a read-only row over the vertices")
         super().__init__(G.vertices, row, G.index)
+        self._graph = G
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +146,7 @@ class StateMeasure:
 
     beta: BetaSpec
     beta_value: float
-    m: Mapping[str, float]
+    m: MeasureView
     label: PsiC | PhiBetaV | Mixture
     factors_through_graph_algebra: bool
     state_type: str
@@ -355,7 +356,7 @@ def _extreme_rows(G: DirectedGraph, reg: Regime) -> tuple[np.ndarray, np.ndarray
 
     The psi rows come first, in ascending component id, then the phi rows
     in vertex order.  M, the vertex matrix on the vertices outside K_beta,
-    is gathered once, straight to float, and serves every solve.  phi_{beta,v}
+    is gathered once from ``G.matrix`` and serves every solve.  phi_{beta,v}
     is column v of (I - e^-beta M)^-1 and y its column sums; psi_C is
     (z^C, x^C, 0 on the rest), where z^C = rho^-1 (I - rho^-1 M)^-1 A_{out,C} x^C
     solves the eigen-identity A m = rho(A_C) m.  Rows are scaled to mass one.
@@ -365,7 +366,7 @@ def _extreme_rows(G: DirectedGraph, reg: Regime) -> tuple[np.ndarray, np.ndarray
     rows = np.zeros((len(mc) + out.size, len(G.vertices)))
     y = np.zeros(0)
     if out.size:
-        M = G.matrix[out[:, None], out].astype(float)
+        M = G.matrix[out[:, None], out]
         resolvent = spectral.resolvent_solve(
             M, reg.beta_value, np.eye(out.size), radius=reg.outside_radius
         )
@@ -378,7 +379,7 @@ def _extreme_rows(G: DirectedGraph, reg: Regime) -> tuple[np.ndarray, np.ndarray
         x = np.asarray(G.components[cid].perron_vector)
         z = np.zeros(0)
         if out.size:
-            rhs = G.matrix[out[:, None], c_idx].astype(float) @ x / rho
+            rhs = G.matrix[out[:, None], c_idx] @ x / rho
             z = spectral.resolvent_solve(M, ln_rho, rhs, radius=reg.outside_radius)
         scale = 1.0 / (1.0 + float(z.sum()))
         row[out] = scale * z
@@ -520,28 +521,40 @@ def eval_state(state: StateMeasure, mu, nu) -> float:
 
     Paths are either a vertex name (length zero) or a tuple of
     (source, range, copy) edge triples ordered range-to-source, so that each
-    triple's source matches the next one's range.
+    triple's source matches the next one's range.  Both must be paths of
+    the state's graph: a triple names two of its vertices, an edge from the
+    first to the second and an integer copy below that edge's multiplicity.
+    Anything else raises ValueError.
     """
-    for path in (mu, nu):
-        _validate_path(path)
+    G = state.m._graph
+    _validate_path(G, mu)
     if mu != nu:
+        _validate_path(G, nu)
         return 0.0
     if isinstance(mu, str):
-        if mu not in state.m:
-            raise ValueError(f"unknown vertex: {mu}")
         return state.m[mu]
-    length = len(mu)
-    src = mu[-1][0]
-    if src not in state.m:
-        raise ValueError(f"unknown vertex: {src}")
-    return math.exp(-state.beta_value * length) * state.m[src]
+    return math.exp(-state.beta_value * len(mu)) * state.m[mu[-1][0]]
 
 
-def _validate_path(path) -> None:
+def _validate_path(G: DirectedGraph, path) -> None:
     if isinstance(path, str):
+        G._indices((path,))
         return
     if not isinstance(path, tuple) or not path:
         raise ValueError(f"not a path: {path!r}")
+    arcs = G.arcs
+    for edge in path:
+        if not (isinstance(edge, tuple) and len(edge) == 3):
+            raise ValueError(f"not a (source, range, copy) triple: {edge!r}")
+        src, rng = G._indices(edge[:2])
+        # The arc from src into rng, if any, among row rng's ascending sources.
+        lo, hi = arcs.indptr[rng], arcs.indptr[rng + 1]
+        at = lo + int(arcs.src[lo:hi].searchsorted(src))
+        mult = int(arcs.mult[at]) if at < hi and arcs.src[at] == src else 0
+        copy = edge[2]
+        integer = isinstance(copy, (int, np.integer)) and not isinstance(copy, bool)
+        if not (integer and 0 <= copy < mult):
+            raise ValueError(f"no edge {edge!r}: {edge[0]} -> {edge[1]} has multiplicity {mult}")
     for prev, nxt in zip(path, path[1:]):
         if prev[0] != nxt[1]:
             raise ValueError(

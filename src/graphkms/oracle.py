@@ -7,8 +7,11 @@ dense solves in the spectral module, so tests can pit the two routes
 against each other.  ``verify_simplex`` checks one simplex as a whole, on
 its ``measures`` array at its beta, the array the CLI prints: its labels,
 and per row normalization, sign, subinvariance, charge on H_beta, the psi
-eigen-identity and the atoms, plus the resolvent's solve, certified by one
-product or, where that certificate cannot settle it, checked against its series.
+eigen-identity and the vertex atoms, plus the resolvent's solve, certified
+by one product or, where that certificate cannot settle it, checked against
+its series.  A state's atom at a path mu is e^(-beta |mu|) times its atom at
+the vertex s(mu), so the vertex atoms settle every finite path.  Every
+product reads ``G.matrix`` itself; nothing here copies it.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ def series_y_oracle(G: DirectedGraph, beta: float, v: str, tol: float = 1e-9) ->
     bv = kms.beta_v(G, v)
     if bv is not None and beta <= bv + 0.05 - 1e-12:
         raise ValueError("beta too close to divergence for the series oracle")
-    A = G.matrix.astype(float)
+    A = G.matrix
     decay = math.exp(-beta)
 
     def terms():
@@ -129,7 +132,7 @@ def quick_exit_series_oracle(
         raise ValueError(f"{v} lies inside the closure of the critical components")
     outside = [i for i, w in enumerate(G.vertices) if w not in closure_members]
     pos = {i: p for p, i in enumerate(outside)}
-    A = G.matrix.astype(float)
+    A = G.matrix
     M = A[np.ix_(outside, outside)]
     c_idx = [G.index[w] for w in C.members]
     x = np.array([C.perron_vector[w] for w in C.members])
@@ -170,19 +173,16 @@ def path_measure_atom(G: DirectedGraph, state: kms.StateMeasure, path) -> float:
 def _invariants(G: DirectedGraph):
     """What ``verify_simplex`` reads of G alone, derived once per graph.
 
-    The float vertex matrix; the range and source indices of the distinct
-    (source, range) edge pairs, in order of first edge line as in
-    ``edge_instances``; the vertices that receive an edge; the spectral radius
-    of every vertex's component; the ``_outside`` data of each K_beta seen so
-    far.  Kept on G, so every later call on the same graph reuses them.
+    The vertices that receive an edge, read off the arcs; the spectral
+    radius of every vertex's component; the ``_outside`` data of each
+    K_beta seen so far.  Kept on G, so every later call on the same graph
+    reuses them; the vertex matrix is ``G.matrix`` and is not copied here.
     """
     cached = G._memo.get("oracle")
     if cached is None:
-        A = G.matrix.astype(float)
-        rng, src, _ = G._lines
-        first = np.sort(np.unique(src * len(G.vertices) + rng, return_index=True)[1])
+        indptr = G.arcs.indptr
         cached = G._memo["oracle"] = (
-            A, rng[first], src[first], A.any(axis=1), G.spectral_radii[G.vertex_components], {}
+            indptr[1:] > indptr[:-1], G.spectral_radii[G.vertex_components], {}
         )
     return cached
 
@@ -193,12 +193,12 @@ def _outside(G: DirectedGraph, K_members: frozenset):
     matrix on them, its spectral radius (that of a union of whole
     components, whose radii G already holds; None when there are none) and
     the largest count of nonzeros in one of its rows."""
-    A, _, _, _, vertex_radius, by_K = _invariants(G)
+    _, vertex_radius, by_K = _invariants(G)
     cached = by_K.get(K_members)
     if cached is None:
         idx = np.flatnonzero(~G._mask(K_members))
         radius = float(vertex_radius[idx].max()) if len(idx) else None
-        M = A[idx[:, None], idx]
+        M = G.matrix[idx[:, None], idx]
         M.setflags(write=False)
         width = int(np.count_nonzero(M, axis=1).max(initial=0))
         cached = by_K[K_members] = ([G.vertices[i] for i in idx.tolist()], M, radius, width)
@@ -224,19 +224,24 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
 
     What is checked is the array the CLI prints, ``simplex.measures`` (row k
     for ``simplex.extremes[k]``), at ``simplex.beta_value``; a ``measures``
-    not ``len(extremes) x len(G.vertices)`` raises ValueError.  Checks: the labels (one phi state per vertex outside K_beta, distinct
-    psi components), normalization, nonnegativity, subinvariance, vanishing
-    on H_beta, the exact eigen-identity for psi states, the resolvent solve
+    not ``len(extremes) x len(G.vertices)`` raises ValueError.  Checks:
+    the labels (one phi state per vertex outside K_beta, distinct psi
+    components), normalization, nonnegativity, subinvariance, vanishing on
+    H_beta, the exact eigen-identity for psi states, the resolvent solve
     x of (I - e^-beta M) x = 1 outside K_beta (when beta clears the quotient
     radius by SERIES_MARGIN: it passes when its residual certificate bounds
     its error by 0.5e-9, and otherwise when it agrees with the series to
-    1e-9), path-measure atoms at non-source path-sources for psi
-    states, and for each phi state that its atoms off its own vertex vanish.
+    1e-9), for psi states that their atoms vanish at every vertex that
+    receives an edge, and for each phi state that its atoms off its own
+    vertex vanish.  The
+    atom at a vertex v is m_v - e^-beta (A m)_v (``path_measure_atom`` is
+    the definition) and that at a path mu is e^(-beta |mu|) times the one at
+    its source s(mu), so checking the vertices checks every finite path.
     The per-state checks run on all rows at once; failures list the labels
     first, then per state in that order, with at most one atom (the first
-    failing path, or the largest off-vertex atom) each.
+    failing vertex, or the largest off-vertex atom) each.
     """
-    A, _, src, _, _, _ = _invariants(G)
+    A = G.matrix
     bval = simplex.beta_value
     states = simplex.extremes
     X = simplex.measures
@@ -266,8 +271,8 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
         in_H = G._mask(simplex.H_beta.members)
         charges = (X[:, in_H] > 1e-9).any(axis=1).tolist()
 
-    at_vertex, at_edge = _path_atoms(X, XA, scale, src, psi)
-    atom_failures = _psi_failures(G, X, XA, at_vertex, at_edge, psi, scale)
+    at_vertex = X - XA / scale
+    atom_failures = _psi_failures(G, X, XA, at_vertex, psi, scale)
     atom_failures.update(_phi_failures(G, at_vertex, phi, phi_vertices))
 
     for k, state in enumerate(states):
@@ -314,25 +319,23 @@ def _label_failures(psi_states, phi_vertices, outside: list) -> list[str]:
     return failures
 
 
-def _psi_failures(G: DirectedGraph, X, XA, at_vertex, at_edge, rows,
+def _psi_failures(G: DirectedGraph, X, XA, at_vertex, rows,
                   scale: float) -> dict[int, list[str]]:
     """Eigen-identity and atom failures of the psi states, rows ``rows`` of X.
 
-    ``XA`` is ``X @ A.T`` and ``scale`` e^beta; ``at_vertex`` holds the vertex atoms of every
-    row and ``at_edge`` the edge atoms of the psi rows (see ``_path_atoms``).
-    Failures are given without the state's name.  Atoms are checked on the
-    length-0 and length-1 paths whose source receives an edge; only the
-    first failing path of a state is reported.  The parallel copies of an
-    edge share their atom, so only copy 0 of each (source, range) pair, in
-    ``edge_instances`` order, is looked at.
+    ``XA`` is ``X @ A.T``, ``scale`` e^beta and ``at_vertex`` the vertex
+    atoms ``X - XA / scale`` of every row.  Failures are given without the
+    state's name.  Atoms are checked at the vertices that receive an edge,
+    which covers every path with such a source: an atom at a path is its
+    source's times e^(-beta |path|).  Only the first failing vertex of a
+    state is reported.
     """
     if not rows:
         return {}
-    _, rng, src, receives, _, _ = _invariants(G)
+    receives, _, _ = _invariants(G)
     at_vertex = at_vertex[rows]
     resid = np.abs(XA[rows] - scale * X[rows]).max(axis=1).tolist()
     bad_vertex = (np.abs(at_vertex) > 1e-9) & receives
-    bad_edge = (np.abs(at_edge) > 1e-9) & receives[src]
     out = {}
     for j, k in enumerate(rows):
         found = out[k] = []
@@ -341,10 +344,6 @@ def _psi_failures(G: DirectedGraph, X, XA, at_vertex, at_edge, rows,
         if bad_vertex[j].any():
             i = int(np.argmax(bad_vertex[j]))
             found.append(f"atom {at_vertex[j, i]:.3g} at {G.vertices[i]!r}")
-        elif bad_edge[j].any():
-            i = int(np.argmax(bad_edge[j]))
-            pair = (G.vertices[src[i]], G.vertices[rng[i]], 0)
-            found.append(f"atom {at_edge[j, i]:.3g} at {(pair,)!r}")
     return out
 
 
@@ -379,20 +378,3 @@ def _phi_failures(G: DirectedGraph, at_vertex, rows, vertices) -> dict[int, list
             out[k] = [f"atom {at_vertex[k, i]:.3g} at {G.vertices[i]!r}, "
                       f"beside {atom:.3g} at its own vertex"]
     return out
-
-
-def _path_atoms(X: np.ndarray, XA: np.ndarray, scale: float, src, edge_rows):
-    """Atoms of the states with measure rows X on every path of length <= 1.
-
-    ``XA`` is the product ``X @ A.T`` and ``scale`` is e^beta, from which
-    they all follow: the atom at the vertex v is m_v - e^-beta (A m)_v, and
-    the atom at a one-edge path is e^-beta times the atom at the edge's
-    source.  Returns the vertex atoms of every row (a column per vertex) and
-    the edge atoms of the rows ``edge_rows`` (a column per edge, ``src``
-    holding the source index of each), or None if there are none.
-    ``path_measure_atom`` is the definition.
-    """
-    at_vertex = X - XA / scale
-    if not edge_rows:
-        return at_vertex, None
-    return at_vertex, at_vertex[edge_rows][:, src] / scale

@@ -538,6 +538,12 @@ def test_parse_error_reports_line(graph_file, capsys):
     assert "line 2" in err
 
 
+def test_parse_error_for_an_edge_total_past_int64(graph_file, capsys):
+    text = "vertices: a b\nedge a b 99999999999999999999\n"
+    rc, _, err = run(capsys, "analyze", graph_file(text))
+    assert (rc, err) == (1, "error: line 2: more than 2^63 - 1 edges from a to b\n")
+
+
 def test_states_requires_a_beta(graph_file, capsys):
     rc, _, err = run(capsys, "states", graph_file("pair_toward_small"))
     assert rc == 1

@@ -68,6 +68,49 @@ def test_constructor_keeps_int_multiplicities():
     assert G.matrix.tolist() == [[0, 1], [3, 0]]
 
 
+HALF = 2**62  # two of these make 2^63, one past the int64 maximum
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        (f"vertices: a b\nedge a b {HALF}\nedge a b {HALF}\n", 3),
+        ("vertices: a b\n# one line\nedge a b 99999999999999999999\n", 3),
+        (f"vertices: a b\nedge a b {HALF}\nedge b a {2 * HALF - 1}\n"
+         f"edge a b {HALF - 1}\n\nedge a b 1\n", 6),
+    ],
+)
+def test_parse_refuses_edge_totals_past_int64(text, lineno):
+    with pytest.raises(gk.GraphParseError, match=r"more than 2\^63 - 1 edges from a to b") as err:
+        gk.parse_graph(text)
+    assert err.value.lineno == lineno
+
+
+def test_constructor_refuses_edge_totals_past_int64():
+    for edges in ([("a", "b", HALF), ("a", "b", HALF)], [("a", "b", 10**20)]):
+        with pytest.raises(ValueError, match=r"more than 2\^63 - 1 edges from a to b"):
+            gk.DirectedGraph(["a", "b"], edges)
+
+
+def test_edge_totals_up_to_int64_max_are_kept():
+    text = f"vertices: a b\nedge a b {HALF}\nedge b a {2 * HALF - 1}\nedge a b {HALF - 1}\n"
+    for G in (gk.parse_graph(text), gk.DirectedGraph(["a", "b"], gk.parse_graph(text).edges)):
+        assert G.arcs.mult.tolist() == [2 * HALF - 1, 2 * HALF - 1]
+        assert [e.multiplicity for e in G.edges] == [HALF, 2 * HALF - 1, HALF - 1]
+
+
+def test_matrix_is_read_only_float64_edge_counts():
+    graphs = [example(name) for name in GRAPHS]
+    for G in graphs + [random_graph(random.Random(seed)) for seed in range(50)]:
+        A = G.matrix
+        assert A.dtype == np.float64 and not A.flags.writeable
+        counts = np.zeros(A.shape, dtype=np.int64)
+        for e in G.edges:
+            counts[G.index[e.range], G.index[e.source]] += e.multiplicity
+        assert np.array_equal(A, counts)
+        assert G.matrix is A
+
+
 def test_parse_requires_vertices_line():
     with pytest.raises(gk.GraphParseError):
         gk.parse_graph("# nothing here\n")

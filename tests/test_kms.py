@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 from collections.abc import Mapping
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import graphkms as gk
 from graphkms import kms, spectral
+from graphkms.graph import edge_instances
 
 from conftest import example, phi_state, psi_state, quotient_graph, random_graph, z_of
 
@@ -517,6 +519,38 @@ def test_eval_state_rejects_broken_paths():
         gk.eval_state(psi, "zz", "zz")
     with pytest.raises(ValueError):
         gk.eval_state(psi, (), ())
+
+
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        ((("v", "w", 0),), "v -> w has multiplicity 0"),  # no edge from v to w
+        ((("w", "v", 57),), "w -> v has multiplicity 1"),
+        ((("w", "v", 1),), "w -> v has multiplicity 1"),
+        ((("w", "v", -1),), "w -> v has multiplicity 1"),
+        ((("w", "v", True),), "w -> v has multiplicity 1"),
+        ((("w", "v", 0.0),), "w -> v has multiplicity 1"),
+        ((("v", "zz", 0),), "unknown vertex: zz"),
+        ((("zz", "v", 0),), "unknown vertex: zz"),
+        ((("v", "v", 0), ("zz", "v", 0)), "unknown vertex: zz"),
+        ((("w", "v", 0, 1),), "not a (source, range, copy) triple"),
+    ],
+)
+def test_eval_state_rejects_paths_not_in_the_graph(path, message):
+    G = example("pair_toward_small")
+    state = gk.kms_simplex(G, 3.0).extremes[0]
+    for mu, nu in ((path, path), (path, "v"), ("v", path)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gk.eval_state(state, mu, nu)
+
+
+def test_eval_state_accepts_every_edge_copy():
+    G = example("pair_toward_small")
+    state = gk.kms_simplex(G, 3.0).extremes[1]
+    for e in edge_instances(G):
+        assert gk.eval_state(state, (e,), (e,)) == math.exp(-3.0) * state.m[e[0]]
+    numpy_copy = (("w", "w", np.int64(2)),)
+    assert gk.eval_state(state, numpy_copy, numpy_copy) == math.exp(-3.0) * state.m["w"]
 
 
 def test_perron_check_examples():
