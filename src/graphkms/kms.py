@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import dataclasses
 import itertools
 import math
 import operator
@@ -236,7 +235,11 @@ def regime(G: DirectedGraph, beta) -> Regime:
     if cached is None:
         cached = per_interval[i] = _derive_regime(G, spec, bval)
         return cached
-    return dataclasses.replace(cached, beta=spec, beta_value=bval)
+    # A copy of the cached fields with beta replaced, built without the
+    # frozen __init__ (which dataclasses.replace would run again).
+    hit = object.__new__(Regime)
+    vars(hit).update(vars(cached), beta=spec, beta_value=bval)
+    return hit
 
 
 def _derive_regime(G: DirectedGraph, spec: BetaSpec, bval: float) -> Regime:
@@ -286,8 +289,9 @@ def K_beta(G: DirectedGraph, beta) -> VertexSet:
     return regime(G, beta).K_beta
 
 
-def minimal_critical_components(G: DirectedGraph) -> frozenset[Component]:
-    """Components attaining rho(A), minimal in the order induced on them.
+def minimal_critical_components(G: DirectedGraph) -> tuple[Component, ...]:
+    """Components attaining rho(A), minimal in the order induced on them,
+    in ascending id.
 
     These are the minimal critical components of the regime at the largest
     critical temperature, where H_beta is empty.
@@ -295,7 +299,7 @@ def minimal_critical_components(G: DirectedGraph) -> frozenset[Component]:
     criticals = critical_temperatures(G)
     if not criticals:
         raise ValueError("an acyclic graph has no critical components")
-    return frozenset(G.components[c] for c in regime(G, criticals[-1]).minimal_critical)
+    return tuple(G.components[c] for c in regime(G, criticals[-1]).minimal_critical)
 
 
 def critical_temperatures(G: DirectedGraph) -> list[CriticalOf]:

@@ -7,11 +7,13 @@ dense solves in the spectral module, so tests can pit the two routes
 against each other.  ``verify_simplex`` checks one simplex as a whole, on
 its ``measures`` array at its beta, the array the CLI prints: its labels,
 and per row normalization, sign, subinvariance, charge on H_beta, the psi
-eigen-identity and the vertex atoms, plus the resolvent's solve, certified
-by one product or, where that certificate cannot settle it, checked against
-its series.  A state's atom at a path mu is e^(-beta |mu|) times its atom at
-the vertex s(mu), so the vertex atoms settle every finite path.  Every
-product reads ``G.matrix`` itself; nothing here copies it.
+eigen-identity and the vertex atoms, plus the path series y that the phi
+rows carry (each phi row's atom at its own vertex is 1/y_v), certified by
+one product or, where that certificate cannot settle it, checked against
+its series.  Nothing here solves a linear system.  A state's atom at a path
+mu is e^(-beta |mu|) times its atom at the vertex s(mu), so the vertex atoms
+settle every finite path.  Every product reads ``G.matrix`` itself; nothing
+here copies it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .graph import Component, DirectedGraph, edge_instances, hereditary_closure
 from .spectral import ConvergenceError
 
 MAX_TERMS = 10**6
-# verify_simplex checks the resolvent solve when beta - ln rho outside K
-# clears SERIES_MARGIN: by its residual certificate, else against the series.
+# verify_simplex checks the phi rows' y when beta - ln rho outside K clears
+# SERIES_MARGIN: by its residual certificate, else against the series.
 SERIES_MARGIN = 0.05
 
 
@@ -157,16 +159,18 @@ def path_measure_atom(G: DirectedGraph, state: kms.StateMeasure, path) -> float:
 
     Computed from the defining difference eval(path) minus the sum of eval
     over its one-edge extensions; zero exactly when the state charges no
-    finite path ending there.
+    finite path ending there.  The parallel copies of one edge extend the
+    path to the same value, so each arc into the source is evaluated once,
+    at copy 0, and weighted by its multiplicity.
     """
     total = kms.eval_state(state, path, path)
     src = path if isinstance(path, str) else path[-1][0]
-    row = G.matrix[G.index[src]]
-    for j in np.nonzero(row)[0]:
-        for k in range(int(row[j])):
-            e = (G.vertices[j], src, k)
-            ext = (path + (e,)) if isinstance(path, tuple) else (e,)
-            total -= kms.eval_state(state, ext, ext)
+    arcs, r = G.arcs, G.index[src]
+    lo, hi = arcs.indptr[r], arcs.indptr[r + 1]
+    for u, mult in zip(arcs.src[lo:hi].tolist(), arcs.mult[lo:hi].tolist()):
+        e = (G.vertices[u], src, 0)
+        ext = (path + (e,)) if isinstance(path, tuple) else (e,)
+        total -= mult * kms.eval_state(state, ext, ext)
     return total
 
 
@@ -189,10 +193,10 @@ def _invariants(G: DirectedGraph):
 
 def _outside(G: DirectedGraph, K_members: frozenset):
     """What ``verify_simplex`` reads of the vertices outside K_beta, derived
-    once per graph and K_beta: their names in vertex order, the vertex
-    matrix on them, its spectral radius (that of a union of whole
+    once per graph and K_beta: their names and indices in vertex order, the
+    vertex matrix on them, its spectral radius (that of a union of whole
     components, whose radii G already holds; None when there are none) and
-    the largest count of nonzeros in one of its rows."""
+    the largest count of nonzeros in one of its columns."""
     _, vertex_radius, by_K = _invariants(G)
     cached = by_K.get(K_members)
     if cached is None:
@@ -200,23 +204,25 @@ def _outside(G: DirectedGraph, K_members: frozenset):
         radius = float(vertex_radius[idx].max()) if len(idx) else None
         M = G.matrix[idx[:, None], idx]
         M.setflags(write=False)
-        width = int(np.count_nonzero(M, axis=1).max(initial=0))
-        cached = by_K[K_members] = ([G.vertices[i] for i in idx.tolist()], M, radius, width)
+        width = int(np.count_nonzero(M, axis=0).max(initial=0))
+        names = [G.vertices[i] for i in idx.tolist()]
+        cached = by_K[K_members] = (names, idx, M, radius, width)
     return cached
 
 
-def _solve_error_bound(M: np.ndarray, width: int, beta: float, x: np.ndarray) -> float:
-    """Bound on max|x_true - x| for the solve x of (I - T)x = 1, T = e^-beta M:
-    inf unless x > 0 and rho_r < 1, where rho_r is max|1 - (x - Tx)| plus its
-    rounding bound gamma_{width+3} max(1 + x + Tx), width the most nonzeros
-    in a row of M (Higham, ch. 3).  Then Tx <= qx with q < 1, so rho(T) < 1
-    (Collatz-Wielandt), and entrywise |x_true - x| <= rho_r x / (1 - rho_r)."""
-    if not x.min() > 0.0:  # NaN included
+def _y_error_bound(M: np.ndarray, width: int, beta: float, y: np.ndarray) -> float:
+    """Bound on max|y_true - y| for y_true solving (I - T^T)y = 1, T = e^-beta M:
+    inf unless y > 0 and rho_r < 1, where rho_r is max|1 - (y - T^T y)| plus
+    its rounding bound gamma_{width+3} max(1 + y + T^T y), width the most
+    nonzeros in a column of M (Higham, ch. 3).  Then T^T y <= qy with q < 1,
+    so rho(T) < 1 (Collatz-Wielandt), and entrywise
+    |y_true - y| <= rho_r y / (1 - rho_r)."""
+    if not y.min() > 0.0:  # NaN included
         return math.inf
-    Tx = math.exp(-beta) * (M @ x)
+    Ty = math.exp(-beta) * (y @ M)
     k = (width + 3) * 2.0**-53
-    rho_r = float(np.abs(1.0 - (x - Tx)).max() + k / (1.0 - k) * (1.0 + x + Tx).max())
-    return rho_r * float(x.max()) / (1.0 - rho_r) if rho_r < 1.0 else math.inf
+    rho_r = float(np.abs(1.0 - (y - Ty)).max() + k / (1.0 - k) * (1.0 + y + Ty).max())
+    return rho_r * float(y.max()) / (1.0 - rho_r) if rho_r < 1.0 else math.inf
 
 
 def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
@@ -227,19 +233,22 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
     not ``len(extremes) x len(G.vertices)`` raises ValueError.  Checks:
     the labels (one phi state per vertex outside K_beta, distinct psi
     components), normalization, nonnegativity, subinvariance, vanishing on
-    H_beta, the exact eigen-identity for psi states, the resolvent solve
-    x of (I - e^-beta M) x = 1 outside K_beta (when beta clears the quotient
-    radius by SERIES_MARGIN: it passes when its residual certificate bounds
-    its error by 0.5e-9, and otherwise when it agrees with the series to
-    1e-9), for psi states that their atoms vanish at every vertex that
-    receives an edge, and for each phi state that its atoms off its own
-    vertex vanish.  The
-    atom at a vertex v is m_v - e^-beta (A m)_v (``path_measure_atom`` is
-    the definition) and that at a path mu is e^(-beta |mu|) times the one at
+    H_beta, the exact eigen-identity for psi states, for psi states that
+    their atoms vanish at every vertex that receives an edge, and for each
+    phi state that its atoms off its own vertex vanish.  The atom at a
+    vertex v is m_v - e^-beta (A m)_v (``path_measure_atom`` is the
+    definition) and that at a path mu is e^(-beta |mu|) times the one at
     its source s(mu), so checking the vertices checks every finite path.
     The per-state checks run on all rows at once; failures list the labels
     first, then per state in that order, with at most one atom (the first
     failing vertex, or the largest off-vertex atom) each.
+
+    A simplex that passes all of that gets one more check, of its own
+    numbers: phi_{beta,v}'s atom at v is 1/y_v, so the phi rows give y,
+    which solves (I - e^-beta M)^T y = 1 with M the vertex matrix outside
+    K_beta.  When beta clears ln rho(M) by SERIES_MARGIN, y passes if
+    ``_y_error_bound`` certifies it within 0.5e-9 (one product with M),
+    and otherwise only if it agrees with the series to 1e-9.
     """
     A = G.matrix
     bval = simplex.beta_value
@@ -247,7 +256,7 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
     X = simplex.measures
     if X.shape != (len(states), len(G.vertices)):
         raise ValueError(f"measures of shape {X.shape}, not {len(states)} x {len(G.vertices)}")
-    outside, M, radius, width = _outside(G, simplex.K_beta.members)
+    outside, outside_idx, M, radius, width = _outside(G, simplex.K_beta.members)
     psi, phi, phi_vertices = [], [], []
     for k, s in enumerate(states):
         if isinstance(s.label, kms.PsiC):
@@ -290,15 +299,17 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
         if found:
             name = kms.label_text(state)
             failures += [f"{name}: {f}" for f in found]
-    # The phi states' resolvent: certified within 0.5e-9, or the series gap fails closed.
-    if outside and (radius == 0.0 or bval >= math.log(radius) + SERIES_MARGIN):
-        rhs = np.ones(len(outside))
-        direct = spectral.resolvent_solve(M, bval, rhs, radius=radius)
-        if not _solve_error_bound(M, width, bval, direct) <= 0.5e-9:
-            summed = spectral.resolvent_series(M, bval, rhs, 1e-12, radius=radius)
-            gap = float(np.max(np.abs(direct - summed)))
+    # y from the phi rows' own atoms 1/y_v: certified within 0.5e-9, or the
+    # series gap fails closed.  Only a simplex that passed every other check
+    # gets here, so its labels hold and row phi[j] is that of outside[j].
+    if not failures and outside and (radius == 0.0 or bval >= math.log(radius) + SERIES_MARGIN):
+        y = 1.0 / at_vertex[phi, outside_idx]
+        if not _y_error_bound(M, width, bval, y) <= 0.5e-9:
+            summed = spectral.resolvent_series(M.T, bval, np.ones(len(outside)), 1e-12,
+                                               radius=radius)
+            gap = float(np.max(np.abs(y - summed)))
             if not gap <= 1e-9:
-                failures.append(f"resolvent solve vs series gap {gap:.3g}")
+                failures.append(f"y from the phi atoms vs series gap {gap:.3g}")
     return failures
 
 

@@ -113,6 +113,21 @@ def test_minimal_critical_components():
     assert {c.members for c in gk.minimal_critical_components(G2)} == {("w",)}
 
 
+def test_minimal_critical_components_come_in_ascending_id():
+    # A tuple in ascending id, so every process iterates it in one order.
+    mc = gk.minimal_critical_components(example("twin_minimal"))
+    assert type(mc) is tuple
+    assert [(c.id, c.members) for c in mc] == [(1, ("v",)), (2, ("w",))]
+    several = 0
+    for seed in range(200):
+        G = random_graph(random.Random(seed))
+        if gk.critical_temperatures(G):
+            ids = [c.id for c in gk.minimal_critical_components(G)]
+            assert ids == sorted(set(ids)), seed
+            several += len(ids) > 1
+    assert several > 0
+
+
 def test_minimal_critical_rejects_acyclic():
     G = gk.parse_graph("vertices: a b\nedge a b\n")
     with pytest.raises(ValueError):

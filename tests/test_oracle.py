@@ -204,6 +204,32 @@ def test_path_measure_atoms():
             ), (state.label, path)
 
 
+def test_path_measure_atom_weighs_each_arc_by_its_multiplicity():
+    # One eval_state per arc, times its multiplicity, against one per copy.
+    def per_copy(G, state, path):
+        total = gk.eval_state(state, path, path)
+        src = path if isinstance(path, str) else path[-1][0]
+        for e in gk.graph.edge_instances(G):
+            if e[1] == src:
+                ext = (path + (e,)) if isinstance(path, tuple) else (e,)
+                total -= gk.eval_state(state, ext, ext)
+        return total
+
+    checked = 0
+    for name in GRAPHS:
+        G = example(name)
+        crits = gk.critical_temperatures(G)
+        top = max((gk.beta_value(G, c) for c in crits), default=0.0)
+        paths = [*G.vertices, *((e,) for e in gk.graph.edge_instances(G))]
+        for beta in [*crits, top + 0.3]:
+            for state in gk.kms_simplex(G, beta).extremes:
+                for path in paths:
+                    assert oracle.path_measure_atom(G, state, path) == pytest.approx(
+                        per_copy(G, state, path), abs=1e-12), (name, state.label, path)
+                    checked += 1
+    assert checked > 500
+
+
 def test_vectorised_atoms_match_path_measure_atom():
     # verify_simplex checks only the vertex atoms m - e^-beta A m.  They are
     # path_measure_atom at each vertex, and each one-edge atom is e^-beta
@@ -243,10 +269,18 @@ def test_verify_simplex_clean_on_examples():
 def _corrupt(simplex, which, m):
     """The simplex with extreme ``which`` changed: its measure replaced by
     the dict ``m``; for m = "swap", its measure swapped with that of the next
-    phi state; for "duplicate", listed twice; for "drop", left out."""
+    phi state; for "shift", 3e-8 of a phi state's mass moved from its own
+    vertex to the first other vertex it charges; for "duplicate", listed
+    twice; for "drop", left out."""
     extremes = list(simplex.extremes)
     state = extremes[which]
-    if m == "swap":
+    if m == "shift":
+        shifted, own = dict(state.m), state.label.vertex
+        to = next(v for v, mass in shifted.items() if v != own and mass > 0.0)
+        shifted[own] -= 3e-8
+        shifted[to] += 3e-8
+        extremes[which] = dataclasses.replace(state, m=shifted)
+    elif m == "swap":
         k = next(k for k in range(which + 1, len(extremes))
                  if isinstance(extremes[k].label, gk.kms.PhiBetaV))
         extremes[which] = dataclasses.replace(state, m=extremes[k].m)
@@ -327,6 +361,8 @@ def test_verify_simplex_flags_negative_entry():
     ("two_sources_chain", gk.CriticalOf(1), 0, "duplicate", ["psi{v}: listed 2 times"]),
     ("two_sources_chain", 1.2, 1, "duplicate", ["phi[v]: listed 2 times"]),
     ("two_sources_chain", 1.2, 1, "drop", ["no phi state at ['v']"]),
+    ("pair_toward_small", 3.0, 1, "shift", ["y from the phi atoms vs series gap 3.93e-08"]),
+    ("two_sources_chain", 1.2, 3, "shift", ["y from the phi atoms vs series gap 7.28e-07"]),
 ])
 def test_verify_simplex_failure_strings(name, beta, which, m, expect):
     G = example(name)
@@ -335,10 +371,14 @@ def test_verify_simplex_failure_strings(name, beta, which, m, expect):
 
 def test_verify_simplex_ties_every_phi_row_to_its_vertex():
     # Each corruption the theorem rules out is caught on the examples and on
-    # random graphs at every critical value and above the top one.
+    # random graphs at every critical value and above the top one.  A shift
+    # may fail any check (the y check runs last, on a simplex that passed the
+    # others, where beta clears ln rho outside K_beta by SERIES_MARGIN, as it
+    # does above the top critical value), so any failure counts.
     graphs = [example(name) for name in GRAPHS]
     graphs += [random_graph(random.Random(seed)) for seed in range(150)]
-    named = {"swap": "atom", "duplicate": "listed 2 times", "drop": "no phi state at"}
+    named = {"swap": "atom", "duplicate": "listed 2 times", "drop": "no phi state at",
+             "shift": ""}
     caught = dict.fromkeys(named, 0)
     for G in graphs:
         crits = gk.critical_temperatures(G)
@@ -349,6 +389,9 @@ def test_verify_simplex_ties_every_phi_row_to_its_vertex():
                    if isinstance(s.label, gk.kms.PhiBetaV)]
             cases = [(k, "duplicate") for k in range(len(sx.extremes))]
             cases += [(k, "drop") for k in phi] + [(k, "swap") for k in phi[:-1]]
+            if not isinstance(beta, gk.CriticalOf):
+                cases += [(k, "shift") for k in phi
+                          if np.count_nonzero(sx.measures[k] > 0.0) > 1]
             for which, how in cases:
                 failures = oracle.verify_simplex(G, _corrupt(sx, which, how))
                 assert any(named[how] in f for f in failures), (G.vertices, beta, which, how)
@@ -356,29 +399,53 @@ def test_verify_simplex_ties_every_phi_row_to_its_vertex():
     assert min(caught.values()) > 100, caught
 
 
-# -- the resolvent check: certificate, then series ----------------------------
+# -- the y check: certificate, then series -----------------------------------
 
 
-def _with_solve(monkeypatch, change):
-    """Make the oracle's resolvent solve return ``change`` of the true one."""
-    solve = spectral.resolvent_solve
-    monkeypatch.setattr(spectral, "resolvent_solve", lambda *a, **k: change(solve(*a, **k)))
+def test_verify_simplex_runs_no_resolvent_solve(monkeypatch):
+    # The oracle checks the simplex's own numbers with products and, as a
+    # fallback, the series; it never factors I - e^-beta M itself.
+    simplices = []
+    for name in GRAPHS:
+        G = example(name)
+        crits = gk.critical_temperatures(G)
+        top = max((gk.beta_value(G, c) for c in crits), default=0.0)
+        simplices += [(G, gk.kms_simplex(G, beta)) for beta in [*crits, top + 0.3]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_simplex called resolvent_solve")
+
+    monkeypatch.setattr(spectral, "resolvent_solve", refuse)
+    for G, sx in simplices:
+        assert oracle.verify_simplex(G, sx) == []
 
 
-def test_verify_simplex_fails_a_nan_resolvent_solve(monkeypatch):
+def test_y_certificate_refuses_nan_and_a_nan_series_gap_fails(monkeypatch):
     # NaN is not positive, so the certificate refuses it, and a NaN gap to
     # the series is not within 1e-9.
     G = example("pair_toward_small")
     sx = gk.kms_simplex(G, 3.0)
-    _with_solve(monkeypatch, lambda x: x * np.nan)
-    assert oracle.verify_simplex(G, sx) == ["resolvent solve vs series gap nan"]
+    _, _, M, _, width = oracle._outside(G, sx.K_beta.members)
+    assert oracle._y_error_bound(M, width, 3.0, np.full(2, np.nan)) == math.inf
+    monkeypatch.setattr(spectral, "resolvent_series", lambda *a, **k: np.full(2, np.nan))
+    assert oracle.verify_simplex(G, _corrupt(sx, 1, "shift")) == [
+        "y from the phi atoms vs series gap nan"]
 
 
-def test_verify_simplex_checks_an_uncertified_solve_against_the_series(monkeypatch):
+def test_verify_simplex_checks_an_uncertified_y_against_the_series(monkeypatch):
+    # 3e-8 of phi[w]'s mass moved off w leaves every other check passing, but
+    # its own atom no longer is 1/y_w: the certificate cannot settle y and
+    # the series shows the gap.
     G = example("pair_toward_small")
     sx = gk.kms_simplex(G, 3.0)
-    _with_solve(monkeypatch, lambda x: x * (1 + 1e-8))
-    assert oracle.verify_simplex(G, sx) == ["resolvent solve vs series gap 1.18e-08"]
+    series, calls = spectral.resolvent_series, []
+    monkeypatch.setattr(spectral, "resolvent_series",
+                        lambda *a, **k: calls.append(a) or series(*a, **k))
+    assert oracle.verify_simplex(G, sx) == []
+    assert calls == []
+    assert oracle.verify_simplex(G, _corrupt(sx, 1, "shift")) == [
+        "y from the phi atoms vs series gap 3.93e-08"]
+    assert len(calls) == 1
 
 
 def test_verify_simplex_sums_the_series_where_the_certificate_is_loose(monkeypatch):
@@ -392,7 +459,8 @@ def test_verify_simplex_sums_the_series_where_the_certificate_is_loose(monkeypat
     assert len(calls) == 1
 
 
-def test_resolvent_certificate_bounds_the_gap_to_the_series():
+def test_y_certificate_bounds_the_gap_to_the_series():
+    # y is read off the phi rows as verify_simplex reads it: 1 / own atom.
     settled = 0
     for seed in range(200):
         G = random_graph(random.Random(seed))
@@ -401,15 +469,17 @@ def test_resolvent_certificate_bounds_the_gap_to_the_series():
         betas = [*gk.critical_temperatures(G), *np.linspace(0.05, top, 20).tolist()]
         for beta in betas:
             sx = gk.kms_simplex(G, beta)
-            outside, M, radius, width = oracle._outside(G, sx.K_beta.members)
+            outside, idx, M, radius, width = oracle._outside(G, sx.K_beta.members)
             b = sx.beta_value
             if not outside or (radius and b < math.log(radius) + oracle.SERIES_MARGIN):
                 continue
-            ones = np.ones(len(outside))
-            direct = spectral.resolvent_solve(M, b, ones, radius=radius)
-            bound = oracle._solve_error_bound(M, width, b, direct)
+            phi = sx.measures[len(sx.extremes) - len(outside):]
+            at_vertex = phi - (phi @ G.matrix.T) / math.exp(b)
+            y = 1.0 / at_vertex[np.arange(len(outside)), idx]
+            bound = oracle._y_error_bound(M, width, b, y)
             if bound <= 0.5e-9:
-                summed = spectral.resolvent_series(M, b, ones, 1e-12, radius=radius)
-                assert np.abs(direct - summed).max() <= bound + 1e-12, (seed, b)
+                summed = spectral.resolvent_series(M.T, b, np.ones(len(outside)), 1e-12,
+                                                   radius=radius)
+                assert np.abs(y - summed).max() <= bound + 1e-12, (seed, b)
                 settled += 1
     assert settled > 2000

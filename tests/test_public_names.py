@@ -61,7 +61,7 @@ REMOVED = {
             "phi_beta_v_measure", "factors_through_graph_algebra"],
     "spectral": ["perron_vector", "period"],
     "oracle": ["collect_paths", "PathEnumeration", "subinvariance_check",
-               "_spec_or_float", "_path_atoms"],
+               "_spec_or_float", "_path_atoms", "_solve_error_bound"],
 }
 
 
