@@ -38,11 +38,8 @@ from .kms import (
 )
 from .spectral import (
     ConvergenceError,
-    SpectralData,
     resolvent_series,
     resolvent_solve,
-    spectral_radius,
-    y_vector,
 )
 
 __all__ = [
@@ -57,7 +54,6 @@ __all__ = [
     "PhiBetaV",
     "PsiC",
     "SimplexDescriptor",
-    "SpectralData",
     "StateMeasure",
     "VertexSet",
     "H_beta",
@@ -77,8 +73,6 @@ __all__ = [
     "saturation",
     "seneta_order",
     "sources",
-    "spectral_radius",
-    "y_vector",
 ]
 
 __version__ = "0.1.0"

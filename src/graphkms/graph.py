@@ -134,7 +134,7 @@ class DirectedGraph:
     access.
     ``_memo`` holds what other modules derive from the graph alone, under
     their own keys, each filled on first use: the critical temperatures
-    and the regime of each interval between them (:mod:`graphkms.kms`),
+    and the regimes met so far (:mod:`graphkms.kms`),
     and the oracle's per-graph data (:mod:`graphkms.oracle`).
     """
 

@@ -177,7 +177,8 @@ class Regime:
     """The combinatorial data that fixes the simplex at one beta.
 
     Everything here is a comparison against the per-component arrays of G;
-    no linear algebra runs until measures are asked for.
+    no linear algebra runs until measures are asked for.  It holds no beta:
+    one Regime serves every beta that makes the same comparisons.
     ``minimal_critical`` holds the ascending ids of the minimal critical
     components of the quotient by H_beta, ``outside`` the ascending vertex
     indices outside K_beta (one phi state each), ``outside_radius`` the
@@ -185,8 +186,6 @@ class Regime:
     K_beta, which are those of the quotient by the saturation of K_beta.
     """
 
-    beta: BetaSpec
-    beta_value: float
     case: str
     H_beta: VertexSet
     K_beta: VertexSet
@@ -211,38 +210,38 @@ def regime(G: DirectedGraph, beta) -> Regime:
     critical component is minimal when its strict divergence stays below
     beta - TOL.
 
-    Every divergence value lies within TOL of a critical value, so at a
-    numeric beta more than 2 TOL from every critical value each of these
-    comparisons comes out as at any other such beta between the same two
-    consecutive critical values.  Such a beta gets its interval's regime,
-    derived once and cached on G, with only ``beta`` and ``beta_value``
-    replaced; the cache holds at most one regime per interval, that is
-    ``len(critical_temperatures(G)) + 1``.  A numeric beta nearer a critical
-    value and every CriticalOf are derived afresh.
+    Each of these comparisons sets beta - TOL or beta + TOL against -inf or
+    against a finite value of ``G.divergence``, ``G.strict_divergence`` or
+    ``G.ln_spectral_radii``.  The graph's cuts are the distinct finite
+    ln rho(A_C) within 3 TOL of C's divergence value.  They hold every
+    divergence and strict divergence value, each being the ln rho of a D
+    whose own divergence value it is.  A smaller ln rho enters only through
+    divergence <= beta + TOL and ln rho >= beta - TOL, which no beta meets
+    (the values stay below ~710, so rounding is far below TOL).  The regime
+    is memoised on G under (bisect_left(cuts, beta - TOL),
+    bisect_right(cuts, beta + TOL)), taken of the very floats compared, so
+    equal keys give equal masks and every beta, numeric or CriticalOf, gets
+    the one Regime of its key.  Both positions only grow with beta, so G
+    holds at most 2 len(cuts) + 1 regimes.
     """
-    spec = _as_beta(beta)
-    bval = beta_value(G, spec)
-    if isinstance(spec, CriticalOf):
-        return _derive_regime(G, spec, bval)
-    _, values, per_interval = _intervals(G)
-    i = bisect.bisect(values, bval)
-    near = (i and bval - values[i - 1] <= 2 * TOL) or (
-        i < len(values) and values[i] - bval <= 2 * TOL
-    )
-    if near:
-        return _derive_regime(G, spec, bval)
-    cached = per_interval.get(i)
+    return _regime_at(G, beta_value(G, beta))
+
+
+def _regime_at(G: DirectedGraph, bval: float) -> Regime:
+    cached = G._memo.get("regimes")
     if cached is None:
-        cached = per_interval[i] = _derive_regime(G, spec, bval)
-        return cached
-    # A copy of the cached fields with beta replaced, built without the
-    # frozen __init__ (which dataclasses.replace would run again).
-    hit = object.__new__(Regime)
-    vars(hit).update(vars(cached), beta=spec, beta_value=bval)
-    return hit
+        ln_radii = G.ln_spectral_radii
+        cuts = ln_radii[np.isfinite(ln_radii) & (ln_radii >= G.divergence - 3 * TOL)]
+        cached = G._memo["regimes"] = (sorted(set(cuts.tolist())), {})
+    cuts, memo = cached
+    key = (bisect.bisect_left(cuts, bval - TOL), bisect.bisect_right(cuts, bval + TOL))
+    reg = memo.get(key)
+    if reg is None:
+        reg = memo[key] = _derive_regime(G, bval)
+    return reg
 
 
-def _derive_regime(G: DirectedGraph, spec: BetaSpec, bval: float) -> Regime:
+def _derive_regime(G: DirectedGraph, bval: float) -> Regime:
     top = G.divergence
     # Per-vertex divergence: the closures H_beta and K_beta are masks.
     vtop = top[G.vertex_components]
@@ -267,8 +266,6 @@ def _derive_regime(G: DirectedGraph, spec: BetaSpec, bval: float) -> Regime:
     H = VertexSet(_names(G, in_H), hereditary=True, saturated=not swallowed_mask(arcs, in_H).any())
     K = VertexSet(_names(G, in_K), hereditary=True, saturated=not swallowed_mask(arcs, in_K).any())
     return Regime(
-        beta=spec,
-        beta_value=bval,
         case=case,
         H_beta=H,
         K_beta=K,
@@ -309,20 +306,12 @@ def critical_temperatures(G: DirectedGraph) -> list[CriticalOf]:
     that is iff its divergence value is its own ln rho (up to TOL); then the
     restriction of A to the survivors still has spectral radius ln-equal to
     the candidate.  Values closer than TOL are merged, keeping the smallest
-    component id.  Derived once per graph, with the regime cache.
+    component id.  Derived once per graph and cached on it.
     """
-    return list(_intervals(G)[0])
-
-
-def _intervals(G: DirectedGraph):
-    """The critical temperatures of G, their values and the regime of each
-    interval between them met so far, cached on G on first use."""
-    cached = G._memo.get("intervals")
+    cached = G._memo.get("criticals")
     if cached is None:
-        criticals = _criticals(G)
-        values = [beta_value(G, c) for c in criticals]
-        cached = G._memo["intervals"] = (criticals, values, {})
-    return cached
+        cached = G._memo["criticals"] = _criticals(G)
+    return list(cached)
 
 
 def _criticals(G: DirectedGraph) -> tuple[CriticalOf, ...]:
@@ -355,8 +344,8 @@ def beta_v(G: DirectedGraph, v: str) -> float | None:
 # before any state takes a view of them.
 
 
-def _extreme_rows(G: DirectedGraph, reg: Regime) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only measure rows of every extreme point, and y.
+def _extreme_rows(G: DirectedGraph, reg: Regime, bval: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only measure rows of every extreme point at beta = bval, and y.
 
     The psi rows come first, in ascending component id, then the phi rows
     in vertex order.  M, the vertex matrix on the vertices outside K_beta,
@@ -371,9 +360,7 @@ def _extreme_rows(G: DirectedGraph, reg: Regime) -> tuple[np.ndarray, np.ndarray
     y = np.zeros(0)
     if out.size:
         M = G.matrix[out[:, None], out]
-        resolvent = spectral.resolvent_solve(
-            M, reg.beta_value, np.eye(out.size), radius=reg.outside_radius
-        )
+        resolvent = spectral.resolvent_solve(M, bval, np.eye(out.size), radius=reg.outside_radius)
         y = resolvent.sum(axis=0)
         resolvent /= y
         rows[len(mc):, out] = resolvent.T
@@ -400,7 +387,9 @@ def general_state_measure(
     vertices outside K_beta with epsilon . y = 1; t is a probability vector
     over the minimal critical components of the quotient by H_beta.
     """
-    reg = regime(G, beta)
+    spec = _as_beta(beta)
+    bval = beta_value(G, spec)
+    reg = _regime_at(G, bval)
     if reg.case != CRITICAL:
         raise ValueError("beta is not critical for this graph")
     if not -TOL <= r <= 1.0 + TOL:
@@ -434,7 +423,7 @@ def general_state_measure(
                 f"epsilon charges {name} inside K_beta, where the series diverges"
             )
     eps_vec = np.array([eps_map.get(G.vertices[i], 0.0) for i in out_idx])
-    rows, y = _extreme_rows(G, reg)
+    rows, y = _extreme_rows(G, reg, bval)
     if not out_idx:
         # Nothing survives K_beta, so no phi part can exist at all.
         if r > TOL or any(w > TOL for w in eps_map.values()):
@@ -448,8 +437,8 @@ def general_state_measure(
 
     kind = INFINITE if r <= TOL else FINITE if r >= 1.0 - TOL else MIXED
     return StateMeasure(
-        beta=reg.beta,
-        beta_value=reg.beta_value,
+        beta=spec,
+        beta_value=bval,
         m=MeasureView(G, _frozen(m)),
         label=Mixture(r=r, epsilon=eps_map, t=tmap),
         # A mixture factors iff it has no phi part or its phi part charges
@@ -471,12 +460,14 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     order.  This is the one constructor of extreme states: a single psi_C
     or phi_{beta,v} is one of these rows.
     """
-    reg = regime(G, beta)
+    spec = _as_beta(beta)
+    bval = beta_value(G, spec)
+    reg = _regime_at(G, bval)
     mc = [G.components[cid] for cid in reg.minimal_critical]
-    measures, _ = _extreme_rows(G, reg)
+    measures, _ = _extreme_rows(G, reg, bval)
     psi = [
         StateMeasure(
-            beta=reg.beta,
+            beta=spec,
             beta_value=float(G.ln_spectral_radii[C.id]),
             m=MeasureView(G, row),
             label=PsiC(C),
@@ -490,8 +481,8 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     outside = [G.vertices[i] for i in reg.outside]
     phi = [
         StateMeasure(
-            beta=reg.beta,
-            beta_value=reg.beta_value,
+            beta=spec,
+            beta_value=bval,
             m=MeasureView(G, row),
             label=PhiBetaV(v),
             factors_through_graph_algebra=v in reg.sources,
@@ -500,8 +491,8 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
         for v, row in zip(outside, measures[len(mc):])
     ]
     return SimplexDescriptor(
-        beta=reg.beta,
-        beta_value=reg.beta_value,
+        beta=spec,
+        beta_value=bval,
         case=reg.case,
         H_beta=reg.H_beta,
         K_beta=reg.K_beta,

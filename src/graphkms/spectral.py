@@ -301,17 +301,15 @@ def _check_convergent(radius: float, beta: float) -> None:
         )
 
 
-def resolvent_solve(M, beta: float, b, *, radius: float | None = None) -> np.ndarray:
+def resolvent_solve(M, beta: float, b, *, radius: float) -> np.ndarray:
     """Solve (I - e^(-beta) M) x = b by dense LU with partial pivoting.
 
     The entries of the inverse are the path generating functions
     sum_{lambda in vE*w} e^(-beta |lambda|), so columns of the identity give
-    per-vertex path series.  ``radius`` may be supplied to skip recomputing
-    the spectral radius when the caller already knows it.
+    per-vertex path series.  ``radius`` is the spectral radius of M, which
+    every caller already holds; the solve refuses a beta where it diverges.
     """
     A = _as_square(M)
-    if radius is None:
-        radius = spectral_radius(A)
     _check_convergent(radius, beta)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
@@ -325,9 +323,7 @@ def resolvent_solve(M, beta: float, b, *, radius: float | None = None) -> np.nda
     return np.linalg.solve(W, b)
 
 
-def resolvent_series(
-    M, beta: float, b, tol: float = 1e-12, *, radius: float | None = None
-) -> np.ndarray:
+def resolvent_series(M, beta: float, b, tol: float = 1e-12, *, radius: float) -> np.ndarray:
     """Neumann sum for (I - e^(-beta) M)^(-1) b, summed by doubling.
 
     Independent oracle for resolvent_solve: no factorisation, only products.
@@ -335,10 +331,9 @@ def resolvent_series(
     sets S_2N = S_N + P S_N and P <- P^2.  The limit is sum_j P^j S_N, so
     once q = ||P||_inf < 1 the tail is at most q/(1-q) ||S_N||_inf, and the
     sum stops when that bound is under tol.  At most 64 doublings.
+    ``radius`` is the spectral radius of M, as for :func:`resolvent_solve`.
     """
     A = _as_square(M)
-    if radius is None:
-        radius = spectral_radius(A)
     _check_convergent(radius, beta)
     total = np.array(b, dtype=float)
     P = math.exp(-beta) * A

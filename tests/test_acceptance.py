@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import graphkms as gk
-from graphkms import oracle
+from graphkms import oracle, spectral
 
 from conftest import example, psi_state, quotient_graph, random_graph, z_of
 
@@ -190,7 +190,7 @@ def test_criterion_6_randomized_sweep():
     for seed in range(1000):
         G = random_graph(random.Random(seed))
         criticals = gk.critical_temperatures(G)
-        rho = gk.spectral_radius(G.matrix)
+        rho = spectral.spectral_radius(G.matrix)
         top = math.log(rho) + 0.5 if rho > 1 else 1.0
         betas = list(criticals)
         betas.extend(float(b) for b in np.linspace(0.05, top, 20))
@@ -212,9 +212,9 @@ def test_criterion_7_oracle_equivalence():
     y_compared = z_compared = 0
     for name in GRAPHS:
         G = example(name)
-        rho = gk.spectral_radius(G.matrix)
+        rho = spectral.spectral_radius(G.matrix)
         beta = math.log(rho) + 0.3
-        y = gk.y_vector(G, beta)
+        y = spectral.y_vector(G, beta)
         for v in G.vertices:
             got = oracle.series_y_oracle(G, beta, v)
             assert got == pytest.approx(y[G.index[v]], abs=1e-7), (name, v)

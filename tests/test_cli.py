@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import graphkms as gk
-from graphkms import cli, kms
+from graphkms import cli, kms, spectral
 
 from conftest import GRAPHS, random_graph
 
@@ -335,7 +335,7 @@ def test_phase_diagram_rows_match_the_simplex_on_random_graphs(graph_file, capsy
     for seed in range(60):
         G = random_graph(random.Random(seed))
         text = _graph_text(G)
-        rho = gk.spectral_radius(G.matrix)
+        rho = spectral.spectral_radius(G.matrix)
         top = math.log(rho) + 0.5 if rho > 1.0 + 1e-9 else 1.0
         rc, out, _ = run(capsys, "phase-diagram", graph_file(text),
                          "--beta-min", "0.05", "--beta-max", repr(top), "--steps", "20")
@@ -368,7 +368,7 @@ def _phase_rows_match_regime(G, out, grid):
 @settings(max_examples=40, deadline=None)
 def test_phase_diagram_rows_match_a_regime_per_row(seed, steps):
     G = random_graph(random.Random(seed))
-    rho = gk.spectral_radius(G.matrix)
+    rho = spectral.spectral_radius(G.matrix)
     top = math.log(rho) + 0.5 if rho > 1.0 + 1e-9 else 1.0
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

@@ -74,10 +74,22 @@ def test_critical_of_takes_an_integer_id():
                 call(G, gk.CriticalOf(bad))
     ln3 = gk.beta_value(G, gk.CriticalOf(1))
     assert gk.beta_value(G, gk.CriticalOf(np.int64(1))) == ln3
-    for call in (gk.kms_simplex, kms.regime):
-        got = call(G, gk.CriticalOf(np.int64(1)))
-        assert got.beta == gk.CriticalOf(1) and type(got.beta.component) is int
-        assert got.beta_value == ln3
+    got = gk.kms_simplex(G, gk.CriticalOf(np.int64(1)))
+    assert got.beta == gk.CriticalOf(1) and type(got.beta.component) is int
+    assert got.beta_value == ln3
+
+
+def test_critical_of_and_its_value_share_one_regime():
+    # The regime holds no beta, so a CriticalOf and the float it resolves to
+    # get the very same memoised object, whichever comes first.
+    for name in ("pair_toward_small", "reversed_tail"):
+        for first_numeric in (False, True):
+            G = example(name)
+            for spec in gk.critical_temperatures(G):
+                value = gk.beta_value(G, spec)
+                pair = (value, spec) if first_numeric else (spec, value)
+                assert kms.regime(G, pair[0]) is kms.regime(G, pair[1])
+                assert kms.regime(G, gk.Numeric(value)) is kms.regime(G, spec)
 
 
 def test_H_beta_ranges():
@@ -276,7 +288,7 @@ def test_phi_measure_normalized_by_y():
     G = example("two_sources_chain")
     beta = 1.3
     phi = phi_state(G, beta, "u2")
-    y = gk.y_vector(G, beta)
+    y = spectral.y_vector(G, beta)
     R = np.linalg.solve(
         np.eye(4) - math.exp(-beta) * G.matrix.astype(float), np.eye(4)
     )
@@ -402,7 +414,7 @@ def test_general_state_measure_two_component_mixture():
     comps = {c.members: c for c in gk.minimal_critical_components(G)}
     cv, cw = comps[("v",)], comps[("w",)]
     t = {cv.id: 0.5, cw.id: 0.5}
-    y_u = float(gk.y_vector(quotient_graph(G, gk.K_beta(G, gk.CriticalOf(1))), LN2)[0])
+    y_u = float(spectral.y_vector(quotient_graph(G, gk.K_beta(G, gk.CriticalOf(1))), LN2)[0])
     state = gk.general_state_measure(G, gk.CriticalOf(1), 0.0, {"u": 1 / y_u}, t)
     psi_v = psi_state(G, cv)
     psi_w = psi_state(G, cw)
@@ -416,7 +428,7 @@ def test_general_state_measure_mixture_factor_flag():
     G = example("persistent_source")
     spec = gk.CriticalOf(2)  # ln2, component {v}
     Q = quotient_graph(G, gk.K_beta(G, spec))
-    y = gk.y_vector(Q, LN2)
+    y = spectral.y_vector(Q, LN2)
     eps_u3 = {"u3": 1 / float(y[Q.index["u3"]])}
     state = gk.general_state_measure(G, spec, 0.5, eps_u3, {2: 1.0})
     assert state.factors_through_graph_algebra
@@ -638,7 +650,7 @@ def test_single_state_constructors_return_views():
     G = example("two_sources_chain")
     spec = gk.CriticalOf(3)
     Q = quotient_graph(G, gk.K_beta(G, spec))
-    y = gk.y_vector(Q, LN3)
+    y = spectral.y_vector(Q, LN3)
     states = [
         psi_state(G, G.components[3]),
         phi_state(G, 1.3, "u2"),

@@ -58,7 +58,7 @@ def test_enumerate_paths_guards():
 def test_series_y_matches_solver():
     G = example("pair_toward_small")
     beta = math.log(4)
-    y = gk.y_vector(G, beta)
+    y = spectral.y_vector(G, beta)
     assert oracle.series_y_oracle(G, beta, "v") == pytest.approx(y[0], abs=2e-9)
     assert oracle.series_y_oracle(G, beta, "w") == pytest.approx(y[1], abs=2e-9)
 
@@ -464,7 +464,7 @@ def test_y_certificate_bounds_the_gap_to_the_series():
     settled = 0
     for seed in range(200):
         G = random_graph(random.Random(seed))
-        rho = gk.spectral_radius(G.matrix)
+        rho = spectral.spectral_radius(G.matrix)
         top = math.log(rho) + 0.5 if rho > 1 else 1.0
         betas = [*gk.critical_temperatures(G), *np.linspace(0.05, top, 20).tolist()]
         for beta in betas:

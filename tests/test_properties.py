@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphkms as gk
-from graphkms import oracle
+from graphkms import oracle, spectral
 
 from conftest import GRAPHS, path_count, quotient_graph, random_graph, talks_to
 
@@ -123,7 +123,7 @@ def test_radius_is_max_over_components(seed):
     per_comp = [c.spectral_radius for c in G.components if not c.trivial]
     expected = max(per_comp, default=0.0)
     assert math.isclose(
-        gk.spectral_radius(G.matrix), expected, rel_tol=0, abs_tol=1e-9
+        spectral.spectral_radius(G.matrix), expected, rel_tol=0, abs_tol=1e-9
     )
 
 
@@ -154,7 +154,7 @@ def test_path_count_matches_enumeration(seed):
 @settings(max_examples=50, deadline=None)
 def test_H_nested_in_K_and_cases_line_up(seed):
     rng, G = _setup(seed)
-    rho = gk.spectral_radius(G.matrix)
+    rho = spectral.spectral_radius(G.matrix)
     beta = rng.uniform(0.0, (math.log(rho) if rho > 1 else 0.5) + 1.0)
     H = gk.H_beta(G, beta)
     K = gk.K_beta(G, beta)
@@ -174,7 +174,7 @@ def test_H_nested_in_K_and_cases_line_up(seed):
 def test_simplexes_survive_full_verification(seed):
     rng, G = _setup(seed)
     betas = list(gk.critical_temperatures(G))
-    rho = gk.spectral_radius(G.matrix)
+    rho = spectral.spectral_radius(G.matrix)
     top = math.log(rho) if rho > 1 else 0.0
     betas.append(top + 0.5)
     betas.append(rng.uniform(0.05, top + 1.0))
@@ -189,7 +189,7 @@ TOL = 1e-9
 
 def _sweep_betas(G):
     """Every critical temperature plus the acceptance sweep's 20-point grid."""
-    rho = gk.spectral_radius(G.matrix)
+    rho = spectral.spectral_radius(G.matrix)
     top = math.log(rho) + 0.5 if rho > 1.0 + TOL else 1.0
     grid = [float(b) for b in np.linspace(0.05, top, 20)]
     return list(gk.critical_temperatures(G)) + grid
@@ -214,6 +214,15 @@ edge b2 b0
 edge c1 c1 2
 edge c2 c2 3
 edge c2 c1
+""")
+# ln 3 is the only critical value, yet ln rho_u = ln 2 >= beta - TOL flips
+# between beta = 0.5 and 0.8; only divergence_u = ln 3 <= beta + TOL, false
+# at both, keeps the regime the same.
+MASKED = gk.parse_graph("""
+vertices: u v
+edge u u 2
+edge v v 3
+edge u v
 """)
 
 
@@ -288,15 +297,25 @@ def _regime_fields(reg):
     return out
 
 
+def _edge_betas(G):
+    """Betas at and around every place where beta - TOL or beta + TOL meets
+    a finite divergence, strict divergence or ln rho value of G: the value
+    plus {0, 1/2, 1, 3/2, 2, 3} TOL either way, and one ulp either side of
+    value -+ TOL."""
+    values = np.concatenate((G.divergence, G.strict_divergence, G.ln_spectral_radii))
+    betas = set()
+    for v in set(values[np.isfinite(values)].tolist()):
+        betas.update(v + k * TOL for k in (-3, -2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2, 3))
+        for edge in (v - TOL, v + TOL):
+            betas.update((math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)))
+    return sorted(betas)
+
+
 def _check_reuse(graph, order, rng):
     """Regimes, measures and verify lists of one graph reused across a beta
     grid in the given order equal those of a fresh copy per beta."""
-    criticals = gk.critical_temperatures(graph)
-    values = [gk.beta_value(graph, c) for c in criticals]
-    # The grid, points just inside and just outside each critical value's
-    # 2 TOL window, and the criticals themselves.
-    offsets = (-2.5e-9, -1.5e-9, -9e-10, -1e-10, 1e-10, 9e-10, 1.5e-9, 2.5e-9)
-    betas = _sweep_betas(graph) + [v + d for v in values for d in offsets]
+    nontrivial = [gk.CriticalOf(c.id) for c in graph.components if not c.trivial]
+    betas = _sweep_betas(graph) + _edge_betas(graph) + nontrivial
     betas.sort(key=lambda b: gk.beta_value(graph, b))
     if order == "descending":
         betas.reverse()
@@ -310,8 +329,11 @@ def _check_reuse(graph, order, rng):
         sx, ref = gk.kms_simplex(graph, beta), gk.kms_simplex(fresh, beta)
         assert sx.measures.tobytes() == ref.measures.tobytes(), beta
         assert oracle.verify_simplex(graph, sx) == oracle.verify_simplex(fresh, ref)
-        assert len(graph._memo["intervals"][2]) <= len(criticals) + 1
-    assert graph._memo["intervals"][2]
+        cuts, memo = graph._memo["regimes"]
+        assert len(memo) <= 2 * len(cuts) + 1
+    # Every divergence and strict divergence value is a cut.
+    values = np.concatenate((graph.divergence, graph.strict_divergence))
+    assert set(values[np.isfinite(values)].tolist()) <= set(cuts)
 
 
 ORDERS = ["ascending", "descending", "shuffled"]
@@ -329,3 +351,4 @@ def test_regimes_reused_on_tied_graphs_match_a_fresh_graph_per_beta(order):
     for text in GRAPHS.values():
         _check_reuse(gk.parse_graph(text), order, random.Random(5))
     _check_reuse(_fresh(TIED), order, random.Random(5))
+    _check_reuse(_fresh(MASKED), order, random.Random(5))

@@ -45,12 +45,12 @@ def test_all_names_resolve():
 PUBLIC = [
     "Component", "ConvergenceError", "CriticalOf", "DirectedGraph", "Edge",
     "GraphParseError", "H_beta", "K_beta", "Mixture", "Numeric", "PhiBetaV",
-    "PsiC", "SimplexDescriptor", "SpectralData", "StateMeasure", "VertexSet",
+    "PsiC", "SimplexDescriptor", "StateMeasure", "VertexSet",
     "beta_v", "beta_value", "critical_temperatures", "eval_state",
     "general_state_measure", "hereditary_closure", "kms_simplex",
     "minimal_critical_components", "parse_graph", "perron_check",
     "resolvent_series", "resolvent_solve", "saturation", "seneta_order",
-    "sources", "spectral_radius", "y_vector",
+    "sources",
 ]
 
 # Single-state constructors and test-only helpers: each state is a row of

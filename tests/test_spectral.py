@@ -116,13 +116,14 @@ def test_period_agrees_with_cycle_gcd():
 
 def test_resolvent_solve_known_inverse():
     A = example("pair_toward_small").matrix
-    R = spectral.resolvent_solve(A, math.log(4), np.eye(2))
+    R = spectral.resolvent_solve(A, math.log(4), np.eye(2), radius=spectral.spectral_radius(A))
     assert np.allclose(R, [[2.0, 2.0], [0.0, 4.0]], atol=1e-9)
 
 
 def test_resolvent_solve_zero_matrix_is_identity():
     b = np.array([1.0, 2.0])
-    out = spectral.resolvent_solve(np.zeros((2, 2), dtype=int), 0.3, b)
+    Z = np.zeros((2, 2), dtype=int)
+    out = spectral.resolvent_solve(Z, 0.3, b, radius=spectral.spectral_radius(Z))
     assert np.allclose(out, b, atol=1e-12)
 
 
@@ -152,10 +153,11 @@ def test_resolvent_matrix_and_solve_match_the_textbook_expression(monkeypatch):
 
 def test_resolvent_solve_divergent_raises():
     A = example("pair_toward_small").matrix
+    rho = spectral.spectral_radius(A)
     with pytest.raises(gk.ConvergenceError):
-        spectral.resolvent_solve(A, math.log(3), np.ones(2))
+        spectral.resolvent_solve(A, math.log(3), np.ones(2), radius=rho)
     with pytest.raises(gk.ConvergenceError):
-        spectral.resolvent_solve(A, 0.5, np.ones(2))
+        spectral.resolvent_solve(A, 0.5, np.ones(2), radius=rho)
 
 
 def test_resolvent_series_matches_solve():
@@ -166,34 +168,35 @@ def test_resolvent_series_matches_solve():
         rho = spectral.spectral_radius(A)
         beta = math.log(rho) + 0.05 + rng.random() if rho > 0 else rng.random()
         b = np.array([rng.random() for _ in range(len(G.vertices))])
-        solved = spectral.resolvent_solve(A, beta, b)
-        summed = spectral.resolvent_series(A, beta, b, 1e-12)
+        solved = spectral.resolvent_solve(A, beta, b, radius=rho)
+        summed = spectral.resolvent_series(A, beta, b, 1e-12, radius=rho)
         assert np.max(np.abs(solved - summed)) < 1e-9
 
 
 def test_resolvent_series_nilpotent_is_finite_sum():
     M = np.array([[0, 1], [0, 0]])
     # converges at any beta because the series terminates
-    out = spectral.resolvent_series(M, -1.0, np.array([0.0, 1.0]), 1e-15)
+    out = spectral.resolvent_series(M, -1.0, np.array([0.0, 1.0]), 1e-15,
+                                    radius=spectral.spectral_radius(M))
     assert out == pytest.approx([math.e, 1.0], abs=1e-12)
 
 
 def test_resolvent_series_zero_rhs():
     M = np.array([[2, 0], [0, 2]])
-    out = spectral.resolvent_series(M, 1.0, np.zeros(2), 1e-15)
+    out = spectral.resolvent_series(M, 1.0, np.zeros(2), 1e-15, radius=spectral.spectral_radius(M))
     assert np.all(out == 0.0)
 
 
 def test_y_vector_pair_toward_small():
     G = example("pair_toward_small")
-    y = gk.y_vector(G, math.log(4))
+    y = spectral.y_vector(G, math.log(4))
     assert y[0] == pytest.approx(2.0, abs=1e-9)
     assert y[1] == pytest.approx(6.0, abs=1e-9)
 
 
 def test_y_vector_edgeless_is_ones():
     G = gk.parse_graph("vertices: a b c\n")
-    assert np.allclose(gk.y_vector(G, 0.25), 1.0, atol=1e-12)
+    assert np.allclose(spectral.y_vector(G, 0.25), 1.0, atol=1e-12)
 
 
 def test_y_vector_at_least_one():
@@ -202,13 +205,13 @@ def test_y_vector_at_least_one():
         G = random_graph(rng)
         rho = spectral.spectral_radius(G.matrix)
         beta = math.log(rho) + 0.2 if rho > 0 else 0.7
-        assert (gk.y_vector(G, beta) >= 1.0 - 1e-12).all()
+        assert (spectral.y_vector(G, beta) >= 1.0 - 1e-12).all()
 
 
 def test_y_vector_divergent_raises():
     G = example("pair_toward_small")
     with pytest.raises(gk.ConvergenceError):
-        gk.y_vector(G, math.log(3))
+        spectral.y_vector(G, math.log(3))
 
 
 def test_y_vector_restricts_along_quotients():
@@ -217,7 +220,7 @@ def test_y_vector_restricts_along_quotients():
     H = gk.hereditary_closure(G, {"w"})
     Q = quotient_graph(G, H)
     beta = math.log(2) + 0.4
-    yq = gk.y_vector(Q, beta)
+    yq = spectral.y_vector(Q, beta)
     survivors = [v for v in G.vertices if v not in H.members]
     idx = [G.index[v] for v in survivors]
     M = G.matrix[np.ix_(idx, idx)]
@@ -618,7 +621,7 @@ def test_series_oracle_settles_near_integer_row_sums(seed):
     # These graphs put sweep-grid betas just above the log of an integer row
     # sum, where a row-sum tail bound sits at 1 while rho_hat is far below.
     G = random_graph(random.Random(seed))
-    rho = gk.spectral_radius(G.matrix)
+    rho = spectral.spectral_radius(G.matrix)
     top = math.log(rho) + 0.5 if rho > 1 else 1.0
     betas = list(gk.critical_temperatures(G))
     betas.extend(float(b) for b in np.linspace(0.05, top, 20))
@@ -632,6 +635,7 @@ def test_resolvent_series_where_the_row_sum_bound_is_near_one():
     A = np.array([[2, 0], [2, 1]])
     beta = math.log(3) + 1e-5
     b = np.array([1.0, 2.0])
-    summed = spectral.resolvent_series(A, beta, b, 1e-12)
-    solved = spectral.resolvent_solve(A, beta, b)
+    rho = spectral.spectral_radius(A)
+    summed = spectral.resolvent_series(A, beta, b, 1e-12, radius=rho)
+    solved = spectral.resolvent_solve(A, beta, b, radius=rho)
     assert np.max(np.abs(summed - solved)) < 1e-9

@@ -9,12 +9,13 @@ outputs: equal lines mean bit-identical results.
 
 A library line covers one graph (``conftest.GRAPHS``, then
 ``random_graph`` seeds 0..999): its critical values and, at every critical
-value and on a 20-point beta grid, every ``Regime`` field, the measure
-bytes, labels, flags, state types, state beta values and the
-``verify_simplex`` list.  A CLI line covers one ``cli.main`` call of the
-``chains`` and ``blocks`` workloads, rounds 0-2 at seeds 1-3: its stdout,
-stderr and exit code, with the temporary directory masked.  ``repr`` is
-hashed, so a float that changes type (say to ``np.float64``) changes a line.
+value and on a 20-point beta grid, every ``Regime`` field but a beta, the
+simplex's ``beta`` and ``beta_value``, the measure bytes, labels, flags,
+state types, state beta values and the ``verify_simplex`` list.  A CLI
+line covers one ``cli.main`` call of the ``chains`` and ``blocks``
+workloads, rounds 0-2 at seeds 1-3: its stdout, stderr and exit code, with
+the temporary directory masked.  ``repr`` is hashed, so a float that
+changes type (say to ``np.float64``) changes a line.
 """
 
 import os
@@ -51,8 +52,11 @@ def _at(G, beta, kms, oracle):
         reg, sx = kms.regime(G, beta), kms.kms_simplex(G, beta)
         states = [(kms.label_text(s), s.factors_through_graph_algebra, s.state_type,
                    s.beta_value) for s in sx.extremes]
-        return ([(f.name, _plain(getattr(reg, f.name))) for f in dataclasses.fields(reg)],
-                sx.measures.shape, sx.measures.tobytes(), states, oracle.verify_simplex(G, sx))
+        # beta is read off the simplex: a Regime may hold none.
+        fields = [(f.name, _plain(getattr(reg, f.name))) for f in dataclasses.fields(reg)
+                  if f.name not in ("beta", "beta_value")]
+        return (fields, sx.beta, sx.beta_value, sx.measures.shape, sx.measures.tobytes(),
+                states, oracle.verify_simplex(G, sx))
     except Exception as err:  # noqa: BLE001 - a raise is part of the result
         return type(err).__name__, str(err)
 
