@@ -183,7 +183,7 @@ def cmd_analyze(args) -> int:
         }
         print(_json_dumps(payload))
         return 0
-    n_edges = int(G.arcs.mult.sum())
+    n_edges = sum(G.arcs.mult.tolist())  # Python ints: an int64 sum can wrap
     print(f"graph: {len(G.vertices)} vertices, {n_edges} edges")
     print("components (Seneta order):")
     print(f"  {'id':>3}  {'radius':>14}  {'period':>6}  members")

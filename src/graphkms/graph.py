@@ -567,15 +567,3 @@ def sources(G: DirectedGraph) -> frozenset[str]:
     """Vertices receiving no edges at all."""
     indptr = G.arcs.indptr
     return frozenset(itertools.compress(G.vertices, (indptr[1:] == indptr[:-1]).tolist()))
-
-
-def edge_instances(G: DirectedGraph) -> list[tuple[str, str, int]]:
-    """Parallel edges expanded into distinct ``(source, range, copy)`` triples."""
-    totals: dict[tuple[str, str], int] = {}
-    for e in G.edges:
-        key = (e.source, e.range)
-        totals[key] = totals.get(key, 0) + e.multiplicity
-    out = []
-    for (s, r), total in totals.items():
-        out.extend((s, r, k) for k in range(total))
-    return out

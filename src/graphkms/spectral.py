@@ -10,8 +10,8 @@ between its shift and its radius; no eigensolver runs.  A 2x2 block or a
 single weighted cycle starts from its closed-form Perron vector, which
 passes those checks without a solve, as does a block whose power steps
 converge.  Periods of all blocks of a matrix come from one breadth-first
-search, linear in the arcs, and the series oracle doubles its number of
-terms at most 64 times.
+search, linear in the arcs, and the resolvent series doubles its number
+of terms at most 64 times.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import graphkms as gk
 from graphkms import oracle, spectral
 
 from conftest import example, psi_state, quotient_graph, random_graph, z_of
+from oracles import enumerate_paths, quick_exit_series_oracle, series_y_oracle
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -66,7 +67,7 @@ def test_criterion_2_two_transition_regression():
     for v in G.vertices:
         for w in G.vertices:
             for n in range(4):
-                all_paths.extend(oracle.enumerate_paths(G, v, w, n))
+                all_paths.extend(enumerate_paths(G, v, w, n))
     assert len(all_paths) > 20
     for mu in all_paths:
         length = 0 if isinstance(mu, str) else len(mu)
@@ -109,7 +110,7 @@ def test_criterion_3_golden_feeder_regression():
     assert psi.m["u"] == pytest.approx((3 - s5) / 3, abs=1e-7)
 
     # independent route: quick-exit series for z, Perron weights for the rest
-    z_q = oracle.quick_exit_series_oracle(G, big, "v")
+    z_q = quick_exit_series_oracle(G, big, "v")
     scale = 1.0 / (1.0 + z_q)
     assert psi.m["v"] == pytest.approx(z_q * scale, abs=1e-7)
     for name in big.members:
@@ -216,7 +217,7 @@ def test_criterion_7_oracle_equivalence():
         beta = math.log(rho) + 0.3
         y = spectral.y_vector(G, beta)
         for v in G.vertices:
-            got = oracle.series_y_oracle(G, beta, v)
+            got = series_y_oracle(G, beta, v)
             assert got == pytest.approx(y[G.index[v]], abs=1e-7), (name, v)
             y_compared += 1
 
@@ -227,7 +228,7 @@ def test_criterion_7_oracle_equivalence():
             for v in G.vertices:
                 if v in closure:
                     continue
-                got = oracle.quick_exit_series_oracle(G, c, v)
+                got = quick_exit_series_oracle(G, c, v)
                 assert got == pytest.approx(z.get(v, 0.0), abs=1e-7), (name, v)
                 z_compared += 1
     assert y_compared >= 20 and z_compared >= 4

@@ -55,6 +55,14 @@ def test_analyze_text(graph_file, capsys):
     assert f"v: {math.log(2):.9g}" in out
 
 
+def test_analyze_counts_edges_past_int64(graph_file, capsys):
+    # Each (source, range) multiplicity fits in int64; their sum does not.
+    text = "vertices: a b\nedge a b 9223372036854775807\nedge b a 9223372036854775807\n"
+    rc, out, _ = run(capsys, "analyze", graph_file(text))
+    assert rc == 0
+    assert out.splitlines()[0] == "graph: 2 vertices, 18446744073709551614 edges"
+
+
 def test_analyze_acyclic(graph_file, capsys):
     rc, out, _ = run(capsys, "analyze", graph_file("vertices: a b\nedge a b\n"))
     assert rc == 0

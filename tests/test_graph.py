@@ -8,9 +8,9 @@ import pytest
 
 import graphkms as gk
 from graphkms._scc import arcs_of_matrix, successor_lists
-from graphkms.graph import edge_instances
 
 from conftest import GRAPHS, example, path_count, quotient_graph, random_graph, talks_to
+from oracles import edge_instances
 
 
 def test_parse_pair_toward_small():

@@ -11,9 +11,9 @@ import pytest
 
 import graphkms as gk
 from graphkms import kms, spectral
-from graphkms.graph import edge_instances
 
 from conftest import example, phi_state, psi_state, quotient_graph, random_graph, z_of
+from oracles import edge_instances
 
 LN2 = math.log(2)
 LN3 = math.log(3)

@@ -11,6 +11,7 @@ import graphkms as gk
 from graphkms import oracle, spectral
 
 from conftest import GRAPHS, example, path_count, phi_state, psi_state, random_graph, z_of
+from oracles import edge_instances, enumerate_paths, quick_exit_series_oracle, series_y_oracle
 
 
 # -- path enumeration ------------------------------------------------------
@@ -22,14 +23,14 @@ def test_enumerate_counts_match_path_count():
         for v in G.vertices:
             for w in G.vertices:
                 for n in range(5):
-                    paths = oracle.enumerate_paths(G, v, w, n)
+                    paths = enumerate_paths(G, v, w, n)
                     assert len(paths) == path_count(G, v, w, n), (name, v, w, n)
 
 
 def test_enumerate_paths_are_valid_chains():
     G = example("golden_feeder")
     for n in (1, 2, 3):
-        for path in oracle.enumerate_paths(G, "v", "w", n):
+        for path in enumerate_paths(G, "v", "w", n):
             assert len(path) == n
             assert path[0][1] == "v" and path[-1][0] == "w"
             for prev, nxt in zip(path, path[1:]):
@@ -38,18 +39,18 @@ def test_enumerate_paths_are_valid_chains():
 
 def test_enumerate_length_zero():
     G = example("pair_toward_small")
-    assert oracle.enumerate_paths(G, "v", "v", 0) == ["v"]
-    assert oracle.enumerate_paths(G, "v", "w", 0) == []
+    assert enumerate_paths(G, "v", "v", 0) == ["v"]
+    assert enumerate_paths(G, "v", "w", 0) == []
 
 
 def test_enumerate_paths_guards():
     G = example("pair_toward_small")
     with pytest.raises(ValueError):
-        oracle.enumerate_paths(G, "v", "v", 13)
+        enumerate_paths(G, "v", "v", 13)
     with pytest.raises(ValueError):
-        oracle.enumerate_paths(G, "v", "v", -1)
+        enumerate_paths(G, "v", "v", -1)
     with pytest.raises(ValueError):
-        oracle.enumerate_paths(G, "zz", "v", 1)
+        enumerate_paths(G, "zz", "v", 1)
 
 
 # -- series oracle for y ---------------------------------------------------
@@ -59,27 +60,27 @@ def test_series_y_matches_solver():
     G = example("pair_toward_small")
     beta = math.log(4)
     y = spectral.y_vector(G, beta)
-    assert oracle.series_y_oracle(G, beta, "v") == pytest.approx(y[0], abs=2e-9)
-    assert oracle.series_y_oracle(G, beta, "w") == pytest.approx(y[1], abs=2e-9)
+    assert series_y_oracle(G, beta, "v") == pytest.approx(y[0], abs=2e-9)
+    assert series_y_oracle(G, beta, "w") == pytest.approx(y[1], abs=2e-9)
 
 
 def test_series_y_edgeless():
     G = gk.parse_graph("vertices: a\n")
-    assert oracle.series_y_oracle(G, 0.3, "a") == pytest.approx(1.0, abs=1e-12)
+    assert series_y_oracle(G, 0.3, "a") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_series_y_refuses_near_divergence():
     G = example("pair_toward_small")
     with pytest.raises(ValueError):
-        oracle.series_y_oracle(G, math.log(3) + 0.02, "w")
+        series_y_oracle(G, math.log(3) + 0.02, "w")
     with pytest.raises(ValueError):
-        oracle.series_y_oracle(G, 0.3, "zz")
+        series_y_oracle(G, 0.3, "zz")
 
 
 def test_series_y_finite_paths_ignore_global_divergence():
     # u3 never reaches a cycle, so its series is a finite sum at any beta
     G = example("persistent_source")
-    got = oracle.series_y_oracle(G, 0.1, "u3")
+    got = series_y_oracle(G, 0.1, "u3")
     assert got == pytest.approx(1.0 + math.exp(-0.1), abs=1e-9)
 
 
@@ -89,17 +90,17 @@ def test_series_y_finite_paths_ignore_global_divergence():
 def test_quick_exit_examples():
     G = example("pair_toward_small")
     C = G.components[1]
-    assert oracle.quick_exit_series_oracle(G, C, "v") == pytest.approx(1.0, abs=1e-9)
+    assert quick_exit_series_oracle(G, C, "v") == pytest.approx(1.0, abs=1e-9)
 
     G3 = example("golden_feeder")
     big = next(c for c in G3.components if not c.trivial and len(c.members) == 2)
-    assert oracle.quick_exit_series_oracle(G3, big, "v") == pytest.approx(0.5, abs=1e-9)
+    assert quick_exit_series_oracle(G3, big, "v") == pytest.approx(0.5, abs=1e-9)
 
 
 def test_quick_exit_no_paths_is_zero():
     G = gk.parse_graph("vertices: a b\nedge b b 2\n")
     C = next(c for c in G.components if not c.trivial)
-    assert oracle.quick_exit_series_oracle(G, C, "a") == 0.0
+    assert quick_exit_series_oracle(G, C, "a") == 0.0
 
 
 def test_quick_exit_matches_z_vector():
@@ -112,18 +113,18 @@ def test_quick_exit_matches_z_vector():
             for v in G.vertices:
                 if v in closure:
                     continue
-                got = oracle.quick_exit_series_oracle(G, c, v)
+                got = quick_exit_series_oracle(G, c, v)
                 assert got == pytest.approx(z.get(v, 0.0), abs=1e-7), (name, v)
 
 
 def test_quick_exit_validation():
     G = example("pair_toward_small")
     with pytest.raises(ValueError):
-        oracle.quick_exit_series_oracle(G, G.components[0], "v")  # not minimal
+        quick_exit_series_oracle(G, G.components[0], "v")  # not minimal
     with pytest.raises(ValueError):
-        oracle.quick_exit_series_oracle(G, G.components[1], "w")  # inside closure
+        quick_exit_series_oracle(G, G.components[1], "w")  # inside closure
     with pytest.raises(ValueError, match="unknown vertex: zz"):
-        oracle.quick_exit_series_oracle(G, G.components[1], "zz")
+        quick_exit_series_oracle(G, G.components[1], "zz")
 
 
 # -- pointwise checks ------------------------------------------------------
@@ -209,7 +210,7 @@ def test_path_measure_atom_weighs_each_arc_by_its_multiplicity():
     def per_copy(G, state, path):
         total = gk.eval_state(state, path, path)
         src = path if isinstance(path, str) else path[-1][0]
-        for e in gk.graph.edge_instances(G):
+        for e in edge_instances(G):
             if e[1] == src:
                 ext = (path + (e,)) if isinstance(path, tuple) else (e,)
                 total -= gk.eval_state(state, ext, ext)
@@ -220,7 +221,7 @@ def test_path_measure_atom_weighs_each_arc_by_its_multiplicity():
         G = example(name)
         crits = gk.critical_temperatures(G)
         top = max((gk.beta_value(G, c) for c in crits), default=0.0)
-        paths = [*G.vertices, *((e,) for e in gk.graph.edge_instances(G))]
+        paths = [*G.vertices, *((e,) for e in edge_instances(G))]
         for beta in [*crits, top + 0.3]:
             for state in gk.kms_simplex(G, beta).extremes:
                 for path in paths:
@@ -236,7 +237,7 @@ def test_vectorised_atoms_match_path_measure_atom():
     # times the vertex atom at its source, so they settle every edge too.
     for seed in range(200):
         G = random_graph(random.Random(seed))
-        instances = gk.graph.edge_instances(G)
+        instances = edge_instances(G)
         for beta in gk.critical_temperatures(G):
             sx = gk.kms_simplex(G, beta)
             for m, state in zip(sx.measures, sx.extremes):
