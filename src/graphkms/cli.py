@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import kms, oracle
-from .graph import GraphParseError, parse_graph, seneta_order
+from .graph import parse_graph, seneta_order
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,8 +117,8 @@ def _graph_json(G) -> dict:
             {
                 "id": c.id,
                 "members": list(c.members),
-                "trivial": c.trivial,
-                "spectral_radius": _f12(c.spectral_radius),
+                "trivial": c.perron_vector is None,
+                "spectral_radius": _f12(float(G.spectral_radii[c.id])),
                 "period": c.period,
             }
             for c in G.components
@@ -188,8 +188,8 @@ def cmd_analyze(args) -> int:
     print("components (Seneta order):")
     print(f"  {'id':>3}  {'radius':>14}  {'period':>6}  members")
     for c in seneta_order(G):
-        radius = f"{c.spectral_radius:.9g}" if not c.trivial else "-"
-        period = str(c.period) if not c.trivial else "-"
+        radius = f"{G.spectral_radii[c.id]:.9g}" if c.perron_vector is not None else "-"
+        period = str(c.period) if c.perron_vector is not None else "-"
         print(f"  {c.id:>3}  {radius:>14}  {period:>6}  {{{','.join(c.members)}}}")
     print("vertex divergence temperatures (beta_v):")
     for v in G.vertices:
@@ -398,9 +398,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

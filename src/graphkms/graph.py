@@ -91,19 +91,16 @@ class RowView(Mapping):
 
 @dataclass(frozen=True, eq=False)
 class Component:
-    """A strongly connected component with its spectral data attached.
+    """A strongly connected component and its Perron vector.
 
-    ``trivial`` means a single vertex with no loop edge; such a component has
-    spectral radius zero and no Perron vector.  ``members`` is ordered by
-    vertex declaration order.  ``perron_vector`` is a :class:`RowView` of
-    the l1-unit Perron vector over ``members``; ``numpy.asarray`` of it is
-    the read-only vector itself.
+    ``members`` follows vertex declaration order.  ``perron_vector`` is a
+    :class:`RowView` of the l1-unit Perron vector over ``members`` (under
+    ``numpy.asarray``, the read-only vector), None exactly for a trivial
+    component: one vertex with no loop edge.  Its rho is ``G.spectral_radii[id]``.
     """
 
     id: int
     members: tuple[str, ...]
-    trivial: bool
-    spectral_radius: float
     period: int
     perron_vector: RowView | None
 
@@ -134,8 +131,8 @@ class DirectedGraph:
     access.
     ``_memo`` holds what other modules derive from the graph alone, under
     their own keys, each filled on first use: the critical temperatures
-    and the regimes met so far (:mod:`graphkms.kms`),
-    and the oracle's per-graph data (:mod:`graphkms.oracle`).
+    and the regimes met so far (:mod:`graphkms.kms`), and the oracle's
+    receiving mask and per-K_beta data (:mod:`graphkms.oracle`).
     """
 
     __slots__ = (
@@ -251,21 +248,12 @@ class DirectedGraph:
         ln_radii = [-math.inf] * len(blocks)
         for cid, (rows, data, period) in enumerate(zip(blocks, perron, periods.tolist())):
             members = tuple(names[i] for i in rows)
-            radius, vec = 0.0, None
+            vec = None
             if data is not None:
                 radius, x, _ = data
                 vec = RowView(members, x)
                 radii[cid], ln_radii[cid] = radius, math.log(radius)
-            components.append(
-                Component(
-                    id=cid,
-                    members=members,
-                    trivial=data is None,
-                    spectral_radius=radius,
-                    period=period,
-                    perron_vector=vec,
-                )
-            )
+            components.append(Component(id=cid, members=members, period=period, perron_vector=vec))
         # Tarjan emits components in reverse topological order: arcs between
         # distinct components always point at an earlier entry.  So a
         # backward pass meets every component after all the components whose
@@ -326,7 +314,7 @@ class DirectedGraph:
 
     @property
     def spectral_radii(self) -> np.ndarray:
-        """Per component id, rho(A_C); 0.0 for a trivial component (read-only)."""
+        """Per component id, rho(A_C), its one store; 0.0 if trivial (read-only)."""
         return self._analysis()[4]
 
     @property
@@ -371,10 +359,14 @@ def _arcs_from_outside(arcs: Arcs, inside: np.ndarray) -> np.ndarray:
     return np.bincount(arcs.rng[~inside[arcs.src]], minlength=arcs.n)
 
 
+def _receives(arcs: Arcs) -> np.ndarray:
+    """Per vertex, whether it receives an edge: its row holds an arc."""
+    return arcs.indptr[1:] > arcs.indptr[:-1]
+
+
 def swallowed_mask(arcs: Arcs, inside: np.ndarray) -> np.ndarray:
     """Vertices outside that receive edges, none of them from outside."""
-    receives = arcs.indptr[1:] > arcs.indptr[:-1]
-    return ~inside & receives & (_arcs_from_outside(arcs, inside) == 0)
+    return ~inside & _receives(arcs) & (_arcs_from_outside(arcs, inside) == 0)
 
 
 def saturated_mask(arcs: Arcs, inside: np.ndarray) -> np.ndarray:
@@ -565,5 +557,4 @@ def saturation(G: DirectedGraph, H) -> VertexSet:
 
 def sources(G: DirectedGraph) -> frozenset[str]:
     """Vertices receiving no edges at all."""
-    indptr = G.arcs.indptr
-    return frozenset(itertools.compress(G.vertices, (indptr[1:] == indptr[:-1]).tolist()))
+    return frozenset(itertools.compress(G.vertices, (~_receives(G.arcs)).tolist()))

@@ -34,7 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .graph import Component, DirectedGraph, RowView, VertexSet, _frozen, swallowed_mask
+from .graph import (
+    Component, DirectedGraph, RowView, VertexSet, _frozen, _receives, swallowed_mask,
+)
 
 TOL = 1e-9
 
@@ -88,17 +90,22 @@ def _as_beta(beta) -> BetaSpec:
 
 def beta_value(G: DirectedGraph, beta) -> float:
     """Resolve a BetaSpec to its float value."""
+    return _resolve(G, beta)[1]
+
+
+def _resolve(G: DirectedGraph, beta) -> tuple[BetaSpec, float]:
+    """The checked spec of beta (``_as_beta``) and its float value."""
     spec = _as_beta(beta)
     if isinstance(spec, Numeric):
         if not math.isfinite(spec.value):
             raise ValueError("numeric beta must be finite")
-        return spec.value
+        return spec, spec.value
     ln_radii = G.ln_spectral_radii
     if not 0 <= spec.component < len(ln_radii):
         raise ValueError(f"no component with id {spec.component}")
     if ln_radii[spec.component] == -math.inf:
         raise ValueError("CriticalOf needs a nontrivial component")
-    return float(ln_radii[spec.component])
+    return spec, float(ln_radii[spec.component])
 
 
 # -- state labels and containers -----------------------------------------------
@@ -261,7 +268,7 @@ def _derive_regime(G: DirectedGraph, bval: float) -> Regime:
     # Sources of the quotient by sat(K_beta): saturating adds only vertices
     # that receive an edge, and one left outside receives one from outside,
     # or it would be swallowed.  So they are the sources of G outside K_beta.
-    sources = ~in_K & (arcs.indptr[1:] == arcs.indptr[:-1])
+    sources = ~in_K & ~_receives(arcs)
     # Both closures are hereditary by construction.
     H = VertexSet(_names(G, in_H), hereditary=True, saturated=not swallowed_mask(arcs, in_H).any())
     K = VertexSet(_names(G, in_K), hereditary=True, saturated=not swallowed_mask(arcs, in_K).any())
@@ -387,8 +394,7 @@ def general_state_measure(
     vertices outside K_beta with epsilon . y = 1; t is a probability vector
     over the minimal critical components of the quotient by H_beta.
     """
-    spec = _as_beta(beta)
-    bval = beta_value(G, spec)
+    spec, bval = _resolve(G, beta)
     reg = _regime_at(G, bval)
     if reg.case != CRITICAL:
         raise ValueError("beta is not critical for this graph")
@@ -460,8 +466,7 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     order.  This is the one constructor of extreme states: a single psi_C
     or phi_{beta,v} is one of these rows.
     """
-    spec = _as_beta(beta)
-    bval = beta_value(G, spec)
+    spec, bval = _resolve(G, beta)
     reg = _regime_at(G, bval)
     mc = [G.components[cid] for cid in reg.minimal_critical]
     measures, _ = _extreme_rows(G, reg, bval)

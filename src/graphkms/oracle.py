@@ -21,7 +21,7 @@ from collections import Counter
 import numpy as np
 
 from . import kms, spectral
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _receives
 
 # verify_simplex checks the phi rows' y when beta - ln rho outside K clears
 # SERIES_MARGIN: by its residual certificate, else against the series.
@@ -51,17 +51,14 @@ def path_measure_atom(G: DirectedGraph, state: kms.StateMeasure, path) -> float:
 def _invariants(G: DirectedGraph):
     """What ``verify_simplex`` reads of G alone, derived once per graph.
 
-    The vertices that receive an edge, read off the arcs; the spectral
-    radius of every vertex's component; the ``_outside`` data of each
+    The vertices that receive an edge, and the ``_outside`` data of each
     K_beta seen so far.  Kept on G, so every later call on the same graph
-    reuses them; the vertex matrix is ``G.matrix`` and is not copied here.
+    reuses them; the vertex matrix is ``G.matrix`` and the radii are
+    ``G.spectral_radii``, neither copied here.
     """
     cached = G._memo.get("oracle")
     if cached is None:
-        indptr = G.arcs.indptr
-        cached = G._memo["oracle"] = (
-            indptr[1:] > indptr[:-1], G.spectral_radii[G.vertex_components], {}
-        )
+        cached = G._memo["oracle"] = (_receives(G.arcs), {})
     return cached
 
 
@@ -69,13 +66,13 @@ def _outside(G: DirectedGraph, K_members: frozenset):
     """What ``verify_simplex`` reads of the vertices outside K_beta, derived
     once per graph and K_beta: their names and indices in vertex order, the
     vertex matrix on them, its spectral radius (that of a union of whole
-    components, whose radii G already holds; None when there are none) and
-    the largest count of nonzeros in one of its columns."""
-    _, vertex_radius, by_K = _invariants(G)
+    components, the largest of their ``G.spectral_radii``; None when there
+    are none) and the largest count of nonzeros in one of its columns."""
+    _, by_K = _invariants(G)
     cached = by_K.get(K_members)
     if cached is None:
         idx = np.flatnonzero(~G._mask(K_members))
-        radius = float(vertex_radius[idx].max()) if len(idx) else None
+        radius = float(G.spectral_radii[G.vertex_components[idx]].max()) if len(idx) else None
         M = G.matrix[idx[:, None], idx]
         M.setflags(write=False)
         width = int(np.count_nonzero(M, axis=0).max(initial=0))
@@ -148,7 +145,16 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
         Xc = np.maximum(X, 0.0)
         XcA = Xc @ A.T
     scale = math.exp(bval)
-    subinvariant = (XcA <= scale * Xc + 1e-9).all(axis=1).tolist()
+    below = XcA <= scale * Xc + 1e-9
+    if not below.all():
+        # Past e^beta ~ 1e7, rounding alone passes 1e-9 where a row is an equality: a failing
+        # entry gets max(1e-9, gamma_{d+2} of its sides), d the most arcs into one vertex.
+        k, v = np.nonzero(~below)
+        lhs, rhs = XcA[k, v], scale * Xc[k, v]
+        u = (int(np.diff(G.arcs.indptr).max()) + 2) * 2.0**-53
+        slack = np.maximum(1e-9, u / (1.0 - u) * (lhs + rhs))
+        below[k, v] = (lhs <= rhs + slack) & (slack < math.inf)
+    subinvariant = below.all(axis=1).tolist()
     charges = [False] * len(states)
     if simplex.H_beta.members:
         in_H = G._mask(simplex.H_beta.members)
@@ -217,7 +223,7 @@ def _psi_failures(G: DirectedGraph, X, XA, at_vertex, rows,
     """
     if not rows:
         return {}
-    receives, _, _ = _invariants(G)
+    receives, _ = _invariants(G)
     at_vertex = at_vertex[rows]
     resid = np.abs(XA[rows] - scale * X[rows]).max(axis=1).tolist()
     bad_vertex = (np.abs(at_vertex) > 1e-9) & receives

@@ -140,7 +140,7 @@ def quick_exit_series_oracle(
     M = A[np.ix_(outside, outside)]
     c_idx = [G.index[w] for w in C.members]
     x = np.array([C.perron_vector[w] for w in C.members])
-    rho = C.spectral_radius
+    rho = G.spectral_radii[C.id]
     row = pos[G.index[v]]
 
     def terms():

@@ -90,8 +90,8 @@ def test_criterion_2_two_transition_regression():
 
 def test_criterion_3_golden_feeder_regression():
     G = example("golden_feeder")
-    big = next(c for c in G.components if not c.trivial and len(c.members) == 2)
-    assert big.spectral_radius == pytest.approx(1 + math.sqrt(5), abs=1e-9)
+    big = next(c for c in G.components if c.perron_vector is not None and len(c.members) == 2)
+    assert G.spectral_radii[big.id] == pytest.approx(1 + math.sqrt(5), abs=1e-9)
 
     ladder = [1.3, gk.CriticalOf(big.id), 1.0, gk.CriticalOf(0), 0.5]
     dims = []

@@ -506,6 +506,16 @@ def test_verify_passes_on_real_states(graph_file, capsys):
     assert "all checks passed" in out
 
 
+@pytest.mark.parametrize("beta", ["21", "21.5", "25"])
+def test_verify_allows_for_rounding_at_large_e_beta(graph_file, capsys, beta):
+    # At e^beta ~ 2e9 a phi row's equalities (A m)_w = e^beta m_w round to
+    # more than the absolute 1e-9; at 21.5 that once failed subinvariance.
+    text = "vertices: a b\nedge a b 1000000000\nedge b a 1000000000\n"
+    rc, out, _ = run(capsys, "verify", graph_file(text), "--beta", beta)
+    assert rc == 0, out
+    assert out.endswith("all checks passed\n")
+
+
 def test_verify_catches_corrupted_states(graph_file, capsys, monkeypatch):
     path = graph_file("pair_toward_small")
     G = gk.parse_graph(open(path).read())

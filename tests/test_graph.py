@@ -155,9 +155,9 @@ def test_components_golden_feeder():
     G = example("golden_feeder")
     comps = G.components
     assert [c.members for c in comps] == [("v",), ("w", "u")]
-    assert [c.trivial for c in comps] == [False, False]
-    assert comps[0].spectral_radius == pytest.approx(2.0, abs=1e-12)
-    assert comps[1].spectral_radius == pytest.approx(1 + math.sqrt(5), abs=1e-9)
+    assert [c.perron_vector is None for c in comps] == [False, False]
+    assert G.spectral_radii[comps[0].id] == pytest.approx(2.0, abs=1e-12)
+    assert G.spectral_radii[comps[1].id] == pytest.approx(1 + math.sqrt(5), abs=1e-9)
 
 
 def test_components_canonical_ids_follow_smallest_vertex():
@@ -165,7 +165,7 @@ def test_components_canonical_ids_follow_smallest_vertex():
     comps = G.components
     assert [c.members for c in comps] == [("u1",), ("v",), ("u2",), ("w",)]
     assert [c.id for c in comps] == [0, 1, 2, 3]
-    assert [c.trivial for c in comps] == [True, False, True, False]
+    assert [c.perron_vector is None for c in comps] == [True, False, True, False]
 
 
 def test_successor_lists_match_a_nonzero_per_row():
@@ -180,9 +180,8 @@ def test_successor_lists_match_a_nonzero_per_row():
 def test_trivial_component_has_no_spectral_data():
     G = example("two_sources_chain")
     c = G.component_of("u1")
-    assert c.trivial
-    assert c.spectral_radius == 0.0
     assert c.perron_vector is None
+    assert G.spectral_radii[c.id] == 0.0
 
 
 def test_perron_vector_is_a_read_only_view_of_one_array():
@@ -208,8 +207,9 @@ def test_per_component_arrays_hold_each_radius_and_its_log():
         for a in arrays:
             assert a.dtype == np.float64 and a.shape == (len(comps),)
             assert not a.flags.writeable
-        radii = [0.0 if c.trivial else c.spectral_radius for c in comps]
-        logs = [-math.inf if c.trivial else math.log(c.spectral_radius) for c in comps]
+        radii = [0.0 if c.perron_vector is None else G.spectral_radii[c.id] for c in comps]
+        logs = [-math.inf if c.perron_vector is None else math.log(G.spectral_radii[c.id])
+                for c in comps]
         assert G.spectral_radii.tobytes() == np.array(radii).tobytes()
         assert G.ln_spectral_radii.tobytes() == np.array(logs).tobytes()
 
@@ -358,7 +358,7 @@ def test_quotient_components_restrict():
     G = example("golden_feeder")
     Q = quotient_graph(G, gk.hereditary_closure(G, {"w"}))
     assert Q.vertices == ("v",)
-    assert Q.components[0].spectral_radius == 2.0
+    assert Q.spectral_radii[Q.components[0].id] == 2.0
 
 
 def test_sources():

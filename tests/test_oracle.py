@@ -93,13 +93,13 @@ def test_quick_exit_examples():
     assert quick_exit_series_oracle(G, C, "v") == pytest.approx(1.0, abs=1e-9)
 
     G3 = example("golden_feeder")
-    big = next(c for c in G3.components if not c.trivial and len(c.members) == 2)
+    big = next(c for c in G3.components if c.perron_vector is not None and len(c.members) == 2)
     assert quick_exit_series_oracle(G3, big, "v") == pytest.approx(0.5, abs=1e-9)
 
 
 def test_quick_exit_no_paths_is_zero():
     G = gk.parse_graph("vertices: a b\nedge b b 2\n")
-    C = next(c for c in G.components if not c.trivial)
+    C = next(c for c in G.components if c.perron_vector is not None)
     assert quick_exit_series_oracle(G, C, "a") == 0.0
 
 
@@ -368,6 +368,19 @@ def test_verify_simplex_flags_negative_entry():
 def test_verify_simplex_failure_strings(name, beta, which, m, expect):
     G = example(name)
     assert oracle.verify_simplex(G, _corrupt(gk.kms_simplex(G, beta), which, m)) == expect
+
+
+def test_subinvariance_rounding_floor_still_fails_a_gross_violation():
+    # The rounding floor that lets the correct rows pass at e^21.5 ~ 2.2e9
+    # is relative; (A m)_a = 9e8 against e^21.5 m_a ~ 2.2e8 still fails.
+    G = gk.parse_graph("vertices: a b\nedge a b 1000000000\nedge b a 1000000000\n")
+    sx = gk.kms_simplex(G, 21.5)
+    assert oracle.verify_simplex(G, sx) == []
+    # In the second row (A m)_a overflows to inf, against e^beta m_a = 0.
+    for m in ({"a": 0.1, "b": 0.9}, {"a": 0.0, "b": 1e300}):
+        with np.errstate(over="ignore"):
+            failures = oracle.verify_simplex(G, _corrupt(sx, 0, m))
+        assert "phi[a]: subinvariance violated" in failures, m
 
 
 def test_verify_simplex_ties_every_phi_row_to_its_vertex():

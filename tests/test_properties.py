@@ -89,7 +89,8 @@ def test_seneta_order_matches_repeated_minimum(seed):
         c.id: [d for d in comps if d.id != c.id and talks_to(G, d, c)]
         for c in comps
     }
-    first = [c for c in comps if c.trivial and all(d.trivial for d in below[c.id])]
+    first = [c for c in comps
+             if c.perron_vector is None and all(d.perron_vector is None for d in below[c.id])]
     rest = [c for c in comps if c not in first]
     expected = []
     for group in (first, rest):
@@ -121,7 +122,7 @@ def test_talks_to_is_a_preorder(seed):
 @settings(max_examples=50, deadline=None)
 def test_radius_is_max_over_components(seed):
     _, G = _setup(seed)
-    per_comp = [c.spectral_radius for c in G.components if not c.trivial]
+    per_comp = [G.spectral_radii[c.id] for c in G.components if c.perron_vector is not None]
     expected = max(per_comp, default=0.0)
     assert math.isclose(
         spectral.spectral_radius(G.matrix), expected, rel_tol=0, abs_tol=1e-9
@@ -236,7 +237,7 @@ def test_H_and_K_are_closures_of_components_by_log_radius(seed):
 
 def _check_regimes(G):
     comps = G.components
-    ln = {c.id: math.log(c.spectral_radius) for c in comps if not c.trivial}
+    ln = {c.id: math.log(G.spectral_radii[c.id]) for c in comps if c.perron_vector is not None}
     closure = {c.id: gk.hereditary_closure(G, c.members).members for c in comps}
     for beta in _sweep_betas(G):
         bval = gk.beta_value(G, beta)
@@ -276,8 +277,8 @@ def test_beta_v_is_the_largest_log_radius_below_v(seed):
     _, G = _setup(seed)
     for v in G.vertices:
         here = G.component_of(v)
-        below = [math.log(c.spectral_radius) for c in G.components
-                 if not c.trivial and talks_to(G, c, here)]
+        below = [math.log(G.spectral_radii[c.id]) for c in G.components
+                 if c.perron_vector is not None and talks_to(G, c, here)]
         assert gk.beta_v(G, v) == max(below, default=None)
 
 
@@ -315,7 +316,7 @@ def _edge_betas(G):
 def _check_reuse(graph, order, rng):
     """Regimes, measures and verify lists of one graph reused across a beta
     grid in the given order equal those of a fresh copy per beta."""
-    nontrivial = [gk.CriticalOf(c.id) for c in graph.components if not c.trivial]
+    nontrivial = [gk.CriticalOf(c.id) for c in graph.components if c.perron_vector is not None]
     betas = _sweep_betas(graph) + _edge_betas(graph) + nontrivial
     betas.sort(key=lambda b: gk.beta_value(graph, b))
     if order == "descending":

@@ -6,9 +6,10 @@ with ``getattr`` on ``graphkms.<module>`` and wraps
 ``bench/run.py --trace 1`` without failing any other test.
 
 The public surface is pinned: a change that adds or removes an exported
-name has to edit ``PUBLIC`` on purpose.
+name, or a field of ``Component``, has to edit its pin on purpose.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -78,6 +79,13 @@ def test_public_surface_is_pinned():
         if hasattr(module, name)
     ]
     assert resolved == []
+
+
+def test_component_holds_no_copy_of_a_per_component_array():
+    # rho is read from G.spectral_radii, and a trivial component is one whose
+    # perron_vector is None; a field for either would be a second store.
+    fields = [f.name for f in dataclasses.fields(graphkms.Component)]
+    assert fields == ["id", "members", "period", "perron_vector"]
 
 
 # Names that only the tests and the bench use, each mapped to the traced

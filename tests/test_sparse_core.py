@@ -177,7 +177,8 @@ def _check_against_dense(G, names, lines, rng):
     assert len(G.components) == len(comps)
     for c, (block, trivial, radius, vec, period) in zip(G.components, comps):
         assert c.members == tuple(names[i] for i in block)
-        assert (c.trivial, c.spectral_radius, c.period) == (trivial, radius, period)
+        assert (c.perron_vector is None, G.spectral_radii[c.id], c.period) == (
+            trivial, radius, period)
         assert (c.perron_vector is None) == (vec is None)
         if vec is not None:
             assert list(c.perron_vector.values()) == vec

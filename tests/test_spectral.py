@@ -322,8 +322,9 @@ def test_perron_data_where_eigenvalues_cluster_near_rho():
     data = spectral.analyze_irreducible(A)
     assert abs(data.radius - reference) <= 1e-8 * reference
     assert data.residual <= 1e-12 * data.radius
-    (component,) = _graph_of(A).components
-    assert component.spectral_radius == data.radius
+    G = _graph_of(A)
+    (component,) = G.components
+    assert G.spectral_radii[component.id] == data.radius
 
 
 def test_perron_failure_names_the_component(monkeypatch):
@@ -369,17 +370,17 @@ def test_stacked_perron_data_matches_each_block_alone():
     graphs.append(_mixed_chain(random.Random(5), 60))
     for G in graphs:
         for c in G.components:
-            if c.trivial:
+            if c.perron_vector is None:
                 continue
             rows = [G.index[v] for v in c.members]
             block = G.matrix[np.ix_(rows, rows)]
             alone = spectral.analyze_irreducible(block)
-            assert c.spectral_radius == alone.radius
+            assert G.spectral_radii[c.id] == alone.radius
             assert c.period == alone.period
             x = np.array([c.perron_vector[v] for v in c.members])
             assert np.array_equal(x, alone.perron_vector)
             reference = float(max(abs(np.linalg.eigvals(block.astype(float)))))
-            assert abs(c.spectral_radius - reference) <= 1e-9 * reference
+            assert abs(G.spectral_radii[c.id] - reference) <= 1e-9 * reference
 
 
 def test_periods_of_separate_cycles_in_one_graph():
@@ -418,7 +419,7 @@ def test_one_batched_solve_per_step_per_block_size(monkeypatch):
     blocks = []
     for c in G.components:
         rows = [G.index[v] for v in c.members]
-        if not c.trivial:
+        if c.perron_vector is not None:
             blocks.append(G.matrix[np.ix_(rows, rows)])
     calls = _counted_solves(monkeypatch)
     steps: dict[int, int] = {}
@@ -528,7 +529,7 @@ def test_cycles_and_loops_need_no_solve(monkeypatch):
     lines += ["edge l l 3", "edge m m", "edge a0 b0", "edge l c0"]
     G = gk.parse_graph("\n".join(lines))
     calls = _counted_solves(monkeypatch)
-    radii = {c.members[0]: c.spectral_radius for c in G.components}
+    radii = {c.members[0]: G.spectral_radii[c.id] for c in G.components}
     assert calls == []
     assert radii == pytest.approx({"a0": 1, "b0": 1, "c0": 1, "l": 3, "m": 1}, abs=1e-15)
     for c in G.components:
