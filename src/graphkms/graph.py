@@ -132,7 +132,7 @@ class DirectedGraph:
     ``_memo`` holds what other modules derive from the graph alone, under
     their own keys, each filled on first use: the critical temperatures
     and the regimes met so far (:mod:`graphkms.kms`), and the oracle's
-    receiving mask and per-K_beta data (:mod:`graphkms.oracle`).
+    per-K_beta data (:mod:`graphkms.oracle`).
     """
 
     __slots__ = (

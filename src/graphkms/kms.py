@@ -147,10 +147,10 @@ class MeasureView(RowView):
 
 @dataclass(frozen=True, eq=False)
 class StateMeasure:
-    """One KMS state: its vertex measure ``m`` (a read-only view of one row
-    of a measure array), its label and its classification."""
+    """One KMS state: its own temperature ``beta_value`` (ln rho(A_C) for
+    psi_C, else the simplex's beta), its vertex measure ``m`` (a read-only
+    view of a measure row), its label and its classification."""
 
-    beta: BetaSpec
     beta_value: float
     m: MeasureView
     label: PsiC | PhiBetaV | Mixture
@@ -394,7 +394,7 @@ def general_state_measure(
     vertices outside K_beta with epsilon . y = 1; t is a probability vector
     over the minimal critical components of the quotient by H_beta.
     """
-    spec, bval = _resolve(G, beta)
+    bval = beta_value(G, beta)
     reg = _regime_at(G, bval)
     if reg.case != CRITICAL:
         raise ValueError("beta is not critical for this graph")
@@ -443,7 +443,6 @@ def general_state_measure(
 
     kind = INFINITE if r <= TOL else FINITE if r >= 1.0 - TOL else MIXED
     return StateMeasure(
-        beta=spec,
         beta_value=bval,
         m=MeasureView(G, _frozen(m)),
         label=Mixture(r=r, epsilon=eps_map, t=tmap),
@@ -472,7 +471,6 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     measures, _ = _extreme_rows(G, reg, bval)
     psi = [
         StateMeasure(
-            beta=spec,
             beta_value=float(G.ln_spectral_radii[C.id]),
             m=MeasureView(G, row),
             label=PsiC(C),
@@ -486,7 +484,6 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     outside = [G.vertices[i] for i in reg.outside]
     phi = [
         StateMeasure(
-            beta=spec,
             beta_value=bval,
             m=MeasureView(G, row),
             label=PhiBetaV(v),

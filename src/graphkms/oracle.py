@@ -1,16 +1,16 @@
 """The verifier of the KMS simplex, and the definition of an atom.
 
-``verify_simplex`` checks one simplex as a whole, on its ``measures`` array
-at its beta, the array the CLI prints: its labels, and per row
-normalization, sign, subinvariance, charge on H_beta, the psi
-eigen-identity and the vertex atoms, plus the path series y that the phi
-rows carry (each phi row's atom at its own vertex is 1/y_v), certified by
-one product or, where that certificate cannot settle it, checked against
-its series.  Nothing here solves a linear system.  A state's atom at a path
-mu is e^(-beta |mu|) times its atom at the vertex s(mu), so the vertex atoms
-settle every finite path; ``path_measure_atom`` gives an atom at one path
-from its definition, independently of the vertex atoms.  Every product
-reads ``G.matrix`` itself; nothing here copies it.
+``verify_simplex`` checks one simplex as a whole, on its ``measures`` array,
+the array the CLI prints: its labels and, per row at that state's own
+temperature ``beta_value``, normalization, sign, subinvariance, charge on
+H_beta, the psi eigen-identity and the vertex atoms, plus the path series
+y that the phi rows carry (each phi row's atom at its own vertex is 1/y_v),
+certified by one product or, where that cannot settle it, checked against
+its series.  Nothing here solves a linear system.  A state's atom
+at a path mu is e^(-beta |mu|) times its atom at the vertex s(mu), so the
+vertex atoms settle every finite path; ``path_measure_atom`` gives an atom
+at one path from its definition.  Every product reads ``G.matrix``, the
+one float copy of A; nothing here keeps a block of it.
 """
 
 from __future__ import annotations
@@ -48,37 +48,29 @@ def path_measure_atom(G: DirectedGraph, state: kms.StateMeasure, path) -> float:
     return total
 
 
-def _invariants(G: DirectedGraph):
-    """What ``verify_simplex`` reads of G alone, derived once per graph.
-
-    The vertices that receive an edge, and the ``_outside`` data of each
-    K_beta seen so far.  Kept on G, so every later call on the same graph
-    reuses them; the vertex matrix is ``G.matrix`` and the radii are
-    ``G.spectral_radii``, neither copied here.
-    """
-    cached = G._memo.get("oracle")
-    if cached is None:
-        cached = G._memo["oracle"] = (_receives(G.arcs), {})
-    return cached
-
-
 def _outside(G: DirectedGraph, K_members: frozenset):
-    """What ``verify_simplex`` reads of the vertices outside K_beta, derived
-    once per graph and K_beta: their names and indices in vertex order, the
-    vertex matrix on them, its spectral radius (that of a union of whole
-    components, the largest of their ``G.spectral_radii``; None when there
-    are none) and the largest count of nonzeros in one of its columns."""
-    _, by_K = _invariants(G)
+    """What ``verify_simplex`` reads of the vertices outside K_beta, kept per
+    K_beta under ``G._memo["oracle"]``: their names and indices in vertex
+    order, the most nonzeros in a column of the vertex matrix M on them
+    (counted on ``G.arcs``) and ln rho(M), the largest ``G.ln_spectral_radii``
+    of their components (-inf if there is none); M itself is not kept."""
+    by_K = G._memo.setdefault("oracle", {})
     cached = by_K.get(K_members)
     if cached is None:
-        idx = np.flatnonzero(~G._mask(K_members))
-        radius = float(G.spectral_radii[G.vertex_components[idx]].max()) if len(idx) else None
-        M = G.matrix[idx[:, None], idx]
-        M.setflags(write=False)
-        width = int(np.count_nonzero(M, axis=0).max(initial=0))
+        out = ~G._mask(K_members)
+        idx = np.flatnonzero(out)
+        width = int(np.bincount(G.arcs.src[out[G.arcs.rng] & out[G.arcs.src]]).max(initial=0))
+        ln_radius = float(G.ln_spectral_radii[G.vertex_components[idx]].max(initial=-math.inf))
         names = [G.vertices[i] for i in idx.tolist()]
-        cached = by_K[K_members] = (names, idx, M, radius, width)
+        cached = by_K[K_members] = (names, idx, width, ln_radius)
     return cached
+
+
+def _exp(beta: float) -> float:
+    try:
+        return math.exp(beta)
+    except OverflowError:  # beta > ~709.78
+        return math.inf
 
 
 def _y_error_bound(M: np.ndarray, width: int, beta: float, y: np.ndarray) -> float:
@@ -100,9 +92,12 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
     """Run every consistency check on a simplex; returns failure descriptions.
 
     What is checked is the array the CLI prints, ``simplex.measures`` (row k
-    for ``simplex.extremes[k]``), at ``simplex.beta_value``; a ``measures``
-    not ``len(extremes) x len(G.vertices)`` raises ValueError.  Checks:
-    the labels (one phi state per vertex outside K_beta, distinct psi
+    for ``simplex.extremes[k]``), row k at its own temperature
+    ``extremes[k].beta_value``, which must lie within ``kms.TOL`` of
+    ``simplex.beta_value``; where e^beta overflows, a row sets m against
+    A m / e^beta, which is 0.  A ``measures`` not
+    ``len(extremes) x len(G.vertices)`` raises ValueError.  Checks: the
+    labels (one phi state per vertex outside K_beta, distinct psi
     components), normalization, nonnegativity, subinvariance, vanishing on
     H_beta, the exact eigen-identity for psi states, for psi states that
     their atoms vanish at every vertex that receives an edge, and for each
@@ -127,7 +122,7 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
     X = simplex.measures
     if X.shape != (len(states), len(G.vertices)):
         raise ValueError(f"measures of shape {X.shape}, not {len(states)} x {len(G.vertices)}")
-    outside, outside_idx, M, radius, width = _outside(G, simplex.K_beta.members)
+    outside, outside_idx, width, ln_radius = _outside(G, simplex.K_beta.members)
     psi, phi, phi_vertices = [], [], []
     for k, s in enumerate(states):
         if isinstance(s.label, kms.PsiC):
@@ -137,20 +132,25 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
             phi_vertices.append(s.label.vertex)
     failures = _label_failures([states[k] for k in psi], phi_vertices, outside)
     totals, lows = X.sum(axis=1).tolist(), X.min(axis=1).tolist()
+    # Row k is checked at its own temperature: scale[k] is e^beta_value.
+    exps = [_exp(s.beta_value) for s in states]
+    scale = np.array(exps).reshape(-1, 1)
     XA = X @ A.T
     # Subinvariance is checked on X clipped at 0, which changes X only where
     # an entry is negative or NaN.
-    Xc, XcA = X, XA
-    if not all(low >= 0.0 for low in lows):
-        Xc = np.maximum(X, 0.0)
-        XcA = Xc @ A.T
-    scale = math.exp(bval)
+    Xc = X if all(low >= 0.0 for low in lows) else np.maximum(X, 0.0)
+    XcA = XA if Xc is X else Xc @ A.T
+    if math.inf in exps:
+        # Where e^beta overflows, inf * 0 would be NaN: such a row compares
+        # m with A m / e^beta (0 where A m is finite) at scale 1.
+        huge = np.isinf(scale[:, 0])
+        XA[huge], XcA[huge], scale[huge] = XA[huge] / math.inf, XcA[huge] / math.inf, 1.0
     below = XcA <= scale * Xc + 1e-9
     if not below.all():
         # Past e^beta ~ 1e7, rounding alone passes 1e-9 where a row is an equality: a failing
         # entry gets max(1e-9, gamma_{d+2} of its sides), d the most arcs into one vertex.
         k, v = np.nonzero(~below)
-        lhs, rhs = XcA[k, v], scale * Xc[k, v]
+        lhs, rhs = XcA[k, v], scale[k, 0] * Xc[k, v]
         u = (int(np.diff(G.arcs.indptr).max()) + 2) * 2.0**-53
         slack = np.maximum(1e-9, u / (1.0 - u) * (lhs + rhs))
         below[k, v] = (lhs <= rhs + slack) & (slack < math.inf)
@@ -166,6 +166,8 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
 
     for k, state in enumerate(states):
         found = []
+        if not bval - kms.TOL <= state.beta_value <= bval + kms.TOL:
+            found.append(f"beta_value {state.beta_value!r} is more than TOL from beta {bval!r}")
         if abs(totals[k] - 1.0) > 1e-9:
             found.append(f"normalization off by {totals[k] - 1.0:.3g}")
         if lows[k] < -1e-12:
@@ -182,9 +184,11 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
     # y from the phi rows' own atoms 1/y_v: certified within 0.5e-9, or the
     # series gap fails closed.  Only a simplex that passed every other check
     # gets here, so its labels hold and row phi[j] is that of outside[j].
-    if not failures and outside and (radius == 0.0 or bval >= math.log(radius) + SERIES_MARGIN):
+    if not failures and outside and bval >= ln_radius + SERIES_MARGIN:
         y = 1.0 / at_vertex[phi, outside_idx]
+        M = A[outside_idx[:, None], outside_idx]
         if not _y_error_bound(M, width, bval, y) <= 0.5e-9:
+            radius = float(G.spectral_radii[G.vertex_components[outside_idx]].max())
             summed = spectral.resolvent_series(M.T, bval, np.ones(len(outside)), 1e-12,
                                                radius=radius)
             gap = float(np.max(np.abs(y - summed)))
@@ -210,23 +214,21 @@ def _label_failures(psi_states, phi_vertices, outside: list) -> list[str]:
     return failures
 
 
-def _psi_failures(G: DirectedGraph, X, XA, at_vertex, rows,
-                  scale: float) -> dict[int, list[str]]:
+def _psi_failures(G: DirectedGraph, X, XA, at_vertex, rows, scale) -> dict[int, list[str]]:
     """Eigen-identity and atom failures of the psi states, rows ``rows`` of X.
 
-    ``XA`` is ``X @ A.T``, ``scale`` e^beta and ``at_vertex`` the vertex
-    atoms ``X - XA / scale`` of every row.  Failures are given without the
-    state's name.  Atoms are checked at the vertices that receive an edge,
-    which covers every path with such a source: an atom at a path is its
-    source's times e^(-beta |path|).  Only the first failing vertex of a
-    state is reported.
+    ``XA`` is ``X @ A.T``, ``scale`` the column of the rows' e^beta and
+    ``at_vertex`` the vertex atoms ``X - XA / scale``.  Failures are given
+    without the state's name.  Atoms are checked at the vertices that
+    receive an edge, which covers every path with such a source: an atom at
+    a path is its source's times e^(-beta |path|).  Only the first failing
+    vertex of a state is reported.
     """
     if not rows:
         return {}
-    receives, _ = _invariants(G)
     at_vertex = at_vertex[rows]
-    resid = np.abs(XA[rows] - scale * X[rows]).max(axis=1).tolist()
-    bad_vertex = (np.abs(at_vertex) > 1e-9) & receives
+    resid = np.abs(XA[rows] - scale[rows] * X[rows]).max(axis=1).tolist()
+    bad_vertex = (np.abs(at_vertex) > 1e-9) & _receives(G.arcs)
     out = {}
     for j, k in enumerate(rows):
         found = out[k] = []

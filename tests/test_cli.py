@@ -516,6 +516,33 @@ def test_verify_allows_for_rounding_at_large_e_beta(graph_file, capsys, beta):
     assert out.endswith("all checks passed\n")
 
 
+@pytest.mark.parametrize("text, argv", [
+    # rho{b,c} = 30000 (1 + 5.6e-10), so psi{b,c} sits in the TOL window of ln 30000.
+    ("vertices: a b c\nedge a a 30000\nedge b c\nedge c b 900000001\n",
+     ("states", "--critical", "0", "--verify")),
+    ("vertices: a\nedge a a 3\n", ("verify", "--beta", repr(math.log(3) + 9e-10))),
+    ("vertices: a\nedge a a 3\n", ("verify", "--beta", repr(math.log(3) - 9e-10))),
+    ("vertices: a\nedge a a 1000\n", ("verify", "--beta", repr(math.log(1000) + 9e-10))),
+], ids=["near_tie", "ln3_above", "ln3_below", "ln1000_above"])
+def test_verify_checks_each_psi_state_at_its_own_temperature(graph_file, capsys, text, argv):
+    # psi_C is built at ln rho(A_C), not at the beta inside the TOL window
+    # that selects it; checked at that beta, its eigen-identity was off.
+    rc, out, _ = run(capsys, argv[0], graph_file(text), *argv[1:])
+    assert rc == 0, out
+    assert out.endswith("all checks passed\n")
+
+
+@pytest.mark.parametrize("argv", [("states", "--beta", "800", "--verify"),
+                                  ("verify", "--beta", "710")], ids=["states_800", "verify_710"])
+def test_verify_passes_where_e_beta_overflows(graph_file, capsys, argv):
+    # Past beta ~ 709.78 e^beta is inf; each phi row is then e_v, and an
+    # entry m_v = 0 must not compare as inf * 0 = NaN.
+    path = graph_file("vertices: a b\nedge a b\nedge b b 2\n")
+    rc, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (rc, err) == (0, ""), out
+    assert out.endswith("all checks passed\n")
+
+
 def test_verify_catches_corrupted_states(graph_file, capsys, monkeypatch):
     path = graph_file("pair_toward_small")
     G = gk.parse_graph(open(path).read())

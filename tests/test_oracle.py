@@ -141,9 +141,10 @@ def _measures(vertices, extremes):
 
 def _subinvariant(G, beta, m):
     """verify_simplex's subinvariance verdict on the measure m at beta, put in
-    place of the first extreme of the simplex at the top critical value."""
+    place of the first extreme of the simplex at the top critical value, as
+    a state at beta."""
     sx = gk.kms_simplex(G, gk.critical_temperatures(G)[-1])
-    state = dataclasses.replace(sx.extremes[0], m=m)
+    state = dataclasses.replace(sx.extremes[0], m=m, beta_value=beta)
     extremes = (state, *sx.extremes[1:])
     failures = oracle.verify_simplex(G, dataclasses.replace(
         sx, beta=gk.Numeric(beta), beta_value=beta, extremes=extremes,
@@ -383,6 +384,44 @@ def test_subinvariance_rounding_floor_still_fails_a_gross_violation():
         assert "phi[a]: subinvariance violated" in failures, m
 
 
+def test_verify_simplex_fails_a_state_off_the_simplex_temperature():
+    # Each row is checked at its own beta_value, so a state may not carry
+    # one more than TOL away from the simplex's beta.
+    G = example("pair_toward_small")
+    sx = gk.kms_simplex(G, gk.CriticalOf(1))
+    for k, state in enumerate(sx.extremes):
+        name = gk.kms.label_text(state)
+        for shift, off in ((2e-9, True), (-2e-9, True), (0.5, True), (0.5e-9, False)):
+            extremes = list(sx.extremes)
+            extremes[k] = dataclasses.replace(state, beta_value=sx.beta_value + shift)
+            failures = oracle.verify_simplex(G, dataclasses.replace(sx, extremes=tuple(extremes)))
+            hit = [f for f in failures if f.startswith(f"{name}: beta_value ")]
+            assert len(hit) == off, (name, shift, failures)
+
+
+def test_oracle_memo_holds_no_block_of_the_matrix():
+    # G.matrix is the one float copy of A: the y certificate gathers its
+    # block outside K_beta only while it runs.
+    G = random_graph(random.Random(33))
+    for beta in [*gk.critical_temperatures(G), 0.05, 3.0]:
+        sx = gk.kms_simplex(G, beta)
+        assert len(sx.K_beta.members) < len(G.vertices)
+        oracle.verify_simplex(G, sx)
+    values, flat = [G._memo["oracle"]], []
+    while values:
+        value = values.pop()
+        if isinstance(value, dict):
+            values += value.values()
+        elif isinstance(value, (tuple, list)):
+            values += value
+        else:
+            flat.append(value)
+    assert flat and not [v for v in flat if isinstance(v, np.ndarray) and v.ndim == 2]
+    # The width counted on the arcs is the most nonzeros in a column of that block.
+    for _, idx, width, _ in G._memo["oracle"].values():
+        assert width == np.count_nonzero(G.matrix[np.ix_(idx, idx)], axis=0).max(initial=0)
+
+
 def test_verify_simplex_ties_every_phi_row_to_its_vertex():
     # Each corruption the theorem rules out is caught on the examples and on
     # random graphs at every critical value and above the top one.  A shift
@@ -439,7 +478,8 @@ def test_y_certificate_refuses_nan_and_a_nan_series_gap_fails(monkeypatch):
     # the series is not within 1e-9.
     G = example("pair_toward_small")
     sx = gk.kms_simplex(G, 3.0)
-    _, _, M, _, width = oracle._outside(G, sx.K_beta.members)
+    _, idx, width, _ = oracle._outside(G, sx.K_beta.members)
+    M = G.matrix[np.ix_(idx, idx)]
     assert oracle._y_error_bound(M, width, 3.0, np.full(2, np.nan)) == math.inf
     monkeypatch.setattr(spectral, "resolvent_series", lambda *a, **k: np.full(2, np.nan))
     assert oracle.verify_simplex(G, _corrupt(sx, 1, "shift")) == [
@@ -483,10 +523,12 @@ def test_y_certificate_bounds_the_gap_to_the_series():
         betas = [*gk.critical_temperatures(G), *np.linspace(0.05, top, 20).tolist()]
         for beta in betas:
             sx = gk.kms_simplex(G, beta)
-            outside, idx, M, radius, width = oracle._outside(G, sx.K_beta.members)
+            outside, idx, width, ln_radius = oracle._outside(G, sx.K_beta.members)
             b = sx.beta_value
-            if not outside or (radius and b < math.log(radius) + oracle.SERIES_MARGIN):
+            if not outside or b < ln_radius + oracle.SERIES_MARGIN:
                 continue
+            M = G.matrix[np.ix_(idx, idx)]
+            radius = float(G.spectral_radii[G.vertex_components[idx]].max())
             phi = sx.measures[len(sx.extremes) - len(outside):]
             at_vertex = phi - (phi @ G.matrix.T) / math.exp(b)
             y = 1.0 / at_vertex[np.arange(len(outside)), idx]

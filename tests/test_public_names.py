@@ -6,7 +6,8 @@ with ``getattr`` on ``graphkms.<module>`` and wraps
 ``bench/run.py --trace 1`` without failing any other test.
 
 The public surface is pinned: a change that adds or removes an exported
-name, or a field of ``Component``, has to edit its pin on purpose.
+name, or a field of ``Component`` or ``StateMeasure``, has to edit its pin
+on purpose.
 """
 
 import dataclasses
@@ -65,7 +66,7 @@ REMOVED = {
     "oracle": ["collect_paths", "PathEnumeration", "subinvariance_check",
                "_spec_or_float", "_path_atoms", "_solve_error_bound",
                "enumerate_paths", "_sum_tail_bounded", "series_y_oracle",
-               "quick_exit_series_oracle", "MAX_TERMS"],
+               "quick_exit_series_oracle", "MAX_TERMS", "_invariants"],
 }
 
 
@@ -86,6 +87,13 @@ def test_component_holds_no_copy_of_a_per_component_array():
     # perron_vector is None; a field for either would be a second store.
     fields = [f.name for f in dataclasses.fields(graphkms.Component)]
     assert fields == ["id", "members", "period", "perron_vector"]
+
+
+def test_state_measure_holds_one_temperature():
+    # beta_value is the state's own temperature; the spec beta was given as
+    # stays on SimplexDescriptor.beta.
+    fields = [f.name for f in dataclasses.fields(graphkms.StateMeasure)]
+    assert fields == ["beta_value", "m", "label", "factors_through_graph_algebra", "state_type"]
 
 
 # Names that only the tests and the bench use, each mapped to the traced
