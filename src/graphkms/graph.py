@@ -131,8 +131,9 @@ class DirectedGraph:
     access.
     ``_memo`` holds what other modules derive from the graph alone, under
     their own keys, each filled on first use: the critical temperatures
-    and the regimes met so far (:mod:`graphkms.kms`), and the oracle's
-    per-K_beta data (:mod:`graphkms.oracle`).
+    and the regimes met so far, each with its simplex's beta-free data once
+    a simplex of it is built (:mod:`graphkms.kms`), and the oracle's
+    per-K_beta data and per-H_beta masks (:mod:`graphkms.oracle`).
     """
 
     __slots__ = (

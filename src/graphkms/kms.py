@@ -17,6 +17,11 @@ The measures of a simplex live in one read-only float array, one row per
 extreme point with columns in vertex order; each state's ``m`` is a
 read-only mapping view of its row, so no per-state dict is ever built.
 
+Only the phi rows depend on beta itself.  The rest of a simplex (the
+outside indices, labels, temperatures, flags and psi rows, each solved at
+its own ln rho(A_C)) is kept next to its Regime from the regime's first
+simplex on, so a simplex costs one gather of M, one LU and one write.
+
 Float policy: comparisons against critical values use the tolerance TOL;
 ``CriticalOf`` carries a component id so critical temperatures can be used
 without re-deriving them from floats.
@@ -231,10 +236,12 @@ def regime(G: DirectedGraph, beta) -> Regime:
     the one Regime of its key.  Both positions only grow with beta, so G
     holds at most 2 len(cuts) + 1 regimes.
     """
-    return _regime_at(G, beta_value(G, beta))
+    return _entry(G, beta_value(G, beta))[0]
 
 
-def _regime_at(G: DirectedGraph, bval: float) -> Regime:
+def _entry(G: DirectedGraph, bval: float) -> list:
+    """The memo entry of beta's regime, ``[Regime, _Extremes or None]``; the
+    second item stays None until a simplex of the regime is built."""
     cached = G._memo.get("regimes")
     if cached is None:
         ln_radii = G.ln_spectral_radii
@@ -242,10 +249,10 @@ def _regime_at(G: DirectedGraph, bval: float) -> Regime:
         cached = G._memo["regimes"] = (sorted(set(cuts.tolist())), {})
     cuts, memo = cached
     key = (bisect.bisect_left(cuts, bval - TOL), bisect.bisect_right(cuts, bval + TOL))
-    reg = memo.get(key)
-    if reg is None:
-        reg = memo[key] = _derive_regime(G, bval)
-    return reg
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = [_derive_regime(G, bval), None]
+    return entry
 
 
 def _derive_regime(G: DirectedGraph, bval: float) -> Regime:
@@ -351,26 +358,32 @@ def beta_v(G: DirectedGraph, v: str) -> float | None:
 # before any state takes a view of them.
 
 
-def _extreme_rows(G: DirectedGraph, reg: Regime, bval: float) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only measure rows of every extreme point at beta = bval, and y.
+@dataclass(frozen=True, eq=False)
+class _Extremes:
+    """What every simplex of one regime shares: ``Regime.outside`` as a
+    read-only index array, the read-only psi rows, and per state, in row
+    order, the label and temperature of psi states and the label and
+    factor-through flag of phi states."""
 
-    The psi rows come first, in ascending component id, then the phi rows
-    in vertex order.  M, the vertex matrix on the vertices outside K_beta,
-    is gathered once from ``G.matrix`` and serves every solve.  phi_{beta,v}
-    is column v of (I - e^-beta M)^-1 and y its column sums; psi_C is
-    (z^C, x^C, 0 on the rest), where z^C = rho^-1 (I - rho^-1 M)^-1 A_{out,C} x^C
-    solves the eigen-identity A m = rho(A_C) m.  Rows are scaled to mass one.
+    out: np.ndarray
+    psi_rows: np.ndarray
+    psi: tuple[tuple[PsiC, float], ...]
+    phi: tuple[tuple[PhiBetaV, bool], ...]
+
+
+def _extremes(G: DirectedGraph, reg: Regime) -> _Extremes:
+    """The beta-free part of the regime's simplex.
+
+    psi_C is (z^C, x^C, 0 on the rest), where z^C = rho^-1 (I - rho^-1 M)^-1 A_{out,C} x^C
+    solves the eigen-identity A m = rho(A_C) m, with M the vertex matrix on
+    the vertices outside K_beta; its row is scaled to mass one.
+    phi_{beta,v} factors through C*(E) iff v is a source of the quotient by
+    the saturation of K_beta.
     """
     mc = reg.minimal_critical
     out = np.array(reg.outside, dtype=np.intp)
-    rows = np.zeros((len(mc) + out.size, len(G.vertices)))
-    y = np.zeros(0)
-    if out.size:
-        M = G.matrix[out[:, None], out]
-        resolvent = spectral.resolvent_solve(M, bval, np.eye(out.size), radius=reg.outside_radius)
-        y = resolvent.sum(axis=0)
-        resolvent /= y
-        rows[len(mc):, out] = resolvent.T
+    rows = np.zeros((len(mc), len(G.vertices)))
+    M = G.matrix[out[:, None], out] if mc and out.size else None
     for row, cid in zip(rows, mc):
         c_idx = np.flatnonzero(G.vertex_components == cid)
         rho, ln_rho = float(G.spectral_radii[cid]), float(G.ln_spectral_radii[cid])
@@ -382,6 +395,37 @@ def _extreme_rows(G: DirectedGraph, reg: Regime, bval: float) -> tuple[np.ndarra
         scale = 1.0 / (1.0 + float(z.sum()))
         row[out] = scale * z
         row[c_idx] = scale * x
+    names = G.vertices
+    return _Extremes(
+        out=_frozen(out),
+        psi_rows=_frozen(rows),
+        psi=tuple((PsiC(G.components[cid]), float(G.ln_spectral_radii[cid])) for cid in mc),
+        phi=tuple((PhiBetaV(names[i]), names[i] in reg.sources) for i in reg.outside),
+    )
+
+
+def _extreme_rows(G: DirectedGraph, entry: list, bval: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only measure rows of every extreme point at beta = bval, and y.
+
+    Kept per regime, in the _Extremes of its memo ``entry``: the psi rows,
+    which come first, in ascending component id.  Computed per beta: the
+    phi rows, in vertex order, phi_{beta,v} being column v of
+    R = (I - e^-beta M)^-1 over its sum y_v, with M gathered from
+    ``G.matrix`` on the vertices outside K_beta and R from one LU.
+    """
+    reg, ext = entry
+    if ext is None:
+        ext = entry[1] = _extremes(G, reg)
+    out, p = ext.out, len(ext.psi)
+    rows = np.zeros((p + out.size, len(G.vertices)))
+    rows[:p] = ext.psi_rows
+    if not out.size:
+        return _frozen(rows), np.zeros(0)
+    M = G.matrix[out[:, None], out]
+    resolvent = np.linalg.inv(spectral._resolvent_matrix(M, bval, reg.outside_radius))
+    y = resolvent.sum(axis=0)
+    resolvent /= y
+    rows[p:, out] = resolvent.T
     return _frozen(rows), y
 
 
@@ -395,7 +439,8 @@ def general_state_measure(
     over the minimal critical components of the quotient by H_beta.
     """
     bval = beta_value(G, beta)
-    reg = _regime_at(G, bval)
+    entry = _entry(G, bval)
+    reg = entry[0]
     if reg.case != CRITICAL:
         raise ValueError("beta is not critical for this graph")
     if not -TOL <= r <= 1.0 + TOL:
@@ -429,7 +474,7 @@ def general_state_measure(
                 f"epsilon charges {name} inside K_beta, where the series diverges"
             )
     eps_vec = np.array([eps_map.get(G.vertices[i], 0.0) for i in out_idx])
-    rows, y = _extreme_rows(G, reg, bval)
+    rows, y = _extreme_rows(G, entry, bval)
     if not out_idx:
         # Nothing survives K_beta, so no phi part can exist at all.
         if r > TOL or any(w > TOL for w in eps_map.values()):
@@ -466,31 +511,28 @@ def kms_simplex(G: DirectedGraph, beta) -> SimplexDescriptor:
     or phi_{beta,v} is one of these rows.
     """
     spec, bval = _resolve(G, beta)
-    reg = _regime_at(G, bval)
-    mc = [G.components[cid] for cid in reg.minimal_critical]
-    measures, _ = _extreme_rows(G, reg, bval)
+    entry = _entry(G, bval)
+    measures, _ = _extreme_rows(G, entry, bval)
+    reg, ext = entry
     psi = [
         StateMeasure(
-            beta_value=float(G.ln_spectral_radii[C.id]),
+            beta_value=ln_rho,
             m=MeasureView(G, row),
-            label=PsiC(C),
+            label=label,
             factors_through_graph_algebra=True,
             state_type=INFINITE,
         )
-        for row, C in zip(measures, mc)
+        for row, (label, ln_rho) in zip(measures, ext.psi)
     ]
-    # phi_{beta,v} factors through C*(E) iff v is a source of the quotient
-    # by the saturation of K_beta.
-    outside = [G.vertices[i] for i in reg.outside]
     phi = [
         StateMeasure(
             beta_value=bval,
             m=MeasureView(G, row),
-            label=PhiBetaV(v),
-            factors_through_graph_algebra=v in reg.sources,
+            label=label,
+            factors_through_graph_algebra=flag,
             state_type=FINITE,
         )
-        for v, row in zip(outside, measures[len(mc):])
+        for row, (label, flag) in zip(measures[len(psi):], ext.phi)
     ]
     return SimplexDescriptor(
         beta=spec,

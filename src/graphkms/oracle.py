@@ -10,7 +10,10 @@ its series.  Nothing here solves a linear system.  A state's atom
 at a path mu is e^(-beta |mu|) times its atom at the vertex s(mu), so the
 vertex atoms settle every finite path; ``path_measure_atom`` gives an atom
 at one path from its definition.  Every product reads ``G.matrix``, the
-one float copy of A; nothing here keeps a block of it.
+one float copy of A; nothing here keeps a block of it.  What the checks
+read of the reported K_beta and H_beta is kept on the graph per set
+(``_outside``, ``_H_mask``), derived from the graph alone: the oracle reads
+nothing that ``kms`` keeps per regime.
 """
 
 from __future__ import annotations
@@ -66,6 +69,17 @@ def _outside(G: DirectedGraph, K_members: frozenset):
     return cached
 
 
+def _H_mask(G: DirectedGraph, H_members: frozenset) -> np.ndarray:
+    """The read-only mask of H_beta over the vertices, kept per H_beta under
+    ``G._memo["oracle H"]``."""
+    by_H = G._memo.setdefault("oracle H", {})
+    mask = by_H.get(H_members)
+    if mask is None:
+        mask = by_H[H_members] = G._mask(H_members)
+        mask.setflags(write=False)
+    return mask
+
+
 def _exp(beta: float) -> float:
     try:
         return math.exp(beta)
@@ -75,17 +89,26 @@ def _exp(beta: float) -> float:
 
 def _y_error_bound(M: np.ndarray, width: int, beta: float, y: np.ndarray) -> float:
     """Bound on max|y_true - y| for y_true solving (I - T^T)y = 1, T = e^-beta M:
-    inf unless y > 0 and rho_r < 1, where rho_r is max|1 - (y - T^T y)| plus
-    its rounding bound gamma_{width+3} max(1 + y + T^T y), width the most
-    nonzeros in a column of M (Higham, ch. 3).  Then T^T y <= qy with q < 1,
-    so rho(T) < 1 (Collatz-Wielandt), and entrywise
-    |y_true - y| <= rho_r y / (1 - rho_r)."""
-    if not y.min() > 0.0:  # NaN included
+    inf unless y is positive and finite and rho_r < 1, where rho_r is
+    max|1 - (y - T^T y)| plus its rounding bound gamma_{width+3}
+    max(1 + y + T^T y), width the most nonzeros in a column of M (Higham,
+    ch. 3).  Then T^T y <= qy with q < 1, so rho(T) < 1 (Collatz-Wielandt),
+    and entrywise |y_true - y| <= rho_r y / (1 - rho_r).  Past the one
+    product with M the work is on Python floats: the same operations as on
+    arrays, rounded alike, with no numpy call per step."""
+    ys = y.tolist()
+    if not all(0.0 < v < math.inf for v in ys):  # NaN included
         return math.inf
-    Ty = math.exp(-beta) * (y @ M)
+    Ty = y @ M
+    try:
+        Ty *= math.exp(-beta)
+    except OverflowError:  # beta < ~-709.78: T^T y is 0 where y M is, else inf
+        Ty = np.where(Ty > 0.0, math.inf, 0.0)
+    pairs = list(zip(ys, Ty.tolist()))
     k = (width + 3) * 2.0**-53
-    rho_r = float(np.abs(1.0 - (y - Ty)).max() + k / (1.0 - k) * (1.0 + y + Ty).max())
-    return rho_r * float(y.max()) / (1.0 - rho_r) if rho_r < 1.0 else math.inf
+    rho_r = (max(abs(1.0 - (v - t)) for v, t in pairs)
+             + k / (1.0 - k) * max(1.0 + v + t for v, t in pairs))
+    return rho_r * max(ys) / (1.0 - rho_r) if rho_r < 1.0 else math.inf
 
 
 def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
@@ -95,11 +118,12 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
     for ``simplex.extremes[k]``), row k at its own temperature
     ``extremes[k].beta_value``, which must lie within ``kms.TOL`` of
     ``simplex.beta_value``; where e^beta overflows, a row sets m against
-    A m / e^beta, which is 0.  A ``measures`` not
-    ``len(extremes) x len(G.vertices)`` raises ValueError.  Checks: the
-    labels (one phi state per vertex outside K_beta, distinct psi
-    components), normalization, nonnegativity, subinvariance, vanishing on
-    H_beta, the exact eigen-identity for psi states, for psi states that
+    A m / e^beta, which is 0, and where it underflows to 0, a row's atoms
+    m - e^-beta A m are m where A m is 0 and infinite elsewhere.  A
+    ``measures`` not ``len(extremes) x len(G.vertices)`` raises ValueError.
+    Checks: the labels (one phi state per vertex outside K_beta, distinct
+    psi components), normalization, nonnegativity, subinvariance, vanishing
+    on H_beta, the exact eigen-identity for psi states, for psi states that
     their atoms vanish at every vertex that receives an edge, and for each
     phi state that its atoms off its own vertex vanish.  The atom at a
     vertex v is m_v - e^-beta (A m)_v (``path_measure_atom`` is the
@@ -131,7 +155,7 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
             phi.append(k)
             phi_vertices.append(s.label.vertex)
     failures = _label_failures([states[k] for k in psi], phi_vertices, outside)
-    totals, lows = X.sum(axis=1).tolist(), X.min(axis=1).tolist()
+    totals, lows = np.add.reduce(X, axis=1).tolist(), np.minimum.reduce(X, axis=1).tolist()
     # Row k is checked at its own temperature: scale[k] is e^beta_value.
     exps = [_exp(s.beta_value) for s in states]
     scale = np.array(exps).reshape(-1, 1)
@@ -145,24 +169,21 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
         # m with A m / e^beta (0 where A m is finite) at scale 1.
         huge = np.isinf(scale[:, 0])
         XA[huge], XcA[huge], scale[huge] = XA[huge] / math.inf, XcA[huge] / math.inf, 1.0
-    below = XcA <= scale * Xc + 1e-9
-    if not below.all():
-        # Past e^beta ~ 1e7, rounding alone passes 1e-9 where a row is an equality: a failing
-        # entry gets max(1e-9, gamma_{d+2} of its sides), d the most arcs into one vertex.
-        k, v = np.nonzero(~below)
-        lhs, rhs = XcA[k, v], scale[k, 0] * Xc[k, v]
-        u = (int(np.diff(G.arcs.indptr).max()) + 2) * 2.0**-53
-        slack = np.maximum(1e-9, u / (1.0 - u) * (lhs + rhs))
-        below[k, v] = (lhs <= rhs + slack) & (slack < math.inf)
-    subinvariant = below.all(axis=1).tolist()
+    subinvariant = _subinvariant(G, Xc, XcA, scale)
     charges = [False] * len(states)
     if simplex.H_beta.members:
-        in_H = G._mask(simplex.H_beta.members)
-        charges = (X[:, in_H] > 1e-9).any(axis=1).tolist()
+        charges = (X[:, _H_mask(G, simplex.H_beta.members)] > 1e-9).any(axis=1).tolist()
 
-    at_vertex = X - XA / scale
+    if 0.0 in exps:
+        # Where e^beta underflows to 0, e^-beta A m is 0 where A m is 0 and
+        # infinite elsewhere; dividing by that 0 would make 0 / 0 NaN.
+        scaled = np.copysign(np.where(XA == 0.0, 0.0, math.inf), XA)
+        at_vertex = X - np.divide(XA, scale, out=scaled, where=scale != 0.0)
+    else:
+        at_vertex = X - XA / scale
     atom_failures = _psi_failures(G, X, XA, at_vertex, psi, scale)
-    atom_failures.update(_phi_failures(G, at_vertex, phi, phi_vertices))
+    phi_failures, own = _phi_failures(G, at_vertex, phi, phi_vertices)
+    atom_failures.update(phi_failures)
 
     for k, state in enumerate(states):
         found = []
@@ -185,7 +206,7 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
     # series gap fails closed.  Only a simplex that passed every other check
     # gets here, so its labels hold and row phi[j] is that of outside[j].
     if not failures and outside and bval >= ln_radius + SERIES_MARGIN:
-        y = 1.0 / at_vertex[phi, outside_idx]
+        y = 1.0 / np.array(own)
         M = A[outside_idx[:, None], outside_idx]
         if not _y_error_bound(M, width, bval, y) <= 0.5e-9:
             radius = float(G.spectral_radii[G.vertex_components[outside_idx]].max())
@@ -195,6 +216,25 @@ def verify_simplex(G: DirectedGraph, simplex) -> list[str]:
             if not gap <= 1e-9:
                 failures.append(f"y from the phi atoms vs series gap {gap:.3g}")
     return failures
+
+
+def _subinvariant(G: DirectedGraph, Xc, XcA, scale) -> list[bool]:
+    """Per row, whether ``XcA <= scale * Xc + 1e-9`` holds at every vertex.
+
+    Past e^beta ~ 1e7, rounding alone passes 1e-9 where a row is an
+    equality: a failing entry gets max(1e-9, gamma_{d+2} of its sides), d
+    the most arcs into one vertex.  A function of its own, so that its
+    len(X) x n mask is freed before the atom checks make theirs.
+    """
+    below = XcA <= scale * Xc + 1e-9
+    if below.all():
+        return [True] * len(below)
+    k, v = np.nonzero(~below)
+    lhs, rhs = XcA[k, v], scale[k, 0] * Xc[k, v]
+    u = (int(np.diff(G.arcs.indptr).max()) + 2) * 2.0**-53
+    slack = np.maximum(1e-9, u / (1.0 - u) * (lhs + rhs))
+    below[k, v] = (lhs <= rhs + slack) & (slack < math.inf)
+    return below.all(axis=1).tolist()
 
 
 def _label_failures(psi_states, phi_vertices, outside: list) -> list[str]:
@@ -240,8 +280,9 @@ def _psi_failures(G: DirectedGraph, X, XA, at_vertex, rows, scale) -> dict[int, 
     return out
 
 
-def _phi_failures(G: DirectedGraph, at_vertex, rows, vertices) -> dict[int, list[str]]:
-    """Atom failures of the phi states of ``vertices``, by row of ``at_vertex``.
+def _phi_failures(G: DirectedGraph, at_vertex, rows, vertices):
+    """Atom failures of the phi states of ``vertices``, by row of ``at_vertex``,
+    and the atom of each at its own vertex, in row order.
 
     ``phi_{beta,v}`` charges the length-0 path at ``v`` and no other vertex:
     its measure ``m`` solves ``m - e^-beta A m = e_v / y_v`` outside K_beta
@@ -250,7 +291,7 @@ def _phi_failures(G: DirectedGraph, at_vertex, rows, vertices) -> dict[int, list
     one at ``v``; this ties each phi row to its own vertex.
     """
     if not rows:
-        return {}
+        return {}, []
     off = np.abs(at_vertex)
     at_own = {}
     for k, v in zip(rows, vertices):
@@ -270,4 +311,4 @@ def _phi_failures(G: DirectedGraph, at_vertex, rows, vertices) -> dict[int, list
             i = int(np.argmax(off[k]))
             out[k] = [f"atom {at_vertex[k, i]:.3g} at {G.vertices[i]!r}, "
                       f"beside {atom:.3g} at its own vertex"]
-    return out
+    return out, list(at_own.values())

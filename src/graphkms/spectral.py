@@ -294,11 +294,37 @@ def spectral_radius(M) -> float:
 
 
 def _check_convergent(radius: float, beta: float) -> None:
-    if not math.exp(-beta) * radius < 1.0 - CONVERGENCE_MARGIN:
+    try:
+        convergent = math.exp(-beta) * radius < 1.0 - CONVERGENCE_MARGIN
+    except OverflowError:  # e^-beta past the float range: only radius 0 converges
+        convergent = radius == 0.0
+    if not convergent:
         raise ConvergenceError(
             f"resolvent divergent: beta = {beta:.6g} is not above ln rho = "
             f"{math.log(radius) if radius > 0 else float('-inf'):.6g}"
         )
+
+
+def _weighted(A: np.ndarray, beta: float) -> np.ndarray:
+    """e^(-beta) A as a new array.  Where e^(-beta) overflows a float, an A
+    with no nonzero entry gives zeros and any other A raises OverflowError."""
+    try:
+        return A * math.exp(-beta)
+    except OverflowError:
+        if A.any():
+            raise OverflowError(f"e^-beta overflows a float at beta = {beta:.6g}") from None
+        return np.zeros_like(A)
+
+
+def _resolvent_matrix(A: np.ndarray, beta: float, radius: float) -> np.ndarray:
+    """I - e^(-beta) A in one new array, for a square float A of spectral
+    radius ``radius``; a beta where the resolvent diverges is refused."""
+    _check_convergent(radius, beta)
+    # 0 - x keeps the zeros at +0.0, and 1 + (0 - x) rounds exactly as 1 - x.
+    W = _weighted(A, beta)
+    np.subtract(0.0, W, out=W)
+    W.flat[:: len(W) + 1] += 1
+    return W
 
 
 def resolvent_solve(M, beta: float, b, *, radius: float) -> np.ndarray:
@@ -309,17 +335,10 @@ def resolvent_solve(M, beta: float, b, *, radius: float) -> np.ndarray:
     per-vertex path series.  ``radius`` is the spectral radius of M, which
     every caller already holds; the solve refuses a beta where it diverges.
     """
-    A = _as_square(M)
-    _check_convergent(radius, beta)
+    W = _resolvent_matrix(_as_square(M), beta, radius)
     b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    if n == 0:
+    if not len(W):
         return b.copy()
-    # I - e^-beta A in one new array (A may be the caller's): 0 - x keeps
-    # the zeros at +0.0, and 1 + (0 - x) rounds exactly as 1 - x.
-    W = A * math.exp(-beta)
-    np.subtract(0.0, W, out=W)
-    W.flat[:: n + 1] += 1
     return np.linalg.solve(W, b)
 
 
@@ -336,7 +355,7 @@ def resolvent_series(M, beta: float, b, tol: float = 1e-12, *, radius: float) ->
     A = _as_square(M)
     _check_convergent(radius, beta)
     total = np.array(b, dtype=float)
-    P = math.exp(-beta) * A
+    P = _weighted(A, beta)
     for _ in range(64):
         q = float(P.sum(axis=1).max(initial=0.0))
         if q < 1.0 and q / (1.0 - q) * float(np.abs(total).max(initial=0.0)) < tol:

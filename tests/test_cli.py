@@ -543,6 +543,30 @@ def test_verify_passes_where_e_beta_overflows(graph_file, capsys, argv):
     assert out.endswith("all checks passed\n")
 
 
+def test_states_at_very_negative_beta_where_nothing_overflows(graph_file, capsys):
+    # e^-beta = e^800 overflows a float, but with no edge M = 0, so phi[a] is
+    # e_a; in the oracle e^beta underflows to 0, and the atoms must not take
+    # 0 / 0 = NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "states", graph_file("vertices: a\n"), "--beta", "-800",
+                           "--verify")
+    assert (rc, err) == (0, ""), out
+    assert "case: Subcritical" in out
+    assert "phi[a]  type=Finite   factors=yes  m[a]=1\n" in out
+    assert out.endswith("all checks passed\n")
+
+
+@pytest.mark.parametrize("command", ["states", "verify"])
+def test_very_negative_beta_fails_naming_the_overflow(graph_file, capsys, command):
+    # With an edge, phi[a] needs e^-beta = e^800, past the float range: the
+    # command fails and says so, with no NaN measure printed.
+    rc, out, err = run(capsys, command, graph_file("vertices: a b\nedge a b\n"), "--beta", "-800")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: e^-beta overflows a float at beta = -800\n"
+
+
 def test_verify_catches_corrupted_states(graph_file, capsys, monkeypatch):
     path = graph_file("pair_toward_small")
     G = gk.parse_graph(open(path).read())

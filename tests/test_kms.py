@@ -12,7 +12,7 @@ import pytest
 import graphkms as gk
 from graphkms import kms, spectral
 
-from conftest import example, phi_state, psi_state, quotient_graph, random_graph, z_of
+from conftest import GRAPHS, example, phi_state, psi_state, quotient_graph, random_graph, z_of
 from oracles import edge_instances
 
 LN2 = math.log(2)
@@ -645,6 +645,77 @@ def test_simplex_measures_are_one_read_only_array():
             _check_view(state.m, G, row)
             # every extreme views a row of the one array, none holds a copy
             assert np.asarray(state.m).base is sx.measures
+
+
+def _grid(G):
+    """Every critical temperature and the floats half a TOL either side of
+    it, which share its regime, then the acceptance sweep's 20-point grid."""
+    rho = spectral.spectral_radius(G.matrix)
+    top = math.log(rho) + 0.5 if rho > 1 else 1.0
+    criticals = gk.critical_temperatures(G)
+    near = [gk.beta_value(G, c) + d * kms.TOL for c in criticals for d in (-0.5, 0.5)]
+    return [*criticals, *near, *np.linspace(0.05, top, 20).tolist()]
+
+
+def _results_at(G, beta):
+    """Bytes and fields of the simplex at beta and, at a critical beta, of
+    one mixture of all its extremes."""
+    sx = gk.kms_simplex(G, beta)
+    states = list(sx.extremes)
+    if sx.case == kms.CRITICAL:
+        reg = kms.regime(G, beta)
+        eps = {}
+        if reg.outside:
+            out = list(reg.outside)
+            M = G.matrix[np.ix_(out, out)]
+            y = spectral.resolvent_solve(M.T, sx.beta_value, np.ones(len(out)),
+                                         radius=reg.outside_radius)
+            eps = {G.vertices[i]: 1 / (len(out) * float(y_i)) for i, y_i in zip(out, y)}
+        mc = reg.minimal_critical
+        states.append(gk.general_state_measure(
+            G, beta, 0.5 if eps else 0.0, eps, {c: 1 / len(mc) for c in mc}))
+    labels = [(s.label.component.id, s.label.component.members) if isinstance(s.label, gk.PsiC)
+              else dataclasses.astuple(s.label) for s in states]
+    return (sx.beta, sx.beta_value, sx.case, sx.measures.tobytes(), labels,
+            [(np.asarray(s.m).tobytes(), s.factors_through_graph_algebra, s.state_type,
+              s.beta_value) for s in states])
+
+
+def _arrays(value):
+    """Every numpy array reachable from a memo value."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+
+
+def test_simplex_data_kept_per_regime_do_not_depend_on_call_order():
+    # The beta-free part of a simplex is derived once per regime, on the
+    # first call that meets it; in any beta order every result equals that
+    # of a freshly parsed graph, bit for bit.
+    makers = [lambda t=t: gk.parse_graph(t) for t in GRAPHS.values()]
+    makers += [lambda s=s: random_graph(random.Random(s)) for s in range(200)]
+    kept = 0
+    for make in makers:
+        G = make()
+        betas = _grid(G)
+        random.Random(len(betas)).shuffle(betas)
+        for beta in betas:
+            assert _results_at(G, beta) == _results_at(make(), beta), (G.vertices, beta)
+        _, memo = G._memo["regimes"]
+        extremes = [ext for _, ext in memo.values() if ext is not None]
+        arrays = list(_arrays(extremes))
+        assert len(arrays) == 2 * len(extremes)
+        assert not [a for a in arrays if a.flags.writeable]
+        kept += len(extremes)
+    assert kept > 500
 
 
 def test_single_state_constructors_return_views():

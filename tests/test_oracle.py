@@ -384,6 +384,21 @@ def test_subinvariance_rounding_floor_still_fails_a_gross_violation():
         assert "phi[a]: subinvariance violated" in failures, m
 
 
+def test_atoms_where_e_beta_underflows_are_infinite_not_nan():
+    # At beta = -800, e^beta is 0 and e^-beta (A m) is infinite wherever
+    # A m is not 0: phi[a]'s atom at b is -inf, a failure; 0 / 0 is never
+    # taken, so no NaN and no warning.
+    G = gk.parse_graph("vertices: a b\nedge a b\n")
+    sx = gk.kms_simplex(G, 1.0)
+    cold = dataclasses.replace(
+        sx, beta_value=-800.0,
+        extremes=tuple(dataclasses.replace(s, beta_value=-800.0) for s in sx.extremes))
+    with np.errstate(all="raise"):
+        failures = oracle.verify_simplex(G, cold)
+    assert failures == ["phi[a]: subinvariance violated",
+                        "phi[a]: atom -inf at 'b', beside 0.731 at its own vertex"]
+
+
 def test_verify_simplex_fails_a_state_off_the_simplex_temperature():
     # Each row is checked at its own beta_value, so a state may not carry
     # one more than TOL away from the simplex's beta.

@@ -11,11 +11,14 @@ A library line covers one graph (``conftest.GRAPHS``, then
 ``random_graph`` seeds 0..999): its critical values and, at every critical
 value and on a 20-point beta grid, every ``Regime`` field but a beta, the
 simplex's ``beta`` and ``beta_value``, the measure bytes, labels, flags,
-state types, state beta values and the ``verify_simplex`` list.  A CLI
-line covers one ``cli.main`` call of the ``chains`` and ``blocks``
-workloads, rounds 0-2 at seeds 1-3: its stdout, stderr and exit code, with
-the temporary directory masked.  ``repr`` is hashed, so a float that
-changes type (say to ``np.float64``) changes a line.
+state types, state beta values and the ``verify_simplex`` list.  A
+corruption line covers the same graph and betas: the ``verify_simplex``
+list of every corrupted copy of each simplex (``CORRUPTIONS``, one row at a
+time), so that a change to the oracle shows on failures as well as on
+clean passes.  A CLI line covers one ``cli.main`` call of the ``chains``
+and ``blocks`` workloads, rounds 0-2 at seeds 1-3: its stdout, stderr and
+exit code, with the temporary directory masked.  ``repr`` is hashed, so a
+float that changes type (say to ``np.float64``) changes a line.
 """
 
 import os
@@ -34,6 +37,9 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 SEEDS = 1000
+# What a corrupted copy of a simplex changes in one row of its measures.
+# The last two apply to phi rows only, "charge" only where H_beta is not empty.
+CORRUPTIONS = ("scale", "negative", "charge", "off_vertex", "shift")
 
 
 def _hash(*parts) -> str:
@@ -87,6 +93,56 @@ def library_lines():
         yield f"lib {name} {_hash(criticals, values, [_at(G, b, kms, oracle) for b in betas])}"
 
 
+def _corrupted(G, sx, how, k):
+    """A copy of sx with row k of its measures corrupted as ``how`` says, or
+    None where that corruption does not apply to the row: scaled by 1.25, 1e-6
+    taken off its smallest entry, 1e-3 of its largest entry moved to the
+    first vertex of H_beta, 3e-8 moved off a phi row's own vertex to the next
+    vertex, or a phi row rolled by one vertex."""
+    import numpy as np
+
+    X = sx.measures.copy()
+    row, label = X[k], sx.extremes[k].label
+    phi = type(label).__name__ == "PhiBetaV"
+    if how == "scale":
+        row *= 1.25
+    elif how == "negative":
+        row[row.argmin()] -= 1e-6
+    elif how == "charge" and sx.H_beta.members:
+        top = row.argmax()
+        row[G.index[min(sx.H_beta.members)]] += 1e-3
+        row[top] -= 1e-3
+    elif how == "off_vertex" and phi and len(row) > 1:
+        own = G.index[label.vertex]
+        row[own] -= 3e-8
+        row[(own + 1) % len(row)] += 3e-8
+    elif how == "shift" and phi:
+        X[k] = np.roll(row, 1)
+    else:
+        return None
+    X.setflags(write=False)
+    return dataclasses.replace(sx, measures=X)
+
+
+def corruption_lines():
+    from graphkms import kms, oracle
+
+    for name, G, _, _, betas in library_graphs():
+        lists = []
+        for beta in betas:
+            try:
+                sx = kms.kms_simplex(G, beta)
+            except Exception as err:  # noqa: BLE001 - as on the library line
+                lists.append((type(err).__name__, str(err)))
+                continue
+            for how in CORRUPTIONS:
+                for k in range(len(sx.extremes)):
+                    bad = _corrupted(G, sx, how, k)
+                    if bad is not None:
+                        lists.append((how, k, oracle.verify_simplex(G, bad)))
+        yield f"bad {name} {_hash(lists)}"
+
+
 def cli_lines():
     import workloads
     from graphkms import cli
@@ -119,6 +175,8 @@ def main() -> None:
     args = parser.parse_args()
     use_checkout(args.root)
     for line in library_lines():
+        print(line)
+    for line in corruption_lines():
         print(line)
     for line in cli_lines():
         print(line)
