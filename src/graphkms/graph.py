@@ -434,7 +434,8 @@ def parse_graph(text: str) -> DirectedGraph:
     The first effective line is ``vertices: name1 name2 ...``; every further
     line is ``edge SRC DST [MULT]`` and contributes MULT (default 1) edges
     with source SRC and range DST.  MULT is written in ASCII decimal digits,
-    and the lines from one SRC to one DST total at most 2^63 - 1.  ``#``
+    leading zeros allowed, and the lines from one SRC to one DST total at
+    most 2^63 - 1.  ``#``
     starts a comment.
     """
     vertices: list[str] | None = None
@@ -466,7 +467,11 @@ def parse_graph(text: str) -> DirectedGraph:
             name = tokens[1] if src is None else tokens[2]
             raise GraphParseError(f"unknown vertex: {name}", lineno)
         digits = tokens[3] if len(tokens) == 4 else "1"
-        mult = int(digits) if digits.isascii() and digits.isdigit() else 0
+        # More than 19 significant digits pass 2^63 - 1 whatever they are:
+        # taken as 2^63, they need no int() of a string past CPython's
+        # 4300-digit limit, and _total_overflow names the line.
+        significant = digits.lstrip("0") if digits.isascii() and digits.isdigit() else ""
+        mult = 2**63 if len(significant) > 19 else int(significant or 0)
         if mult < 1:
             raise GraphParseError(f"bad multiplicity: {digits}", lineno)
         lines += (dst, src, mult)

@@ -9,9 +9,11 @@ products only, at most 64 steps, checked by its residual and by the gap
 between its shift and its radius; no eigensolver runs.  A 2x2 block or a
 single weighted cycle starts from its closed-form Perron vector, which
 passes those checks without a solve, as does a block whose power steps
-converge.  Periods of all blocks of a matrix come from one breadth-first
-search, linear in the arcs, and the resolvent series doubles its number
-of terms at most 64 times.
+converge.  Every product with a block, and that closed form, reads the
+arcs inside the block; a block is held as a dense array only while Noda's
+LU solves factor it.  Periods of all blocks of a matrix come from one
+breadth-first search, linear in the arcs, and the resolvent series doubles
+its number of terms at most 64 times.
 """
 
 from __future__ import annotations
@@ -61,7 +63,13 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     (radius, vector, residual), the vector read-only; one without gets None.
 
     Blocks of one size are stacked and run Noda's iteration together
-    (Noda 1971), which needs only LU solves and products.  The start x is
+    (Noda 1971), which needs only LU solves and products.  Every product
+    Sx, in the start residual, in each power step and in the residual after
+    each solve, is one ``np.bincount`` over the arcs inside the stack's
+    blocks (:func:`_radius_and_residual`), so it costs the arcs, not k^2 per
+    block.  A block is held as a dense k x k array only if it reaches
+    Noda's iteration: the blocks that do are filled from their arcs just
+    before their first LU solve.  The start x is
     the closed-form Perron vector of a 2x2 block or of a single cycle with
     unequal multiplicities (:func:`_closed_form_start`), and the uniform
     vector for every other block.  A start that fails the residual test
@@ -88,8 +96,8 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     """
     out: list = [None] * len(blocks)
     sizes = np.array([len(rows) for rows in blocks], dtype=np.int64)
-    # Block and position within it of every row, so that each block's
-    # stacked matrix is filled from the arcs that stay inside it.
+    # Block and position within it of every row, so that each stack's arcs
+    # are the arcs that stay inside one of its blocks.
     flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64, count=arcs.n)
     block = np.empty(arcs.n, dtype=np.int64)
     block[flat] = np.repeat(np.arange(len(blocks)), sizes)
@@ -105,10 +113,12 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
         slot = np.empty(len(blocks), dtype=np.int64)
         slot[which] = np.arange(len(which))
         here = sizes[b_in] == k
-        S = np.zeros((len(which), k, k))
-        S[slot[b_in[here]], r_in[here], s_in[here]] = m_in[here]
-        x = _closed_form_start(S, inner_arcs[which] == k)
-        Ax, radius, residual = _radius_and_residual(S, x)
+        # The stack's arcs: row and column in the stacked (len(which), k)
+        # vectors, flattened, and multiplicity.
+        offset = slot[b_in[here]] * k
+        stack = (offset + r_in[here], offset + s_in[here], m_in[here])
+        x = _closed_form_start(stack, k, inner_arcs[which] == k)
+        Ax, radius, residual = _radius_and_residual(stack, x)
         start, trail = (x, Ax, radius, residual), [np.inf] * 8 + [residual]
         live = residual > 1e-12 * np.maximum(1.0, radius)
         for _ in range(k):
@@ -117,9 +127,12 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
                 break
             y = Ax + x
             y /= y.sum(axis=1, keepdims=True)
-            Sy, r, res = _radius_and_residual(S, y)
-            x, Ax = np.where(live[:, None], y, x), np.where(live[:, None], Sy, Ax)
-            radius, residual = np.where(live, r, radius), np.where(live, res, residual)
+            Sy, r, res = _radius_and_residual(stack, y)
+            if live.all():
+                x, Ax, radius, residual = y, Sy, r, res
+            else:
+                x, Ax = np.where(live[:, None], y, x), np.where(live[:, None], Sy, Ax)
+                radius, residual = np.where(live, r, radius), np.where(live, res, residual)
             trail.append(residual)
         back = ~(residual <= 1e-12 * np.maximum(1.0, radius))
         x, Ax = np.where(back[:, None], start[0], x), np.where(back[:, None], start[1], Ax)
@@ -127,6 +140,7 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
         sigma = (Ax / x).max(axis=1)
         shift = sigma.copy()
         live = np.arange(len(which))
+        S = None
         for step in range(65):
             r = radius[live]
             unsettled = residual[live] > 1e-12 * np.maximum(1.0, r)
@@ -139,19 +153,32 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
                     f"Perron pair of the {k}-vertex block with first member "
                     f"{names[blocks[which[j]][0]]} has residual {residual[j]:.3g}"
                 )
+            if S is None:
+                # The blocks that reach Noda's iteration, and only they, go
+                # dense for its LU solves: S[dense[j]] is stacked block j.
+                dense = np.full(len(which), -1)
+                dense[live] = np.arange(len(live))
+                rows, cols, mult = stack
+                at = dense[rows // k]
+                keep = at >= 0
+                S = np.zeros((len(live), k, k))
+                S[at[keep], rows[keep] % k, cols[keep] % k] = mult[keep]
             s = np.maximum(sigma[live], radius[live] * (1.0 + 1e-10))
-            Sl, xl = S[live], x[live]
+            xl = x[live]
             # s I - S in one new array, bit for bit: 0 - S keeps the zeros at
             # +0.0, and (0 - S_ii) + s rounds exactly as s - S_ii.
-            W = np.subtract(0.0, Sl)
+            W = S[dense[live]]
+            np.subtract(0.0, W, out=W)
             W.reshape(len(live), k * k)[:, :: k + 1] += s[:, None]
             y = np.linalg.solve(W, xl[:, :, None])[:, :, 0]
             positive = (y > 0).all(axis=1)
             noda = s - (xl / np.where(positive[:, None], y, 1.0)).min(axis=1)
             y = np.clip(np.where(y.sum(axis=1, keepdims=True) > 0, y, -y), 0.0, None)
             y /= y.sum(axis=1, keepdims=True)
-            _, r, residual[live] = _radius_and_residual(Sl, y)
-            x[live], radius[live], shift[live] = y, r, s
+            x[live] = y
+            _, r, res = _radius_and_residual(stack, x)
+            r = r[live]
+            radius[live], residual[live], shift[live] = r, res[live], s
             sigma[live] = np.where(positive, noda, r * (1.0 + 1e-10))
         x.setflags(write=False)
         for b, r, xb, res in zip(which.tolist(), radius.tolist(), x, residual.tolist()):
@@ -159,8 +186,14 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     return out
 
 
-def _closed_form_start(S: np.ndarray, cycle: np.ndarray) -> np.ndarray:
-    """l1-unit start vectors for a stack S of k x k irreducible blocks.
+def _closed_form_start(stack, k: int, cycle: np.ndarray) -> np.ndarray:
+    """l1-unit start vectors for a stack of irreducible k x k blocks.
+
+    The stack is given by its arcs: ``stack`` is (rows, cols, mult), and
+    entry ``mult[j]`` of block ``rows[j] // k`` sits at its row
+    ``rows[j] % k`` and column ``cols[j] % k``; ``cycle`` has one flag per
+    block.  The 2 x 2 entries and each cycle's successors and
+    multiplicities below are read off the arcs, with no dense block.
 
     A 2 x 2 block [[a, b], [c, d]] gets its Perron vector, proportional to
     (b, rho - a): with h = (a - d)/2 and g = sqrt(h^2 + bc), rho - a is
@@ -173,20 +206,24 @@ def _closed_form_start(S: np.ndarray, cycle: np.ndarray) -> np.ndarray:
     vector, and so does a start with an entry that is not positive and
     finite (one that underflowed to 0, say).
     """
-    count, k = S.shape[:2]
+    rows, cols, mult = stack
+    count = len(cycle)
     x = np.full((count, k), 1.0 / k)
     if k == 1:
         return x
     if k == 2:
-        a, b, c, d = S[:, 0, 0], S[:, 0, 1], S[:, 1, 0], S[:, 1, 1]
+        entries = np.zeros(4 * count)
+        entries[2 * rows + cols % 2] = mult
+        a, b, c, d = entries.reshape(count, 4).T
         h = 0.5 * (a - d)
         q = np.sqrt(h * h + b * c) + np.abs(h)
         closed = np.stack([b, np.where(h > 0, b * c / q, q)], axis=1)
         which = np.arange(count)
     else:
         which = np.flatnonzero(cycle)
-        C = S[which]
-        succ, m = C.argmax(axis=2), C.max(axis=2)
+        succ, m = np.zeros(count * k, dtype=np.int64), np.zeros(count * k)
+        succ[rows], m[rows] = cols % k, mult
+        succ, m = succ.reshape(count, k)[which], m.reshape(count, k)[which]
         weighted = (m != m[:, :1]).any(axis=1)
         which, succ, m = which[weighted], succ[weighted], m[weighted]
         if not which.size:
@@ -220,10 +257,13 @@ def _closed_form_start(S: np.ndarray, cycle: np.ndarray) -> np.ndarray:
     return x
 
 
-def _radius_and_residual(S: np.ndarray, x: np.ndarray):
+def _radius_and_residual(stack, x: np.ndarray):
     """Sx, the radius sum(Sx) and the residual max|Sx - radius x| of a stack
-    of blocks S and l1-unit vectors x."""
-    Sx = (S @ x[:, :, None])[:, :, 0]
+    of blocks S, given by its arcs as in :func:`_closed_form_start`, and
+    l1-unit vectors x.  Sx is one ``np.bincount`` over the arcs, which adds
+    the terms of each row in arc order."""
+    rows, cols, mult = stack
+    Sx = np.bincount(rows, mult * x.take(cols), x.size).reshape(x.shape)
     radius = Sx.sum(axis=1)
     return Sx, radius, np.abs(Sx - radius[:, None] * x).max(axis=1)
 

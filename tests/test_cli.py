@@ -613,6 +613,15 @@ def test_parse_error_for_an_edge_total_past_int64(graph_file, capsys):
     assert (rc, err) == (1, "error: line 2: more than 2^63 - 1 edges from a to b\n")
 
 
+def test_analyze_reads_multiplicities_past_the_int_conversion_limit(graph_file, capsys):
+    rc, _, err = run(capsys, "analyze", graph_file("vertices: a b\nedge a b " + "9" * 5000 + "\n"))
+    assert (rc, err) == (1, "error: line 2: more than 2^63 - 1 edges from a to b\n")
+    text = "vertices: a b\nedge a b " + "0" * 4999 + "5\nedge b a\n"
+    rc, out, err = run(capsys, "analyze", graph_file(text))
+    assert (rc, err) == (0, "")
+    assert "graph: 2 vertices, 6 edges" in out
+
+
 def test_states_requires_a_beta(graph_file, capsys):
     rc, _, err = run(capsys, "states", graph_file("pair_toward_small"))
     assert rc == 1

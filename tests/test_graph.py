@@ -86,6 +86,19 @@ def test_parse_refuses_edge_totals_past_int64(text, lineno):
     assert err.value.lineno == lineno
 
 
+def test_parse_reads_multiplicities_past_the_int_conversion_limit():
+    # CPython converts at most 4300 digits to an int; leading zeros do not
+    # count, and more than 19 significant digits pass 2^63 - 1.
+    with pytest.raises(gk.GraphParseError, match=r"more than 2\^63 - 1 edges from a to b") as err:
+        gk.parse_graph("vertices: a b\nedge a b " + "9" * 5000 + "\n")
+    assert err.value.lineno == 2
+    G = gk.parse_graph("vertices: a b\nedge a b " + "0" * 4999 + "5\n")
+    assert G.edges == (gk.Edge("a", "b", 5),)
+    with pytest.raises(gk.GraphParseError, match="bad multiplicity") as err:
+        gk.parse_graph("vertices: a b\nedge a b " + "0" * 5000 + "\n")
+    assert err.value.lineno == 2
+
+
 def test_constructor_refuses_edge_totals_past_int64():
     for edges in ([("a", "b", HALF), ("a", "b", HALF)], [("a", "b", 10**20)]):
         with pytest.raises(ValueError, match=r"more than 2\^63 - 1 edges from a to b"):

@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 from decimal import Decimal
@@ -470,16 +471,25 @@ def test_noda_steps_are_bounded(monkeypatch, A, most):
     assert len(calls) <= most
 
 
-def _giant_block(rng, n):
+def _giant_arcs(rng, n):
     # A shuffled Hamiltonian n-cycle plus 1.5 random chords per vertex,
-    # multiplicities 1..3, as in the benchmark's giant components.
+    # multiplicities 1..3, as in the benchmark's giant components: rows,
+    # columns and multiplicities, repeated positions kept apart.
     order = list(range(n))
     rng.shuffle(order)
-    A = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        A[order[(i + 1) % n], order[i]] += 1
+    rows, cols = [order[(i + 1) % n] for i in range(n)], list(order)
+    mult = [1] * n
     for _ in range(3 * n // 2):
-        A[rng.randrange(n), rng.randrange(n)] += rng.randint(1, 3)
+        rows.append(rng.randrange(n))
+        cols.append(rng.randrange(n))
+        mult.append(rng.randint(1, 3))
+    return rows, cols, mult
+
+
+def _giant_block(rng, n):
+    A = np.zeros((n, n), dtype=np.int64)
+    rows, cols, mult = _giant_arcs(rng, n)
+    np.add.at(A, (rows, cols), mult)
     return A
 
 
@@ -492,6 +502,37 @@ def test_giant_block_settles_in_power_steps(monkeypatch, seed):
     assert len(calls) <= 2
     assert abs(data.radius - reference) <= 1e-12 * reference
     assert data.residual <= 1e-12 * data.radius
+
+
+def test_no_dense_block_outside_noda(monkeypatch):
+    # A 2000-vertex giant settles in its power steps, which multiply from
+    # the arcs: its dense block alone would take 32 MB.  A near-cycle in the
+    # same call still goes dense for Noda's solves and takes as many as alone.
+    n = 2000
+    rows, cols, mult = _giant_arcs(random.Random(0), n)
+    arcs = arcs_from_entries(n, rows, cols, mult)
+    calls = _counted_solves(monkeypatch)
+    tracemalloc.start()
+    try:
+        ((radius, x, residual),) = spectral.perron_blocks(arcs, [range(n)], range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 8 * 2**20
+    assert (x > 0).all() and residual <= 1e-12 * radius
+    near = _cycle_with_chord(300, 150)
+    alone = spectral.analyze_irreducible(near)
+    solves = len(calls)
+    assert solves > 0
+    v, w = np.nonzero(near)
+    arcs = arcs_from_entries(n + 300, rows + (v + n).tolist(), cols + (w + n).tolist(),
+                             mult + near[v, w].tolist())
+    calls.clear()
+    both = spectral.perron_blocks(arcs, [range(n), range(n, n + 300)], range(n + 300))
+    assert len(calls) == solves
+    assert both[0][0] == radius and np.array_equal(both[0][1], x)
+    assert both[1][0] == alone.radius and np.array_equal(both[1][1], alone.perron_vector)
 
 
 def test_power_steps_leave_closed_form_starts_alone(monkeypatch):
@@ -517,7 +558,9 @@ def test_power_steps_leave_closed_form_starts_alone(monkeypatch):
         assert radius == alone.radius and np.array_equal(x, alone.perron_vector)
     assert solves[:6] == [0] * 6 and min(solves[6:]) > 0
     for A, (radius, x, residual) in zip(cycles, data):
-        start = spectral._closed_form_start(A[None].astype(float), np.array([True]))[0]
+        rows, cols = np.nonzero(A)
+        stack = (rows, cols, A[rows, cols].astype(float))
+        start = spectral._closed_form_start(stack, 100, np.array([True]))[0]
         assert x.tobytes() == start.tobytes()
 
 

@@ -1,15 +1,22 @@
-"""Scaling curve of kms_simplex and verify_simplex on long chains.
+"""Scaling curves: kms_simplex and verify_simplex on long chains, and the
+graph analysis (Perron data included) on giants and near-cycles.
 
     python3 tools/curve.py CHECKOUT [CHECKOUT ...]
 
-For each checkout and each n in SIZES, one subprocess builds
-``corpus.chain(random.Random(1), n)`` from the checkout's bench, takes its
-top critical temperature (graph analysis untimed) and times
-``kms_simplex`` and then ``verify_simplex`` there.  A row gives the vertex
+Every row is one subprocess, which imports graphkms and the bench from the
+checkout.  A chain row builds ``corpus.chain(random.Random(1), n)`` for n in
+SIZES, takes its top critical temperature (graph analysis untimed) and
+times ``kms_simplex`` and then ``verify_simplex`` there.  It gives the vertex
 count, both times in seconds, the subprocess's peak RSS and whether the
 check of y (read off the phi rows' own atoms) settled by its certificate:
 "yes" when verify bounded y and summed no series, "no" when it summed one,
 "-" when it checked no y.
+
+An analysis row parses ``corpus.giant(n, random.Random(1))`` for n in
+GIANTS or ``corpus.near_cycle(n, None)`` for n in NEAR_CYCLES and times
+``G._analysis()`` alone: components, periods and the Perron data of every
+block.  It gives the vertex count, the time in milliseconds, the peak RSS
+after parsing and how much the analysis added to it, in MB.
 """
 
 import json
@@ -22,6 +29,12 @@ import time
 import digest  # sets the BLAS thread count, so it comes before numpy
 
 SIZES = (250, 500, 1000, 2000)
+GIANTS = (300, 600, 1200, 2400, 4800)
+NEAR_CYCLES = (300, 600, 1200)
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def run(root: str, n: int) -> dict:
@@ -45,21 +58,51 @@ def run(root: str, n: int) -> dict:
     settled = "no" if calls["resolvent_series"] else "yes" if calls["_y_error_bound"] else "-"
     return {"n": n, "vertices": len(G.vertices), "kms_s": built - started,
             "verify_s": done - built, "failures": len(failures), "certified": settled,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+            "peak_rss_mb": peak_rss_mb()}
+
+
+def analysis(root: str, family: str, n: int) -> dict:
+    digest.use_checkout(root)
+    import corpus
+    from graphkms import parse_graph
+
+    text = corpus.giant(n, random.Random(1)) if family == "giant" else corpus.near_cycle(n, None)
+    G = parse_graph(text)
+    before = peak_rss_mb()
+    started = time.perf_counter()
+    G._analysis()
+    done = time.perf_counter()
+    return {"family": family, "n": n, "vertices": len(G.vertices),
+            "analysis_ms": 1000 * (done - started), "parsed_rss_mb": before,
+            "added_rss_mb": peak_rss_mb() - before}
+
+
+def row(*args) -> dict:
+    out = subprocess.run([sys.executable, __file__, *map(str, args)],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def main() -> None:
     if sys.argv[1] == "--run":
         print(json.dumps(run(sys.argv[2], int(sys.argv[3]))))
         return
+    if sys.argv[1] == "--analysis":
+        print(json.dumps(analysis(sys.argv[2], sys.argv[3], int(sys.argv[4]))))
+        return
     print("checkout\tn\tvertices\tkms_s\tverify_s\tpeak_rss_mb\tcertified\tfailures")
     for root in sys.argv[1:]:
         for n in SIZES:
-            out = subprocess.run([sys.executable, __file__, "--run", root, str(n)],
-                                 check=True, capture_output=True, text=True).stdout
-            r = json.loads(out.splitlines()[-1])
+            r = row("--run", root, n)
             print(f"{root}\t{n}\t{r['vertices']}\t{r['kms_s']:.3f}\t{r['verify_s']:.3f}\t"
                   f"{r['peak_rss_mb']:.0f}\t{r['certified']}\t{r['failures']}", flush=True)
+    print("checkout\tfamily\tn\tvertices\tanalysis_ms\tparsed_rss_mb\tadded_rss_mb")
+    for root in sys.argv[1:]:
+        for family, sizes in (("giant", GIANTS), ("near_cycle", NEAR_CYCLES)):
+            for n in sizes:
+                r = row("--analysis", root, family, n)
+                print(f"{root}\t{family}\t{n}\t{r['vertices']}\t{r['analysis_ms']:.1f}\t"
+                      f"{r['parsed_rss_mb']:.1f}\t{r['added_rss_mb']:.1f}", flush=True)
 
 
 if __name__ == "__main__":
