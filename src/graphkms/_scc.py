@@ -29,14 +29,16 @@ def arcs_from_entries(n: int, rng, src, mult) -> Arcs:
     Repeated positions are added up; entries must be positive.
     """
     key = np.asarray(rng, dtype=np.int64) * n + np.asarray(src, dtype=np.int64)
-    order = np.argsort(key, kind="stable")
+    # Array methods rather than the numpy functions that wrap them: the
+    # graph layer calls this twice per graph, mostly on a handful of arcs.
+    order = key.argsort(kind="stable")
     key = key[order]
     first = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
-    first = np.flatnonzero(first)
+    first = first.nonzero()[0]
     mult = np.add.reduceat(np.asarray(mult)[order], first)
     rng, src = np.divmod(key[first], n)
-    indptr = np.searchsorted(rng, np.arange(n + 1))
+    indptr = rng.searchsorted(np.arange(n + 1))
     for a in (rng, src, mult, indptr):
         a.setflags(write=False)
     return Arcs(n, rng, src, mult, indptr)

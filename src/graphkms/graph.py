@@ -9,9 +9,10 @@ convention, so it is fixed here once and used unchanged everywhere else.
 
 The graph is held as the arcs of ``A`` (its nonzero entries, row-major), and
 every step here runs over them in time linear in the arcs: components,
-periods, divergence, Seneta order, closures, saturation and sources.  The
-dense ``A`` is built once, in floats, when first asked for, by the resolvent
-solves and the oracle.
+periods, closures, saturation and sources.  The condensation (the arcs
+between components) is held once, in the same form, and divergence and the
+Seneta order run over it.  The dense ``A`` is built once, in floats, when
+first asked for, by the resolvent solves and the oracle.
 """
 
 from __future__ import annotations
@@ -129,6 +130,12 @@ class DirectedGraph:
     to another may number at most 2^63 - 1, the int64 limit.  The graph
     layer works on the arcs alone; the dense ``matrix`` is built on first
     access.
+    ``_analysis()`` fills, once, the components, the component of each
+    vertex, the per-component float arrays and the condensation: an
+    :class:`Arcs` over component ids with one arc per distinct pair that a
+    vertex arc joins (row the range's component, column the source's,
+    multiplicity the number of those vertex arcs), read by the divergence
+    pass and by :func:`seneta_order`.
     ``_memo`` holds what other modules derive from the graph alone, under
     their own keys, each filled on first use: the critical temperatures
     and the regimes met so far, each with its simplex's beta-free data once
@@ -141,7 +148,7 @@ class DirectedGraph:
     )
 
     def __init__(self, vertices, edges):
-        vertices = tuple(vertices)
+        vertices = tuple(_not_a_string(vertices, "a collection of vertex names"))
         if not vertices:
             raise ValueError("a graph needs at least one vertex")
         seen = set()
@@ -155,7 +162,7 @@ class DirectedGraph:
         lines: list[int] = []  # range, source and multiplicity of every edge line
         for e in edges:
             if not isinstance(e, Edge):
-                e = Edge(*e)
+                e = Edge(*_not_a_string(e, "an Edge or a (source, range[, multiplicity]) tuple"))
             if e.source not in index:
                 raise ValueError(f"unknown vertex in edge: {e.source}")
             if e.range not in index:
@@ -255,23 +262,32 @@ class DirectedGraph:
                 vec = RowView(members, x)
                 radii[cid], ln_radii[cid] = radius, math.log(radius)
             components.append(Component(id=cid, members=members, period=period, perron_vector=vec))
+        # The condensation, held once: one arc per distinct pair of component
+        # ids that a vertex arc joins, row the range's component and column
+        # the source's, row-major, its multiplicity the number of vertex arcs
+        # joining the pair (a count, not their edge totals, which can wrap
+        # int64).  The divergence pass below and seneta_order read it.
+        cross = comp_arr[arcs.rng] != comp_arr[arcs.src]
+        row, col = comp_arr[arcs.rng[cross]], comp_arr[arcs.src[cross]]
+        cond = arcs_from_entries(len(blocks), row, col, np.ones(row.size, dtype=np.int64))
         # Tarjan emits components in reverse topological order: arcs between
         # distinct components always point at an earlier entry.  So a
         # backward pass meets every component after all the components whose
         # closure holds it, which have passed their divergence values on
-        # along their arcs: the maximum received is the strict divergence,
-        # and the component's own ln rho joins it before it passes on.
+        # along their condensation arcs: the maximum received is the strict
+        # divergence, and the component's own ln rho joins it before it
+        # passes on.
         strict = [-math.inf] * len(raw)
         top = [-math.inf] * len(raw)
+        below = successor_lists(cond)
         for comp in reversed(raw):
             cid = comp_of[comp[0]]
             strict[cid] = top[cid]
             top[cid] = max(top[cid], ln_radii[cid])
-            for i in comp:
-                for j in succ[i]:
-                    top[comp_of[j]] = max(top[comp_of[j]], top[cid])
+            for d in below[cid]:
+                top[d] = max(top[d], top[cid])
         floats = (_frozen(np.array(a, dtype=float)) for a in (top, strict, radii, ln_radii))
-        cached = (tuple(components), comp_arr, *floats)
+        cached = (tuple(components), comp_arr, *floats, cond)
         object.__setattr__(self, "_analysis_cache", cached)
         return cached
 
@@ -298,7 +314,9 @@ class DirectedGraph:
         or below this value; -inf when no such D exists.  It is the larger
         of C's own ln rho and ``strict_divergence[C]``.  Every
         temperature-indexed set (H_beta, K_beta, the critical list, beta_v)
-        is a comparison against this array.
+        is a comparison against this array.  It and ``strict_divergence``
+        come from one backward pass over the condensation that
+        ``_analysis`` holds, in Tarjan's order.
         """
         return self._analysis()[2]
 
@@ -417,12 +435,17 @@ def _total_overflow(vertices, lines: list[int]) -> tuple[int, str] | None:
     return None
 
 
+def _not_a_string(s, what: str):
+    """``s`` itself, unless it is a ``str``, which raises TypeError."""
+    if isinstance(s, str):
+        raise TypeError(f"expected {what}, not a single string")
+    return s
+
+
 def _members_of(s) -> frozenset[str]:
     if isinstance(s, VertexSet):
         return s.members
-    if isinstance(s, str):
-        raise TypeError("expected a collection of vertex names, not a single string")
-    return frozenset(s)
+    return frozenset(_not_a_string(s, "a collection of vertex names"))
 
 
 # -- parsing ------------------------------------------------------------------
@@ -496,23 +519,19 @@ def seneta_order(G: DirectedGraph) -> tuple[Component, ...]:
     that, repeatedly a minimal remaining component.  Ties are broken by the
     smallest original vertex index, so the order is deterministic.
 
-    Kahn's algorithm over the distinct arcs between components, with a
-    min-heap of the components whose successors are all placed.  The heap
-    key is (divergence is finite, id); canonical ids follow the smallest
-    vertex index.  The first group (divergence -inf) is closed under
-    successors, so one heap drains it before any other component.
+    Kahn's algorithm over the condensation that ``G._analysis`` holds (one
+    arc per distinct pair of components, row the range's, column the
+    source's), with a min-heap of the components whose successors are all
+    placed.  The heap key is (divergence is finite, id); canonical ids
+    follow the smallest vertex index.  The first group (divergence -inf) is
+    closed under successors, so one heap drains it before any other
+    component.
     """
     comps = G.components
     late = np.isfinite(G.divergence).tolist()
-    comp_of = G.vertex_components
-    rng, src = G.arcs.rng, G.arcs.src
-    cross = comp_of[rng] != comp_of[src]
-    arcs = set(zip(comp_of[src[cross]].tolist(), comp_of[rng[cross]].tolist()))
-    pending = [0] * len(comps)
-    preds: list[list[int]] = [[] for _ in comps]
-    for up, down in arcs:
-        pending[up] += 1
-        preds[down].append(up)
+    cond = G._analysis()[6]
+    pending = np.bincount(cond.src, minlength=len(comps)).tolist()
+    preds = successor_lists(cond)  # per component, the sources of its arcs
     heap = [(late[i], i) for i in range(len(comps)) if pending[i] == 0]
     heapq.heapify(heap)
     ordered: list[int] = []

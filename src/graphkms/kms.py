@@ -585,6 +585,9 @@ def _validate_path(G: DirectedGraph, path) -> None:
     for edge in path:
         if not (isinstance(edge, tuple) and len(edge) == 3):
             raise ValueError(f"not a (source, range, copy) triple: {edge!r}")
+        for name in edge[:2]:
+            if not isinstance(name, str):  # an unhashable name would fail the lookup
+                raise ValueError(f"not a vertex name: {name!r}")
         src, rng = G._indices(edge[:2])
         # The arc from src into rng, if any, among row rng's ascending sources.
         lo, hi = arcs.indptr[rng], arcs.indptr[rng + 1]

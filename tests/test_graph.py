@@ -249,6 +249,16 @@ def test_vertex_set_rejects_a_single_string():
     assert G.vertex_set(["v", "w"]).members == {"v", "w"}
 
 
+def test_graph_rejects_a_single_string_for_its_vertices_or_an_edge():
+    # Iterated, "ab" would give vertices a and b, or an edge a -> b.
+    with pytest.raises(TypeError, match="collection of vertex names, not a single string"):
+        gk.DirectedGraph("ab", [("a", "b")])
+    with pytest.raises(TypeError, match=r"tuple, not a single string"):
+        gk.DirectedGraph(["a", "b"], ["ab"])
+    G = gk.DirectedGraph(["a", "b"], [("a", "b")])
+    assert G.vertices == ("a", "b") and G.arcs.mult.tolist() == [1]
+
+
 def test_talks_to_direction():
     G = example("pair_toward_small")
     Cv, Cw = G.components

@@ -562,6 +562,8 @@ def test_eval_state_rejects_broken_paths():
         ((("zz", "v", 0),), "unknown vertex: zz"),
         ((("v", "v", 0), ("zz", "v", 0)), "unknown vertex: zz"),
         ((("w", "v", 0, 1),), "not a (source, range, copy) triple"),
+        (((["v"], "v", 0),), "not a vertex name: ['v']"),
+        ((("v", ["v"], 0),), "not a vertex name: ['v']"),
     ],
 )
 def test_eval_state_rejects_paths_not_in_the_graph(path, message):

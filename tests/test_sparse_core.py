@@ -186,7 +186,22 @@ def _check_against_dense(G, names, lines, rng):
     top, strict = _dense_divergence(A, comps)
     assert list(G.divergence) == top
     assert list(G.strict_divergence) == strict
-    assert [c.id for c in gk.seneta_order(G)] == _dense_seneta(A, comp, top)
+    order = [c.id for c in gk.seneta_order(G)]
+    assert order == _dense_seneta(A, comp, top)
+    # The condensation: one arc per distinct (row, column) pair of components
+    # joined by a vertex arc, counting those arcs; its rows come first in
+    # the Seneta order.
+    cond = G._analysis()[6]
+    rows, cols = np.nonzero(A)
+    pairs = {}
+    for r, c in zip(comp[rows].tolist(), comp[cols].tolist()):
+        if r != c:
+            pairs[r, c] = pairs.get((r, c), 0) + 1
+    assert sorted(pairs) == list(zip(cond.rng.tolist(), cond.src.tolist()))
+    assert cond.mult.tolist() == [pairs[p] for p in sorted(pairs)]
+    assert cond.n == len(G.components)
+    place = {cid: k for k, cid in enumerate(order)}
+    assert all(place[r] < place[c] for r, c in pairs)
 
     assert gk.sources(G) == {v for i, v in enumerate(names) if not A[i].any()}
     for _ in range(4):
@@ -268,6 +283,11 @@ def test_graph_layer_never_builds_the_dense_matrix():
         tracemalloc.stop()
     n = len(G.vertices)
     assert n > 6000 and len(comps) == len(order) == 4000
+    # One condensation arc per link; the block fed comes before its feeder.
+    cond = G._analysis()[6]
+    place = np.empty(len(order), dtype=np.int64)
+    place[[c.id for c in order]] = np.arange(len(order))
+    assert cond.rng.size == 3999 and (place[cond.rng] < place[cond.src]).all()
     assert [round(math.exp(kms.beta_value(G, c))) for c in criticals] == [3, 4, 5, 6]
     assert all(reg.case == kms.CRITICAL for reg in regimes)
     # A dense int64 vertex matrix alone would take n * n * 8 bytes (> 280 MB).

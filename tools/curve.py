@@ -1,5 +1,6 @@
 """Scaling curves: kms_simplex and verify_simplex on long chains, and the
-graph analysis (Perron data included) on giants and near-cycles.
+graph analysis (Perron data included) and Seneta order on chains, giants and
+near-cycles.
 
     python3 tools/curve.py CHECKOUT [CHECKOUT ...]
 
@@ -12,11 +13,14 @@ check of y (read off the phi rows' own atoms) settled by its certificate:
 "yes" when verify bounded y and summed no series, "no" when it summed one,
 "-" when it checked no y.
 
-An analysis row parses ``corpus.giant(n, random.Random(1))`` for n in
-GIANTS or ``corpus.near_cycle(n, None)`` for n in NEAR_CYCLES and times
-``G._analysis()`` alone: components, periods and the Perron data of every
-block.  It gives the vertex count, the time in milliseconds, the peak RSS
-after parsing and how much the analysis added to it, in MB.
+An analysis row parses ``corpus.chain(random.Random(1), n)`` for n in
+SIZES, ``corpus.giant(n, random.Random(1))`` for n in GIANTS or
+``corpus.near_cycle(n, None)`` for n in NEAR_CYCLES.  It times
+``G._analysis()`` alone (components, periods, the Perron data of every block,
+the condensation and the divergence pass over it) and then ``seneta_order(G)``
+alone.  It gives the vertex and component counts, both times in
+milliseconds, the peak RSS after parsing and how much the analysis added to
+it, in MB.  Chains grow in component count, giants in vertex count.
 """
 
 import json
@@ -64,17 +68,26 @@ def run(root: str, n: int) -> dict:
 def analysis(root: str, family: str, n: int) -> dict:
     digest.use_checkout(root)
     import corpus
-    from graphkms import parse_graph
+    from graphkms import parse_graph, seneta_order
 
-    text = corpus.giant(n, random.Random(1)) if family == "giant" else corpus.near_cycle(n, None)
+    if family == "chain":
+        text = corpus.chain(random.Random(1), n)[0]
+    elif family == "giant":
+        text = corpus.giant(n, random.Random(1))
+    else:
+        text = corpus.near_cycle(n, None)
     G = parse_graph(text)
     before = peak_rss_mb()
     started = time.perf_counter()
     G._analysis()
+    analysed = time.perf_counter()
+    added = peak_rss_mb() - before
+    seneta_order(G)
     done = time.perf_counter()
     return {"family": family, "n": n, "vertices": len(G.vertices),
-            "analysis_ms": 1000 * (done - started), "parsed_rss_mb": before,
-            "added_rss_mb": peak_rss_mb() - before}
+            "components": len(G.components), "analysis_ms": 1000 * (analysed - started),
+            "seneta_ms": 1000 * (done - analysed), "parsed_rss_mb": before,
+            "added_rss_mb": added}
 
 
 def row(*args) -> dict:
@@ -96,12 +109,14 @@ def main() -> None:
             r = row("--run", root, n)
             print(f"{root}\t{n}\t{r['vertices']}\t{r['kms_s']:.3f}\t{r['verify_s']:.3f}\t"
                   f"{r['peak_rss_mb']:.0f}\t{r['certified']}\t{r['failures']}", flush=True)
-    print("checkout\tfamily\tn\tvertices\tanalysis_ms\tparsed_rss_mb\tadded_rss_mb")
+    print("checkout\tfamily\tn\tvertices\tcomponents\tanalysis_ms\tseneta_ms\t"
+          "parsed_rss_mb\tadded_rss_mb")
     for root in sys.argv[1:]:
-        for family, sizes in (("giant", GIANTS), ("near_cycle", NEAR_CYCLES)):
+        for family, sizes in (("chain", SIZES), ("giant", GIANTS), ("near_cycle", NEAR_CYCLES)):
             for n in sizes:
                 r = row("--analysis", root, family, n)
-                print(f"{root}\t{family}\t{n}\t{r['vertices']}\t{r['analysis_ms']:.1f}\t"
+                print(f"{root}\t{family}\t{n}\t{r['vertices']}\t{r['components']}\t"
+                      f"{r['analysis_ms']:.1f}\t{r['seneta_ms']:.2f}\t"
                       f"{r['parsed_rss_mb']:.1f}\t{r['added_rss_mb']:.1f}", flush=True)
 
 
