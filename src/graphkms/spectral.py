@@ -9,9 +9,13 @@ products only, at most 64 steps, checked by its residual and by the gap
 between its shift and its radius; no eigensolver runs.  A 2x2 block or a
 single weighted cycle starts from its closed-form Perron vector, which
 passes those checks without a solve, as does a block whose power steps
-converge.  Every product with a block, and that closed form, reads the
-arcs inside the block; a block is held as a dense array only while Noda's
-LU solves factor it.  Periods of all blocks of a matrix come from one
+converge.  A block that would still need solves first tries a one-vertex
+rome, a vertex on every cycle: rho is then the root of a scalar
+first-return equation, found by at most 64 Newton steps, each one pass over
+the block's arcs, and the last pass gives the Perron vector as its logs.
+Every product with a block, that closed form and the rome's passes read
+the arcs inside the block; a block is held as a dense array only while
+Noda's LU solves factor it.  Periods of all blocks of a matrix come from one
 breadth-first search, linear in the arcs, and the resolvent series doubles
 its number of terms at most 64 times.
 """
@@ -77,22 +81,31 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     each: at most k, and none once its residual is not below half that of 8
     steps before.  The block keeps their result only if that passes the
     test; stalled steps can leave entries from which solves lose positivity.
-    Each Noda step solves (shift I - S) y = x, with the shift at the
-    Collatz-Wielandt upper bound sigma = max_i (Sx)_i / x_i of rho.  For
-    y > 0 the next bound is shift - min_i x_i / y_i, and the bounds fall to
-    rho quadratically (Elsner 1976).  The shift never drops below 1e-10
-    (relative) above the radius sum(Ax), which keeps the solve nonsingular;
-    a y that is not positive is signed to sum positive, has negative rounding
-    clipped to 0 and resets the bound to that floor.  x is y l1-normalised.
+    A block that would now enter Noda's iteration first tries a one-vertex
+    rome (:func:`_through_one_vertex_rome`, one pass over its arcs per
+    Newton step, no dense block), and keeps that vector if it passes the
+    residual test below, its radius and residual taken by the same product
+    as every other vector's.  A block with no one-vertex rome, or whose rome
+    vector fails the test, enters Noda's iteration from its start or power
+    steps as if the rome had not been tried.  Each Noda step solves
+    (shift I - S) y = x, with the shift at the Collatz-Wielandt upper bound
+    sigma = max_i (Sx)_i / x_i of rho.  For y > 0 the next bound is
+    shift - min_i x_i / y_i, and the bounds fall to rho quadratically
+    (Elsner 1976).  The shift never drops below 1e-10 (relative) above the
+    radius sum(Ax), which keeps the solve nonsingular; a y that is not
+    positive is signed to sum positive, has negative rounding clipped to 0
+    and resets the bound to that floor.  x is y l1-normalised.
 
     A block stops once its residual max|Ax - rho x| is at most
     1e-12 max(1, rho) and its last shift lies within 1e-9 (relative) of its
     radius: with loops of multiplicity 10^6 the residual alone can pass on
-    a pair that is not the Perron pair.  2x2 blocks, cycles, 1x1 blocks and
-    blocks with constant row sums stop at the start, with no power step or
-    solve.  A stopped block leaves the stack, so its data do not depend on
-    the blocks stacked with it.  Raises when a block has not stopped after
-    64 steps.
+    a pair that is not the Perron pair.  A rome vector needs the residual
+    test alone: it is positive before rounding, and the Perron vector is the
+    only positive eigenvector.  2x2 blocks, cycles, 1x1 blocks and blocks
+    with constant row sums stop at the start, with no power step or solve.
+    A stopped block leaves the stack, so its data do not depend on the
+    blocks stacked with it.  Raises when a block has not stopped after 64
+    Noda steps.
     """
     out: list = [None] * len(blocks)
     sizes = np.array([len(rows) for rows in blocks], dtype=np.int64)
@@ -145,6 +158,8 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
             r = radius[live]
             unsettled = residual[live] > 1e-12 * np.maximum(1.0, r)
             live = live[unsettled | (shift[live] - r > 1e-9 * r)]
+            if step == 0 and live.size:
+                live = _settle_through_romes(stack, k, live, x, radius, residual)
             if not live.size:
                 break
             if step == 64:
@@ -255,6 +270,123 @@ def _closed_form_start(stack, k: int, cycle: np.ndarray) -> np.ndarray:
     usable = (np.isfinite(closed) & (closed > 0)).all(axis=1)
     x[which[usable]] = closed[usable]
     return x
+
+
+def _settle_through_romes(stack, k: int, live: np.ndarray, x, radius, residual):
+    """The blocks of ``live`` that a one-vertex rome does not settle.
+
+    ``stack`` is a stack of k x k blocks as in :func:`_closed_form_start`,
+    and ``live`` the positions in it of the blocks about to enter Noda's
+    iteration.  Each gets :func:`_through_one_vertex_rome`; where that gives
+    a vector whose residual max|Sx - rho x| is at most 1e-12 max(1, rho),
+    its vector, radius and residual are written to ``x``, ``radius`` and
+    ``residual`` in place, and the block leaves ``live``.
+    """
+    rows, cols, mult = stack
+    by_row = np.argsort(rows, kind="stable")
+    # Block j's arcs are by_row[ends[j]:ends[j + 1]], in arc order.
+    ends = np.searchsorted(rows[by_row], np.arange(len(x) + 1) * k)
+    rest = []
+    for j in live.tolist():
+        at = by_row[ends[j] : ends[j + 1]]
+        block = (rows[at] - j * k, cols[at] - j * k, mult[at])
+        xj = _through_one_vertex_rome(block, k)
+        if xj is not None:
+            _, r, res = _radius_and_residual(block, xj)
+            if res[0] <= 1e-12 * max(1.0, r[0]):
+                x[j], radius[j], residual[j] = xj[0], r[0], res[0]
+                continue
+        rest.append(j)
+    return np.array(rest, dtype=np.int64)
+
+
+def _through_one_vertex_rome(block, k: int):
+    """The l1-unit Perron vector, shape (1, k), of one irreducible k x k
+    block through a one-vertex rome, or None if the candidate is not one.
+
+    ``block`` is (rows, cols, mult) as a stack of one block.  A rome is a
+    vertex set that meets every cycle (Block, Guckenheimer, Misiurewicz &
+    Young, LNM 819, 1980).  The candidate r has the largest in-degree times
+    out-degree, ties to the smallest position; one Kahn pass over the block
+    without r confirms it and orders the other rows so that each comes after
+    every column it reads.  For lambda > 0, x_v = x_r h_v for v != r with
+    h_v = sum_w S_vw h_w / lambda and h_r = 1, so f(lambda) = sum_w S_rw h_w
+    / lambda, the sum over first-return paths r -> r of their multiplicity
+    products times lambda^-length, is 1 exactly at rho.  In mu = ln lambda,
+    g(mu) = ln f(e^mu) is a log-sum-exp of lines: convex, decreasing, and
+    g(0) >= 0 for integer multiplicities, so Newton steps from mu = 0 rise
+    monotonically to ln rho; at most 64.  One pass in Kahn's order evaluates
+    g, dg/dmu and l_v = ln h_v, each l carried as hi + lo with the rounding
+    of every term ln m + l_w - mu kept (Knuth's two-sum), and at the last mu
+    the same pass gives x = exp(l - max l).
+    """
+    rows, cols, mult = block
+    degree = np.bincount(rows, minlength=k) * np.bincount(cols, minlength=k)
+    r = int(degree.argmax())
+    rows, cols = rows.tolist(), cols.tolist()
+    # terms[v] lists the arcs of row v; row v waits for pending[v] columns.
+    terms = [[] for _ in range(k)]
+    pending, readers = [0] * k, [[] for _ in range(k)]
+    for j, (v, w) in enumerate(zip(rows, cols)):
+        terms[v].append(j)
+        if v != r and w != r:
+            pending[v] += 1
+            readers[w].append(v)
+    order = [v for v in range(k) if v != r and not pending[v]]
+    for w in order:  # the order grows while it is read
+        for v in readers[w]:
+            pending[v] -= 1
+            if not pending[v]:
+                order.append(v)
+    if len(order) < k - 1:
+        return None
+    order.append(r)
+    plan = [(v, terms[v]) for v in order]
+    log_m = np.log(mult)
+    hi, lo, slope = [0.0] * k, [0.0] * k, [0.0] * k
+    exp, log, fsum = math.exp, math.log, math.fsum
+
+    def first_return(mu: float):
+        # ln m - mu per arc, exactly as c + c_lo.
+        c = log_m - mu
+        back = c - log_m
+        c_lo = ((log_m - (c - back)) - (mu + back)).tolist()
+        c = c.tolist()
+        for v, js in plan:
+            # Each term ln m + l_w - mu as a + a_lo, a by two-sum, and its slope.
+            parts = []
+            for j in js:
+                w = cols[j]
+                a, b = hi[w], c[j]
+                h = a + b
+                t = h - a
+                parts.append((h, lo[w] + c_lo[j] + ((a - (h - t)) + (b - t)), slope[w]))
+            if len(parts) == 1:
+                ((h, l, s),) = parts
+            else:
+                top = max(parts)[0]
+                e = [exp((a - top) + a_lo) for a, a_lo, _ in parts]
+                total = fsum(e)
+                b = log(total)
+                h = top + b
+                t = h - top
+                l = (top - (h - t)) + (b - t)
+                s = fsum(ei * part[2] for ei, part in zip(e, parts)) / total
+            if v == r:  # the last row: its l stays 0, the boundary value
+                return h + l, s - 1.0
+            hi[v], lo[v], slope[v] = h, l, s - 1.0
+
+    mu = 0.0
+    for _ in range(64):
+        g, dg = first_return(mu)
+        after = mu - g / dg
+        if not after > mu:
+            break
+        mu = after
+    hi, lo = np.array(hi), np.array(lo)
+    top = (hi + lo).argmax()
+    x = np.exp((hi - hi[top]) + (lo - lo[top]))
+    return (x / x.sum())[None, :]
 
 
 def _radius_and_residual(stack, x: np.ndarray):

@@ -253,6 +253,19 @@ def _cycle_with_loop(n, m):
     return A
 
 
+def _two_cycles_joined(n1, n2):
+    # An n1-cycle and an n2-cycle, an arc from each into the other: no
+    # vertex meets both cycles, so the block has no one-vertex rome.
+    A = np.zeros((n1 + n2, n1 + n2), dtype=np.int64)
+    for i in range(n1):
+        A[(i + 1) % n1, i] = 1
+    for i in range(n2):
+        A[n1 + (i + 1) % n2, n1 + i] = 1
+    A[n1, 0] += 1
+    A[n1 // 2, n1 + n2 // 2] += 1
+    return A
+
+
 @pytest.mark.parametrize(
     "A",
     [
@@ -263,12 +276,15 @@ def _cycle_with_loop(n, m):
     ],
     ids=["chord-across-half-300", "chord-skip-one-160", "loop-30-3", "loop-100-9"],
 )
-def test_perron_data_of_near_periodic_blocks(A):
+def test_perron_data_of_near_periodic_blocks(monkeypatch, A):
     # Near-cycles are close to periodic, with many eigenvalues just inside
     # the circle of radius rho; a loop of multiplicity m on an n-cycle has
-    # Perron entries down to m^-(n-1), far below rounding.
-    data = spectral.analyze_irreducible(A)
+    # Perron entries down to m^-(n-1), far below rounding.  Every cycle
+    # passes through one vertex, so no block takes a solve.
     reference = float(max(abs(np.linalg.eigvals(A.astype(float)))))
+    calls = _counted_solves(monkeypatch)
+    data = spectral.analyze_irreducible(A)
+    assert calls == []
     assert abs(data.radius - reference) <= 1e-12 * reference
     assert spectral.spectral_radius(A) == data.radius
     x = data.perron_vector
@@ -329,11 +345,13 @@ def test_perron_data_where_eigenvalues_cluster_near_rho():
 
 
 def test_perron_failure_names_the_component(monkeypatch):
-    # A 3-cycle with a loop has no closed-form start and the loop keeps the
-    # uniform start from being the Perron pair, so the block needs solves,
-    # which the skew keeps from converging.
+    # Two 2-cycles joined both ways: no vertex meets both, so the block has
+    # no one-vertex rome, and its unequal row sums keep the uniform start
+    # from being the Perron pair.  The block needs solves, which the skew
+    # keeps from converging.
     G = gk.parse_graph(
-        "vertices: a b c d\nedge a b\nedge b c\nedge c d\nedge d b\nedge d d 2\n"
+        "vertices: a b c d e\nedge a b\nedge b c\nedge c b\nedge d e\nedge e d\n"
+        "edge c d\nedge e b\n"
     )
     solve = np.linalg.solve
 
@@ -343,7 +361,7 @@ def test_perron_failure_names_the_component(monkeypatch):
         return x
 
     monkeypatch.setattr(np.linalg, "solve", skewed)
-    with pytest.raises(gk.ConvergenceError, match="3-vertex block with first member b "):
+    with pytest.raises(gk.ConvergenceError, match="4-vertex block with first member b "):
         G.components
 
 
@@ -461,11 +479,17 @@ def test_perron_data_of_heavy_blocks_that_tempt_an_early_stop(seed):
 
 @pytest.mark.parametrize(
     "A, most",
-    [(_cycle_with_chord(300, 150), 12), (_heavy_block(random.Random(232), 60), 40)],
-    ids=["chord-across-half-300", "heavy-232"],
+    [
+        (_cycle_with_chord(300, 150), 12),
+        (_two_cycles_joined(150, 150), 12),
+        (_heavy_block(random.Random(232), 60), 40),
+    ],
+    ids=["chord-across-half-300", "two-cycles-joined-300", "heavy-232"],
 )
 def test_noda_steps_are_bounded(monkeypatch, A, most):
-    # heavy-232 settles in the power steps, without a solve.
+    # heavy-232 settles in the power steps and chord-across-half-300 through
+    # its rome, without a solve; two-cycles-joined-300 has no one-vertex rome
+    # and takes Noda's steps.
     calls = _counted_solves(monkeypatch)
     spectral.analyze_irreducible(A)
     assert len(calls) <= most
@@ -506,8 +530,9 @@ def test_giant_block_settles_in_power_steps(monkeypatch, seed):
 
 def test_no_dense_block_outside_noda(monkeypatch):
     # A 2000-vertex giant settles in its power steps, which multiply from
-    # the arcs: its dense block alone would take 32 MB.  A near-cycle in the
-    # same call still goes dense for Noda's solves and takes as many as alone.
+    # the arcs: its dense block alone would take 32 MB.  A block with no
+    # one-vertex rome in the same call still goes dense for Noda's solves and
+    # takes as many as alone.
     n = 2000
     rows, cols, mult = _giant_arcs(random.Random(0), n)
     arcs = arcs_from_entries(n, rows, cols, mult)
@@ -521,13 +546,13 @@ def test_no_dense_block_outside_noda(monkeypatch):
     assert calls == []
     assert peak < 8 * 2**20
     assert (x > 0).all() and residual <= 1e-12 * radius
-    near = _cycle_with_chord(300, 150)
-    alone = spectral.analyze_irreducible(near)
+    joined = _two_cycles_joined(150, 150)
+    alone = spectral.analyze_irreducible(joined)
     solves = len(calls)
     assert solves > 0
-    v, w = np.nonzero(near)
+    v, w = np.nonzero(joined)
     arcs = arcs_from_entries(n + 300, rows + (v + n).tolist(), cols + (w + n).tolist(),
-                             mult + near[v, w].tolist())
+                             mult + joined[v, w].tolist())
     calls.clear()
     both = spectral.perron_blocks(arcs, [range(n), range(n, n + 300)], range(n + 300))
     assert len(calls) == solves
@@ -537,13 +562,16 @@ def test_no_dense_block_outside_noda(monkeypatch):
 
 def test_power_steps_leave_closed_form_starts_alone(monkeypatch):
     # One stack of 100-vertex blocks: weighted cycles settle at their
-    # closed-form start, giants settle in their power steps, and near-cycles
-    # stall there and go back to the uniform start.  Each block's data are
-    # those it gets alone, and the cycles keep their start bit for bit.
+    # closed-form start, giants settle in their power steps, and blocks with
+    # no one-vertex rome stall there and go back to the uniform start for
+    # Noda's solves, while near-cycles settle through their rome.  Each
+    # block's data are those it gets alone, and the cycles keep their start
+    # bit for bit.
     rng = random.Random(4)
     cycles = [_weighted_cycle([rng.randint(1, 9) for _ in range(100)]) for _ in range(3)]
     mats = cycles + [_giant_block(rng, 100) for _ in range(3)]
-    mats += [_cycle_with_chord(100, 50), _cycle_with_chord(100, 2)]
+    mats += [_two_cycles_joined(50, 50), _two_cycles_joined(30, 70)]
+    mats += [_cycle_with_chord(100, 50), _cycle_with_chord(100, 2), _cycle_with_loop(100, 3)]
     entries = [(v + 100 * b, w + 100 * b, A[v, w]) for b, A in enumerate(mats)
                for v, w in zip(*np.nonzero(A))]
     ranges, sources, mult = (np.array(column) for column in zip(*entries))
@@ -556,12 +584,93 @@ def test_power_steps_leave_closed_form_starts_alone(monkeypatch):
         alone = spectral.analyze_irreducible(A)
         solves.append(len(calls))
         assert radius == alone.radius and np.array_equal(x, alone.perron_vector)
-    assert solves[:6] == [0] * 6 and min(solves[6:]) > 0
+    assert solves[:6] == [0] * 6 and min(solves[6:8]) > 0 and solves[8:] == [0] * 3
     for A, (radius, x, residual) in zip(cycles, data):
         rows, cols = np.nonzero(A)
         stack = (rows, cols, A[rows, cols].astype(float))
         start = spectral._closed_form_start(stack, 100, np.array([True]))[0]
         assert x.tobytes() == start.tobytes()
+
+
+def _near_cycle_arcs(n, rows, cols, mult):
+    # The arcs of an n-cycle, vertex i to i + 1, plus the given arcs.
+    rows = [(i + 1) % n for i in range(n)] + rows
+    return arcs_from_entries(n, rows, list(range(n)) + cols, [1] * n + mult)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, mult",
+    [([1000], [0], [1]), ([2], [0], [1]), ([0], [0], [3])],
+    ids=["chord-across-half", "chord-skip-one", "loop-3"],
+)
+def test_blocks_through_a_rome_hold_no_dense_block(monkeypatch, rows, cols, mult):
+    # 2000-vertex members of the near-periodic families above: a dense
+    # block would take 32 MB, and neither a solve nor one is made.
+    n = 2000
+    arcs = _near_cycle_arcs(n, rows, cols, mult)
+    calls = _counted_solves(monkeypatch)
+    spectral.perron_blocks(arcs, [range(n)], range(n))  # warm
+    tracemalloc.start()
+    try:
+        ((radius, x, residual),) = spectral.perron_blocks(arcs, [range(n)], range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 4 * 2**20
+    assert (x >= 0).all() and x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert residual <= 1e-12 * max(1.0, radius)
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 2), (50, 50), (30, 70)])
+def test_a_candidate_that_is_not_a_rome_goes_to_noda(monkeypatch, n1, n2):
+    # Every vertex ties on in-degree times out-degree, and the candidate,
+    # vertex 0, misses the second cycle.
+    A = _two_cycles_joined(n1, n2)
+    reference = float(max(abs(np.linalg.eigvals(A.astype(float)))))
+    rows, cols = np.nonzero(A)
+    block = (rows, cols, A[rows, cols].astype(float))
+    assert spectral._through_one_vertex_rome(block, n1 + n2) is None
+    calls = _counted_solves(monkeypatch)
+    data = spectral.analyze_irreducible(A)
+    assert len(calls) > 0
+    assert abs(data.radius - reference) <= 1e-12 * reference
+    assert data.residual <= 1e-12 * data.radius
+
+
+def _wide_cycle(n, chord):
+    # An n-cycle whose arcs out of vertices 0 .. n/2 - 1 have multiplicity
+    # 10^6 and the rest 1, so its Perron entries fall from 1 to about
+    # 10^(-3n/2), past the double range; the chord runs from n/4 to 3n/4.
+    A = _weighted_cycle([10**6] * (n // 2) + [1] * (n - n // 2))
+    if chord:
+        A[3 * n // 4, n // 4] += 1
+    return A
+
+
+# rho of _wide_cycle(n, True): the root of 10^(3n) lambda^-n +
+# 10^(3n/2) lambda^-(n/2 + 1) = 1, the first-return equation at vertex n/4,
+# from mpmath.findroot at 60 digits.  Without the chord rho is 1000.
+WIDE_RADII = {
+    (240, False): 1000.0,
+    (240, True): 1000.004166657812550414615101798235493369,
+    (400, False): 1000.0,
+    (400, True): 1000.002499996770844542919421243280405503,
+}
+
+
+@pytest.mark.parametrize("n, chord", sorted(WIDE_RADII))
+def test_wide_cycles_settle_through_their_rome(monkeypatch, n, chord):
+    # Noda's iteration from the uniform start raised ConvergenceError on
+    # all four; the plain cycles' closed-form start underflows.
+    calls = _counted_solves(monkeypatch)
+    data = spectral.analyze_irreducible(_wide_cycle(n, chord))
+    assert calls == []
+    expect = WIDE_RADII[n, chord]
+    assert abs(data.radius - expect) <= 1e-13 * expect
+    x = data.perron_vector
+    assert (x >= 0).all() and x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert data.residual <= 1e-12 * data.radius
 
 
 def test_cycles_and_loops_need_no_solve(monkeypatch):

@@ -1,6 +1,6 @@
 """Scaling curves: kms_simplex and verify_simplex on long chains, and the
-graph analysis (Perron data included) and Seneta order on chains, giants and
-near-cycles.
+graph analysis (Perron data included) and Seneta order on chains, giants,
+near-cycles and wide cycles.
 
     python3 tools/curve.py CHECKOUT [CHECKOUT ...]
 
@@ -14,13 +14,16 @@ check of y (read off the phi rows' own atoms) settled by its certificate:
 "-" when it checked no y.
 
 An analysis row parses ``corpus.chain(random.Random(1), n)`` for n in
-SIZES, ``corpus.giant(n, random.Random(1))`` for n in GIANTS or
-``corpus.near_cycle(n, None)`` for n in NEAR_CYCLES.  It times
-``G._analysis()`` alone (components, periods, the Perron data of every block,
-the condensation and the divergence pass over it) and then ``seneta_order(G)``
-alone.  It gives the vertex and component counts, both times in
-milliseconds, the peak RSS after parsing and how much the analysis added to
-it, in MB.  Chains grow in component count, giants in vertex count.
+SIZES, ``corpus.giant(n, random.Random(1))`` for n in GIANTS,
+``corpus.near_cycle(n, None)`` for n in NEAR_CYCLES or a wide cycle
+(:func:`wide_cycle`) for n in WIDE_CYCLES, without and with its chord.  It
+times ``G._analysis()`` alone (components, periods, the Perron data of every
+block, the condensation and the divergence pass over it) and then
+``seneta_order(G)`` alone.  It gives the vertex and component counts, both
+times in milliseconds, the number of ``np.linalg.solve`` calls the analysis
+made, the peak RSS after parsing and how much the analysis added to it, in
+MB, and the name of the exception if the analysis raised (then no Seneta
+time).  Chains grow in component count, giants in vertex count.
 """
 
 import json
@@ -35,6 +38,7 @@ import digest  # sets the BLAS thread count, so it comes before numpy
 SIZES = (250, 500, 1000, 2000)
 GIANTS = (300, 600, 1200, 2400, 4800)
 NEAR_CYCLES = (300, 600, 1200)
+WIDE_CYCLES = (240, 400)
 
 
 def peak_rss_mb() -> float:
@@ -65,29 +69,56 @@ def run(root: str, n: int) -> dict:
             "peak_rss_mb": peak_rss_mb()}
 
 
+def wide_cycle(n: int, chord: bool) -> str:
+    """An n-cycle c0 -> c1 -> ... whose arcs out of c0 .. c(n/2 - 1) have
+    multiplicity 10^6 and the rest 1, so its Perron entries span about
+    10^(3n/2); the chord runs from c(n/4) to c(3n/4)."""
+    lines = ["vertices: " + " ".join(f"c{i}" for i in range(n))]
+    lines += [f"edge c{i} c{(i + 1) % n} {10**6 if i < n // 2 else 1}" for i in range(n)]
+    if chord:
+        lines.append(f"edge c{n // 4} c{3 * n // 4}")
+    return "\n".join(lines)
+
+
 def analysis(root: str, family: str, n: int) -> dict:
     digest.use_checkout(root)
     import corpus
+    import numpy as np
     from graphkms import parse_graph, seneta_order
 
     if family == "chain":
         text = corpus.chain(random.Random(1), n)[0]
     elif family == "giant":
         text = corpus.giant(n, random.Random(1))
-    else:
+    elif family == "near_cycle":
         text = corpus.near_cycle(n, None)
+    else:
+        text = wide_cycle(n, family == "wide_cycle_chord")
     G = parse_graph(text)
+    solves, solve = [0], np.linalg.solve
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return solve(*args, **kwargs)
+
+    np.linalg.solve = counted
     before = peak_rss_mb()
+    error = None
     started = time.perf_counter()
-    G._analysis()
+    try:
+        G._analysis()
+    except ArithmeticError as err:  # ConvergenceError where a Perron pair fails
+        error = type(err).__name__
     analysed = time.perf_counter()
     added = peak_rss_mb() - before
-    seneta_order(G)
+    if error is None:
+        seneta_order(G)
     done = time.perf_counter()
     return {"family": family, "n": n, "vertices": len(G.vertices),
-            "components": len(G.components), "analysis_ms": 1000 * (analysed - started),
-            "seneta_ms": 1000 * (done - analysed), "parsed_rss_mb": before,
-            "added_rss_mb": added}
+            "components": None if error else len(G.components),
+            "analysis_ms": 1000 * (analysed - started), "seneta_ms": 1000 * (done - analysed),
+            "solves": solves[0], "parsed_rss_mb": before, "added_rss_mb": added,
+            "error": error}
 
 
 def row(*args) -> dict:
@@ -109,15 +140,18 @@ def main() -> None:
             r = row("--run", root, n)
             print(f"{root}\t{n}\t{r['vertices']}\t{r['kms_s']:.3f}\t{r['verify_s']:.3f}\t"
                   f"{r['peak_rss_mb']:.0f}\t{r['certified']}\t{r['failures']}", flush=True)
-    print("checkout\tfamily\tn\tvertices\tcomponents\tanalysis_ms\tseneta_ms\t"
-          "parsed_rss_mb\tadded_rss_mb")
+    print("checkout\tfamily\tn\tvertices\tcomponents\tanalysis_ms\tseneta_ms\tsolves\t"
+          "parsed_rss_mb\tadded_rss_mb\terror")
+    families = (("chain", SIZES), ("giant", GIANTS), ("near_cycle", NEAR_CYCLES),
+                ("wide_cycle", WIDE_CYCLES), ("wide_cycle_chord", WIDE_CYCLES))
     for root in sys.argv[1:]:
-        for family, sizes in (("chain", SIZES), ("giant", GIANTS), ("near_cycle", NEAR_CYCLES)):
+        for family, sizes in families:
             for n in sizes:
                 r = row("--analysis", root, family, n)
                 print(f"{root}\t{family}\t{n}\t{r['vertices']}\t{r['components']}\t"
-                      f"{r['analysis_ms']:.1f}\t{r['seneta_ms']:.2f}\t"
-                      f"{r['parsed_rss_mb']:.1f}\t{r['added_rss_mb']:.1f}", flush=True)
+                      f"{r['analysis_ms']:.1f}\t{r['seneta_ms']:.2f}\t{r['solves']}\t"
+                      f"{r['parsed_rss_mb']:.1f}\t{r['added_rss_mb']:.1f}\t"
+                      f"{r['error'] or '-'}", flush=True)
 
 
 if __name__ == "__main__":
