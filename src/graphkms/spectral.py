@@ -12,7 +12,8 @@ passes those checks without a solve, as does a block whose power steps
 converge.  A block that would still need solves first tries a one-vertex
 rome, a vertex on every cycle: rho is then the root of a scalar
 first-return equation, found by at most 64 Newton steps, each one pass over
-the block's arcs, and the last pass gives the Perron vector as its logs.
+the block's arcs, and the last pass gives the Perron vector as its logs;
+a block whose Newton does not settle on the root goes on to Noda's.
 Every product with a block, that closed form and the rome's passes read
 the arcs inside the block; a block is held as a dense array only while
 Noda's LU solves factor it.  Periods of all blocks of a matrix come from one
@@ -83,11 +84,13 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     test; stalled steps can leave entries from which solves lose positivity.
     A block that would now enter Noda's iteration first tries a one-vertex
     rome (:func:`_through_one_vertex_rome`, one pass over its arcs per
-    Newton step, no dense block), and keeps that vector if it passes the
-    residual test below, its radius and residual taken by the same product
-    as every other vector's.  A block with no one-vertex rome, or whose rome
-    vector fails the test, enters Noda's iteration from its start or power
-    steps as if the rome had not been tried.  Each Noda step solves
+    Newton step, no dense block), which gives a vector only where Newton
+    settled on the root of the first-return equation.  The block keeps that
+    vector if it passes the residual test below, its radius and residual
+    taken by the same product as every other vector's.  A block with no
+    one-vertex rome, whose Newton did not settle, or whose rome vector fails
+    the test, enters Noda's iteration from its start or power steps as if
+    the rome had not been tried.  Each Noda step solves
     (shift I - S) y = x, with the shift at the Collatz-Wielandt upper bound
     sigma = max_i (Sx)_i / x_i of rho.  For y > 0 the next bound is
     shift - min_i x_i / y_i, and the bounds fall to rho quadratically
@@ -100,8 +103,10 @@ def perron_blocks(arcs: Arcs, blocks, names) -> list:
     1e-12 max(1, rho) and its last shift lies within 1e-9 (relative) of its
     radius: with loops of multiplicity 10^6 the residual alone can pass on
     a pair that is not the Perron pair.  A rome vector needs the residual
-    test alone: it is positive before rounding, and the Perron vector is the
-    only positive eigenvector.  2x2 blocks, cycles, 1x1 blocks and blocks
+    test and its settled root instead: every row but the rome's has
+    (Sx)_v = lambda x_v whatever lambda is, so its residual can pass on a
+    wrong lambda where the rome's entry is tiny, and the root is what pins
+    rho (see :func:`_through_one_vertex_rome`).  2x2 blocks, cycles, 1x1 blocks and blocks
     with constant row sums stop at the start, with no power step or solve.
     A stopped block leaves the stack, so its data do not depend on the
     blocks stacked with it.  Raises when a block has not stopped after 64
@@ -302,7 +307,8 @@ def _settle_through_romes(stack, k: int, live: np.ndarray, x, radius, residual):
 
 def _through_one_vertex_rome(block, k: int):
     """The l1-unit Perron vector, shape (1, k), of one irreducible k x k
-    block through a one-vertex rome, or None if the candidate is not one.
+    block through a one-vertex rome, or None if the candidate is not one or
+    Newton does not settle.
 
     ``block`` is (rows, cols, mult) as a stack of one block.  A rome is a
     vertex set that meets every cycle (Block, Guckenheimer, Misiurewicz &
@@ -319,6 +325,13 @@ def _through_one_vertex_rome(block, k: int):
     g, dg/dmu and l_v = ln h_v, each l carried as hi + lo with the rounding
     of every term ln m + l_w - mu kept (Knuth's two-sum), and at the last mu
     the same pass gives x = exp(l - max l).
+
+    The vector is kept only if Newton stopped, no longer rising, before its
+    64 steps, with |g| <= 1e-12 at that last mu.  There (Sx)_v / x_v is
+    lambda for every row but r and lambda f for r, so rho lies between
+    lambda and lambda e^g (Collatz-Wielandt).  Where g(0) < 0, as a real
+    block with small entries can have, Newton stops at mu = 0 and the block
+    is not settled here unless |g(0)| passes too.
     """
     rows, cols, mult = block
     degree = np.bincount(rows, minlength=k) * np.bincount(cols, minlength=k)
@@ -383,6 +396,10 @@ def _through_one_vertex_rome(block, k: int):
         if not after > mu:
             break
         mu = after
+    else:
+        return None  # the last pass was not at the last mu
+    if not abs(g) <= 1e-12:
+        return None
     hi, lo = np.array(hi), np.array(lo)
     top = (hi + lo).argmax()
     x = np.exp((hi - hi[top]) + (lo - lo[top]))

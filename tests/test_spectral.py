@@ -673,6 +673,34 @@ def test_wide_cycles_settle_through_their_rome(monkeypatch, n, chord):
     assert data.residual <= 1e-12 * data.radius
 
 
+@pytest.mark.parametrize(
+    "A, settles",
+    [
+        (np.array([[0.0, 1e-14, 1e-14], [0.0, 0.0, 1.0], [1e13, 0.0, 0.0]]), False),
+        (0.5 * _cycle_with_chord(100, 50), False),
+        (1.5 * _cycle_with_chord(100, 50), True),
+        (np.linspace(0.5, 2.5, 100)[:, None] * _cycle_with_loop(100, 3), True),
+    ],
+    ids=["tiny-rome-entry-3", "half-chord-100", "three-halves-chord-100", "graded-loop-100"],
+)
+def test_rome_vectors_need_a_settled_root(monkeypatch, A, settles):
+    # Every row but the rome's has (Sx)_v = lambda x_v at any lambda, so a
+    # tiny rome entry lets the residual pass on a wrong lambda.  The first
+    # two have g(0) < 0 at their rome (rho 0.5355 and about 0.5), so
+    # Newton stops at mu = 0, off the root, and they go on to Noda.
+    reference = float(max(abs(np.linalg.eigvals(A))))
+    rows, cols = np.nonzero(A)
+    block = (rows, cols, A[rows, cols])
+    assert (spectral._through_one_vertex_rome(block, len(A)) is not None) == settles
+    calls = _counted_solves(monkeypatch)
+    data = spectral.analyze_irreducible(A)
+    assert (calls == []) == settles
+    assert abs(data.radius - reference) <= 1e-12 * reference
+    x = data.perron_vector
+    assert (x >= 0).all() and x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert data.residual <= 1e-12 * max(1.0, data.radius)
+
+
 def test_cycles_and_loops_need_no_solve(monkeypatch):
     # The uniform start is the Perron pair of a k-cycle and of a 1x1 block.
     lines = ["vertices: a0 a1 b0 b1 b2 c0 c1 c2 c3 c4 c5 c6 l m"]
