@@ -253,7 +253,7 @@ def cmd_states(args) -> int:
             for s, label, mvals in zip(sx.extremes, labels, _measure_cells(G, sx.measures))
         )
     # One call writes the table; its rows are formatted as it goes, so only
-    # one row at a time is held, however large the table.
+    # one chunk of rows at a time is held, however large the table.
     sys.stdout.writelines(chain(head, rows))
     return _verify(G, sx) if args.verify else 0
 
@@ -261,28 +261,156 @@ def cmd_states(args) -> int:
 def _measure_cells(G, measures: np.ndarray) -> Iterator[str]:
     """Row by row, the ``m[v]=%.9g`` cells of the measures, joined by two spaces.
 
-    Only a row's span from its first to its last entry other than +0.0 is
-    formatted; the cells either side of it are cut from one precomputed line
-    of ``m[v]=0`` cells.  -0.0 and NaN count as entries, so they still print
-    as -0 and nan.  A row whose span is the whole row formats the whole-graph
-    template, since slicing a whole string returns it unchanged.
+    Only a row's span from its first to its last entry other than +0.0
+    (-0.0 and NaN count) is formatted; the cells either side are cut from a
+    precomputed line of ``m[v]=0`` cells, and a row without entries spans
+    the whole row.  Span cells are built about ``_CHUNK_CELLS`` at a time,
+    one byte row each: ``  m[v]=`` in UTF-8, then a :func:`_g9_cells` text
+    row.  One compress over the kept bytes, with no sentinel, lays them end
+    to end.
     """
-    # One %-template per graph; "%.9g" % x renders exactly as f"{x:.9g}".
-    cells = [f"m[{v.replace('%', '%%')}]=%.9g" for v in G.vertices]
     zero_cells = [f"m[{v}]=0" for v in G.vertices]
-    template, zeros = "  ".join(cells), "  ".join(zero_cells)
-    # Cell i of a line starts at start[i] and ends two characters before start[i + 1].
-    t_start = list(accumulate((len(c) + 2 for c in cells), initial=0))
+    zeros = "  ".join(zero_cells)
+    # Cell i of the line of zeros starts at start[i] and ends two characters before start[i + 1].
     z_start = list(accumulate((len(c) + 2 for c in zero_cells), initial=0))
-    # A row without entries gets the span of the whole row.
+    names = [f"  m[{v}]=".encode() for v in G.vertices]
+    name_len = np.array([len(b) for b in names])
+    width = -(-name_len.max() // 8) * 8  # so that text rows start 8-byte aligned
+    name_text = np.frombuffer(b"".join(b.ljust(width, b"\0") for b in names), "<u8")
+    name_text = name_text.reshape(len(names), -1)
+    name_keep = (np.arange(width) < name_len[:, None]).view("<u8")
     entries = (measures != 0.0) | np.signbit(measures)
-    first = entries.argmax(axis=1).tolist()
-    end = (len(G.vertices) - entries[:, ::-1].argmax(axis=1)).tolist()
-    return (
-        zeros[:z_start[a]] + template[t_start[a]:t_start[b] - 2] % tuple(row[a:b].tolist())
-        + zeros[z_start[b] - 2:]
-        for row, a, b in zip(measures, first, end)
-    )
+    first = entries.argmax(axis=1)
+    end = len(G.vertices) - entries[:, ::-1].argmax(axis=1)
+    span = end - first
+    at_cell = np.cumsum(span) - span  # where each row's span starts among all span cells
+    cuts = np.flatnonzero(np.diff(at_cell // _CHUNK_CELLS, prepend=-1)).tolist()
+    for r0, r1 in zip(cuts, cuts[1:] + [len(span)]):
+        lens, starts = span[r0:r1], at_cell[r0:r1] - at_cell[r0]
+        col = np.arange(lens.sum()) + np.repeat(first[r0:r1] - starts, lens)
+        cells = np.empty((len(col), width + _TEXT), np.uint8)
+        keep = np.empty(cells.shape, bool)
+        cells.view("<u8")[:, :width // 8] = name_text.take(col, axis=0)
+        keep.view("<u8")[:, :width // 8] = name_keep.take(col, axis=0)
+        length, _ = _g9_cells(measures[np.repeat(np.arange(r0, r1), lens), col],
+                              cells[:, width:], keep[:, width:])
+        data, at = cells[keep].tobytes(), 0
+        for a, b, size in zip(first[r0:r1].tolist(), end[r0:r1].tolist(),
+                              np.add.reduceat(name_len.take(col) + length, starts).tolist()):
+            yield zeros[:z_start[a]] + data[at + 2:at + size].decode() + zeros[z_start[b] - 2:]
+            at += size
+
+
+# Span cells formatted at a time, in whole rows (a chunk ends with the row
+# crossing it): enough to spread numpy's per-call cost, few enough that each
+# temporary stays near 100 KB, which the allocator reuses without new pages.
+_CHUNK_CELLS = 2048
+# Bytes in a text row of _g9_cells.
+_TEXT = 40
+
+
+@functools.cache
+def _g9_tables():
+    """The tables of :func:`_g9_cells`, built on first use: per X + 325 for a
+    decimal exponent X, the power of two 2^j that a is scaled by first
+    (2^200 below X = -290, else 1), 10^(8 - X) 2^-j correctly rounded (one
+    exact int over another), and what the form of ``%g`` at X needs; the
+    ASCII word of every 4-digit group; each byte shape's columns and count.
+    """
+    x = np.arange(-325, 310)
+    twos = np.where(x < -290, 200, 0)
+    fixed = (x >= -4) & (x < 9)
+    p = np.where(fixed, x + 1, 1)
+    exponent = "".join(f"e{k:+03d}".ljust(8, "\0") for k in x.tolist()).encode()
+    form = np.where(fixed, x + 4, 13 + (abs(x) >= 100))  # 0..12 fixed, 13/14 exponent
+    k = np.arange(10000, dtype=np.uint64)
+    group = sum((k // 10**(3 - j) % 10 + 48) << np.uint64(8 * j) for j in range(4))
+    digits = 4 - sum((k % 10**j == 0).astype(np.int8) for j in (1, 2, 3, 4))
+    last = np.where(k > 0, 2 * (digits + np.array([[0], [4], [8]], np.int8)), 0).astype(np.int8)
+    code = np.arange(15 * 13 * 2)
+    form_of, f, neg = code // 26, code // 2 % 13, code % 2
+    head = np.where(form_of < 13, np.maximum(form_of - 3, 1), 1) + neg
+    tail = (f > 0) + f
+    suffix = np.where(form_of < 13, 0, 4 + (form_of == 14))
+    col = np.arange(_TEXT)
+    shapes = ((col >= 16 - head[:, None]) & (col < 16 + tail[:, None])) | (
+        (col >= 32) & (col < 32 + suffix[:, None]))
+    scale8 = [10**(8 - k) / 2**j if k <= 8 else 1 / 10**(k - 8)
+              for k, j in zip(x.tolist(), twos.tolist())]
+    return (2.0**twos, np.array(scale8), 10.0 ** (9 - p),
+            10.0 ** (3 + p), np.maximum(p, 1), np.frombuffer(exponent, "<u8"), 26 * form,
+            group, last, shapes.view("<u8"), head + tail + suffix)
+
+
+def _g9_cells(x: np.ndarray, text: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.9g" % v`` for each float v of x, as row i of ``text[keep]`` (uint8
+    and bool, rows 8-byte aligned); returns the text lengths and ``settled``,
+    False where ``%`` itself wrote the text.
+
+    For a finite ``a = |v| > 0``, X estimates floor(log10 a), moved by one
+    where ``s = fl(a 2^j * fl(10^k 2^-j))``, k = 8 - X, leaves [1e8, 1e9], and
+    ``n = rint(s)`` has the 9 digits (1e9 carries to 1e8 at X + 1).  The
+    certificate: ``a 2^j`` is exact and normal, subnormal a included, and
+    the table's ``10^k 2^-j (1 + d1)`` and the product give
+    ``s = w (1 + d1)(1 + d2)`` for the exact ``w = a 10^k``, with |d1|, |d2|
+    <= u = 2^-53 as all are normal, so ``|s - w| <= w (2u + u^2)``,
+    below 2.3e-7 for s <= 1e9.  Where ``|s - n| < 0.5 - 2.3e-7``, w rounds
+    to n and is no tie; a w past the decade of s rounds to the power of ten
+    that n gives there, so s may be 1e9 but not below 1e8.  The accuracy of
+    ``log10`` does not matter.
+
+    A text row is five little-endian words: with p digits before the point
+    (X + 1 in fixed form, 1 in exponent form), ``n // 10^(9 - p)`` as nine
+    digits in columns 7-15 after a 0 at 6, the point at 16, ``n % 10^(9 - p)``
+    as twelve digits in 17-28 and the exponent from 32; each division is
+    exact in float64.  The byte shape of form, fraction digits without
+    trailing zeros and sign picks the columns.  ±0.0 print in fixed form;
+    NaN, ±inf and ties get ``%``.
+    """
+    pre, scale8, unit, scale, head, exponent, form, group, last, shapes, size = _g9_tables()
+    a = np.abs(x)
+    settled = (a > 0.0) & (a < math.inf)
+    a[~settled] = 1.0
+    e = (np.floor(np.log10(a)) + 325).astype(np.intp)  # X + 325
+    s = a * pre.take(e) * scale8.take(e)
+    off = np.flatnonzero((s < 1e8) | (s >= 1e9))
+    e[off] += np.where(s[off] >= 1e9, 1, -1)
+    s[off] = a[off] * pre.take(e[off]) * scale8.take(e[off])
+    settled[off] &= (s[off] >= 1e8) & (s[off] <= 1e9)
+    n = np.rint(s)
+    settled &= np.abs(s - n) < 0.5 - 2.3e-7
+    carry = np.flatnonzero(n == 1e9)
+    e[carry] += 1
+    n[carry] = 1e8
+    zero = np.flatnonzero(x == 0.0)
+    n[zero], e[zero], settled[zero] = 0.0, 325, True
+    d = unit.take(e)
+    parts = np.empty((3, 2, len(x)))  # the integer part and the fraction, in 4-digit groups
+    np.floor(n / d, out=parts[0, 0])
+    parts[0, 1] = (n - parts[0, 0] * d) * scale.take(e)
+    np.floor(parts[0] / 1e4, out=parts[1])
+    parts[2] = parts[0] - parts[1] * 1e4
+    np.floor(parts[1] / 1e4, out=parts[0])
+    parts[1] -= parts[0] * 1e4
+    groups = parts.astype(np.intp)
+    g = group.take(groups)
+    words = text.view("<u8")
+    words[:, 0] = g[0, 0] << 32
+    words[:, 1] = g[1, 0] | g[2, 0] << 32
+    words[:, 2] = g[0, 1] << 8 | g[1, 1] << 40 | ord(".")
+    words[:, 3] = g[1, 1] >> 24 | g[2, 1] << 8
+    words[:, 4] = exponent.take(e)
+    code = np.maximum(np.maximum(last[0].take(groups[0, 1]), last[1].take(groups[1, 1])),
+                      last[2].take(groups[2, 1])) + form.take(e)
+    neg = np.flatnonzero(np.signbit(x))
+    text[neg, 15 - head.take(e[neg])] = ord("-")
+    code[neg] += 1
+    keep.view("<u8")[:] = shapes.take(code, axis=0)
+    length = size.take(code)
+    for i in np.flatnonzero(~settled).tolist():
+        cell = np.frombuffer(("%.9g" % x[i]).encode(), np.uint8)
+        text[i, :len(cell)], keep[i], length[i] = cell, np.arange(_TEXT) < len(cell), len(cell)
+    return length, settled
 
 
 def cmd_phase_diagram(args) -> int:

@@ -237,6 +237,100 @@ def test_states_lines_match_a_per_value_rendering(graph_file, capsys, monkeypatc
     assert "=-0" not in lines[1] and "=-0" in lines[6]
 
 
+def _g9(values):
+    """The kernel's texts of values, its lengths and its settled flags."""
+    x = np.asarray(values, dtype=float)
+    text, keep = np.empty((len(x), cli._TEXT), np.uint8), np.empty((len(x), cli._TEXT), bool)
+    length, settled = cli._g9_cells(x, text, keep)
+    return text[keep].tobytes().decode(), length.tolist(), settled
+
+
+def _assert_g9_matches_percent(values):
+    got, length, _ = _g9(values)
+    expect = ["%.9g" % v for v in np.asarray(values, dtype=float).tolist()]
+    if got != "".join(expect) or length != list(map(len, expect)):
+        at = np.cumsum([0] + length).tolist()
+        bad = next(i for i, t in enumerate(expect) if got[at[i]:at[i + 1]] != t)
+        raise AssertionError(f"{values[bad]!r}: {got[at[bad]:at[bad + 1]]!r} != {expect[bad]!r}")
+
+
+def _ties() -> list[float]:
+    """Dyadic values whose exact decimal has ten digits, the last a 5: c / 2^q
+    with c odd, so that c 5^q is the ten digits, then times 10^t while exact."""
+    from fractions import Fraction
+
+    ties = []
+    for q in range(1, 14):
+        for c in range(-(-10**9 // 5**q) | 1, 10**10 // 5**q, max(2, 10**10 // 5**q // 20) | 1):
+            for t in range(0, 12):
+                tie = Fraction(c * 10**t, 2**q)
+                if c % 2 and Fraction(float(tie)) == tie:
+                    ties += [float(tie), -float(tie)]
+    return ties
+
+
+def test_g9_kernel_prints_every_value_as_percent_does():
+    powers = [float(f"1e{k}") for k in range(-307, 309)]
+    near = [np.nextafter(p, d) for p in powers for d in (0.0, math.inf)]
+    carries = [9.9999999995, 99999999.95, 999999999.5, 9.9999999995e-5, 9.999999995e-5,
+               9.9999999995e20, 9.999999995e-100, 99999999.94, 99999999.96, 999999999.4]
+    switches = [1e-4, 1e-5, 1e8, 1e9, 9.99999999e-5, 9.999999999e-5, 99999999.9, 999999999.0]
+    switches += [np.nextafter(v, d) for v in switches for d in (0.0, math.inf)]
+    specials = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                2.2250738585072014e-308, 2.225e-308, 1e-310, -1e-320, 1.5e-290, 1e-290, 1e290,
+                1.7976931348623157e308, 1e100, -1.5e-150, 2.65039655e-261, 123456789.0, 0.5]
+    ties = _ties()
+    rng = np.random.default_rng(28)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    spread = rng.standard_normal(100_000) * 10.0 ** rng.integers(-30, 30, 100_000)
+    values = powers + near + carries + switches + specials + ties
+    values = [v * s for v in values for s in (1.0, -1.0)] + bits.tolist() + spread.tolist()
+    _assert_g9_matches_percent(values)
+    # The certificate sends each tie to the % fallback, and settles ordinary values.
+    assert len(ties) > 100 and not _g9(ties)[2].any()
+    assert _g9(powers[20:-20] + specials[:2] + spread.tolist())[2].all()
+    # Only NaN and ±inf are left to it besides ties: subnormals are certified too.
+    assert not _g9(specials[2:6])[2].any() and _g9(specials[6:])[2].all()
+
+
+def test_states_table_matches_a_per_value_rendering_for_hard_names_and_entries(
+        graph_file, capsys, monkeypatch):
+    # Names holding %, non-ASCII names and a NUL byte must pass through the
+    # byte assembly unchanged; enough rows to fill several chunks.
+    names = ["a%d", "b%s", "%%", "ü", "日本", "x\x00y", "y\x00", "\x00"]
+    names += [f"v{i}" for i in range(140 - len(names))]
+    text = "vertices: " + " ".join(names)
+    G = gk.parse_graph(text)
+    assert list(G.vertices) == names
+    real = gk.kms_simplex(G, 1.0)
+    rng = np.random.default_rng(3)
+    pool = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-310, 1e-261,
+                     2.65039655e-261, -2.94e-277, 2.0**-13, 2.0**-14, 1e300, 0.0, 1.0])
+    rows = rng.random((len(names), len(names))) * 10.0 ** rng.integers(-12, 3, (len(names),) * 2)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    odd = rng.random(rows.shape) < 0.2
+    rows[odd] = rng.choice(pool, odd.sum())
+    for k, row in enumerate(rows):  # runs of +0.0 at either end, or everywhere
+        row[:k % 7] = 0.0
+        row[len(row) - k % 5:] = 0.0
+    rows[7] = 0.0
+    rows[8] = -0.0
+    rows.setflags(write=False)
+    fake = dataclasses.replace(
+        real,
+        extremes=tuple(dataclasses.replace(s, m=dict(zip(G.vertices, row.tolist())))
+                       for s, row in zip(real.extremes, rows)),
+        measures=rows,
+    )
+    monkeypatch.setattr(cli.kms, "kms_simplex", lambda *a, **k: fake)
+    path = graph_file(text)
+    for chunk in (cli._CHUNK_CELLS, 37):  # 37: a chunk every row or two
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk)
+        rc, out, _ = run(capsys, "states", path, "--beta", "1.0")
+        assert rc == 0
+        assert out.splitlines()[4:] == _expected_states_lines(G, fake)
+
+
 # -- --json output -------------------------------------------------------------
 
 

@@ -7,11 +7,12 @@ near-cycles and wide cycles.
 Every row is one subprocess, which imports graphkms and the bench from the
 checkout.  A chain row builds ``corpus.chain(random.Random(1), n)`` for n in
 SIZES, takes its top critical temperature (graph analysis untimed) and
-times ``kms_simplex`` and then ``verify_simplex`` there.  It gives the vertex
-count, both times in seconds, the subprocess's peak RSS and whether the
-check of y (read off the phi rows' own atoms) settled by its certificate:
-"yes" when verify bounded y and summed no series, "no" when it summed one,
-"-" when it checked no y.
+times ``kms_simplex``, then ``verify_simplex`` there, then the rendering of
+that simplex's ``states`` table (``cli._measure_cells``, every row written
+to a null stream).  It gives the vertex count, the three times in seconds,
+the subprocess's peak RSS and whether the check of y (read off the phi rows'
+own atoms) settled by its certificate: "yes" when verify bounded y and
+summed no series, "no" when it summed one, "-" when it checked no y.
 
 An analysis row parses ``corpus.chain(random.Random(1), n)`` for n in
 SIZES, ``corpus.giant(n, random.Random(1))`` for n in GIANTS,
@@ -19,16 +20,20 @@ SIZES, ``corpus.giant(n, random.Random(1))`` for n in GIANTS,
 (:func:`wide_cycle`) for n in WIDE_CYCLES, without and with its chord.  It
 times ``G._analysis()`` alone (components, periods, the Perron data of every
 block, the condensation and the divergence pass over it) and then
-``seneta_order(G)`` alone.  It gives the vertex and component counts, both
-times in milliseconds, the number of ``np.linalg.solve`` calls the analysis
-made, the peak RSS after parsing and how much the analysis added to it, in
+``seneta_order(G)`` alone, each on a fresh parse of the graph: one untimed
+warm-up call, so that imports and first-use costs stay out, then the median
+of REPEATS calls.  It gives the vertex and component counts, both times in
+milliseconds, the number of ``np.linalg.solve`` calls one analysis makes,
+the peak RSS after parsing and how much the warm-up analysis added to it, in
 MB, and the name of the exception if the analysis raised (then no Seneta
 time).  Chains grow in component count, giants in vertex count.
 """
 
 import json
+import os
 import random
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -39,6 +44,7 @@ SIZES = (250, 500, 1000, 2000)
 GIANTS = (300, 600, 1200, 2400, 4800)
 NEAR_CYCLES = (300, 600, 1200)
 WIDE_CYCLES = (240, 400)
+REPEATS = 5
 
 
 def peak_rss_mb() -> float:
@@ -48,7 +54,7 @@ def peak_rss_mb() -> float:
 def run(root: str, n: int) -> dict:
     digest.use_checkout(root)
     import corpus
-    from graphkms import kms, oracle, parse_graph, spectral
+    from graphkms import cli, kms, oracle, parse_graph, spectral
 
     G = parse_graph(corpus.chain(random.Random(1), n)[0])
     top = kms.critical_temperatures(G)[-1]
@@ -63,10 +69,13 @@ def run(root: str, n: int) -> dict:
         setattr(module, name, counted)
     failures = oracle.verify_simplex(G, sx)
     done = time.perf_counter()
+    with open(os.devnull, "w") as null:
+        null.writelines(cli._measure_cells(G, sx.measures))
+    rendered = time.perf_counter()
     settled = "no" if calls["resolvent_series"] else "yes" if calls["_y_error_bound"] else "-"
     return {"n": n, "vertices": len(G.vertices), "kms_s": built - started,
-            "verify_s": done - built, "failures": len(failures), "certified": settled,
-            "peak_rss_mb": peak_rss_mb()}
+            "verify_s": done - built, "table_s": rendered - done, "failures": len(failures),
+            "certified": settled, "peak_rss_mb": peak_rss_mb()}
 
 
 def wide_cycle(n: int, chord: bool) -> str:
@@ -103,21 +112,26 @@ def analysis(root: str, family: str, n: int) -> dict:
 
     np.linalg.solve = counted
     before = peak_rss_mb()
-    error = None
-    started = time.perf_counter()
-    try:
-        G._analysis()
-    except ArithmeticError as err:  # ConvergenceError where a Perron pair fails
-        error = type(err).__name__
-    analysed = time.perf_counter()
-    added = peak_rss_mb() - before
-    if error is None:
-        seneta_order(G)
-    done = time.perf_counter()
+    times = []
+    for k in range(REPEATS + 1):  # call 0 is the untimed warm-up
+        G, error = parse_graph(text), None
+        started = time.perf_counter()
+        try:
+            G._analysis()
+        except ArithmeticError as err:  # ConvergenceError where a Perron pair fails
+            error = type(err).__name__
+        analysed = time.perf_counter()
+        if error is None:
+            seneta_order(G)
+        if k == 0:
+            added, solved = peak_rss_mb() - before, solves[0]
+        else:
+            times.append((analysed - started, time.perf_counter() - analysed))
     return {"family": family, "n": n, "vertices": len(G.vertices),
             "components": None if error else len(G.components),
-            "analysis_ms": 1000 * (analysed - started), "seneta_ms": 1000 * (done - analysed),
-            "solves": solves[0], "parsed_rss_mb": before, "added_rss_mb": added,
+            "analysis_ms": 1000 * statistics.median(t for t, _ in times),
+            "seneta_ms": 1000 * statistics.median(t for _, t in times),
+            "solves": solved, "parsed_rss_mb": before, "added_rss_mb": added,
             "error": error}
 
 
@@ -134,12 +148,13 @@ def main() -> None:
     if sys.argv[1] == "--analysis":
         print(json.dumps(analysis(sys.argv[2], sys.argv[3], int(sys.argv[4]))))
         return
-    print("checkout\tn\tvertices\tkms_s\tverify_s\tpeak_rss_mb\tcertified\tfailures")
+    print("checkout\tn\tvertices\tkms_s\tverify_s\ttable_s\tpeak_rss_mb\tcertified\tfailures")
     for root in sys.argv[1:]:
         for n in SIZES:
             r = row("--run", root, n)
             print(f"{root}\t{n}\t{r['vertices']}\t{r['kms_s']:.3f}\t{r['verify_s']:.3f}\t"
-                  f"{r['peak_rss_mb']:.0f}\t{r['certified']}\t{r['failures']}", flush=True)
+                  f"{r['table_s']:.3f}\t{r['peak_rss_mb']:.0f}\t{r['certified']}\t"
+                  f"{r['failures']}", flush=True)
     print("checkout\tfamily\tn\tvertices\tcomponents\tanalysis_ms\tseneta_ms\tsolves\t"
           "parsed_rss_mb\tadded_rss_mb\terror")
     families = (("chain", SIZES), ("giant", GIANTS), ("near_cycle", NEAR_CYCLES),

@@ -17,8 +17,10 @@ list of every corrupted copy of each simplex (``CORRUPTIONS``, one row at a
 time), so that a change to the oracle shows on failures as well as on
 clean passes.  A CLI line covers one ``cli.main`` call of the ``chains``
 and ``blocks`` workloads, rounds 0-2 at seeds 1-3: its stdout, stderr and
-exit code, with the temporary directory masked.  ``repr`` is hashed, so a
-float that changes type (say to ``np.float64``) changes a line.
+exit code, with the temporary directory masked.  A table line covers one
+``states`` call on a graph of ``TABLES``, in the forms the bench rounds
+never print.  ``repr`` is hashed, so a float that changes type (say to
+``np.float64``) changes a line.
 """
 
 import os
@@ -40,6 +42,16 @@ SEEDS = 1000
 # What a corrupted copy of a simplex changes in one row of its measures.
 # The last two apply to phi rows only, "charge" only where H_beta is not empty.
 CORRUPTIONS = ("scale", "negative", "charge", "off_vertex", "shift")
+# states tables the bench rounds never print, as (name, graph, betas), a
+# beta of None meaning the top critical value + 0.01: a path whose entries
+# run down to 2.65e-261, some rounded negative; multiplicities near 1e12;
+# and entries 2^-13 and 2^-14, whose 10th digit is an exact tie.
+TABLES = (
+    ("path", "vertices: a b c d\nedge a b\nedge b c\nedge c d", ("-100", "-200")),
+    ("huge", "vertices: v0 v1 v2\nedge v0 v1 1000000000000\nedge v1 v2 1000000000000\n"
+     "edge v2 v0\nedge v2 v1 1000000000\nedge v2 v2", (None,)),
+    ("ties", "vertices: a b c d\nedge a b 8191\nedge c d 16383", ("0", "0.5")),
+)
 
 
 def _hash(*parts) -> str:
@@ -163,6 +175,23 @@ def cli_lines():
                             yield f"cli {name} s{seed} r{round_no} g{g} {shown} {_hash(text, code)}"
 
 
+def table_lines():
+    from graphkms import cli, kms, parse_graph
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text, betas in TABLES:
+            path = str(Path(tmp) / f"{name}.txt")
+            Path(path).write_text(text)
+            G = parse_graph(text)
+            for beta in betas:
+                if beta is None:
+                    beta = repr(kms.beta_value(G, kms.critical_temperatures(G)[-1]) + 0.01)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(["states", path, "--beta", beta])
+                yield f"table {name} --beta {beta} {_hash(out.getvalue(), err.getvalue(), code)}"
+
+
 def use_checkout(root) -> None:
     """Import graphkms, ``tests/conftest.py`` and the bench from ``root``."""
     root = Path(root).resolve()
@@ -179,6 +208,8 @@ def main() -> None:
     for line in corruption_lines():
         print(line)
     for line in cli_lines():
+        print(line)
+    for line in table_lines():
         print(line)
 
 
