@@ -255,16 +255,18 @@ def _assert_g9_matches_percent(values):
 
 
 def _ties() -> list[float]:
-    """Dyadic values whose exact decimal has ten digits, the last a 5: c / 2^q
-    with c odd, so that c 5^q is the ten digits, then times 10^t while exact."""
+    """Dyadic values whose exact decimal has ten significant digits, the last
+    a 5: c / 2^q for odd c with c 5^q ten digits long, then times 10^t while
+    the float stays exact."""
     from fractions import Fraction
 
     ties = []
     for q in range(1, 14):
-        for c in range(-(-10**9 // 5**q) | 1, 10**10 // 5**q, max(2, 10**10 // 5**q // 20) | 1):
-            for t in range(0, 12):
+        odd = range(-(-10**9 // 5**q) | 1, 10**10 // 5**q, 2)
+        for c in odd[::max(1, len(odd) // 10)]:
+            for t in range(12):
                 tie = Fraction(c * 10**t, 2**q)
-                if c % 2 and Fraction(float(tie)) == tie:
+                if Fraction(float(tie)) == tie:
                     ties += [float(tie), -float(tie)]
     return ties
 
