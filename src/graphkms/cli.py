@@ -365,7 +365,7 @@ def _g9_cells(x: np.ndarray, text: np.ndarray, keep: np.ndarray) -> tuple[np.nda
     as twelve digits in 17-28 and the exponent from 32; each division is
     exact in float64.  The byte shape of form, fraction digits without
     trailing zeros and sign picks the columns.  ±0.0 print in fixed form;
-    NaN, ±inf and ties get ``%``.
+    NaN, ±inf and values s puts within 2.3e-7 of a tie get ``%``.
     """
     pre, scale8, unit, scale, head, exponent, form, group, last, shapes, size = _g9_tables()
     a = np.abs(x)
